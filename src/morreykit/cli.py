@@ -13,11 +13,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import decomp, growth, norms, trace, verify
-from .growth import (GrowthFunction, SpaceParams, check_nakai, dyadic_scales,
-                     loginv, power, powerlog)
+from . import decomp, growth, trace, verify
+from .growth import (SpaceParams, check_nakai, dyadic_scales, loginv, power,
+                     powerlog)
 from .gridfn import GridFunction, make_bank, preset_function, rychkov_pair
 from .norms import CoeffField, seq_norm, space_norm
 
@@ -309,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=1)
         p.add_argument("--res", type=int, default=256)
         p.add_argument("--dry-run", action="store_true", dest="dry_run")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", default=None)
         p.add_argument("--input", default=None)
 

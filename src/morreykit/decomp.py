@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, cube_mask, dilate
+from .dyadic import DyadicCube, box_mask, cube_mask, dilate
 from .gridfn import (FilterBank, GridFunction, RychkovPair, band, smoothstep7,
-                     _bump_axis, _multi_indices, centered_axis, kappa_profile,
-                     wavenumbers, TWO_PI)
+                     _bump_axis, _moments, _multi_indices, _times_monomial,
+                     centered_axis, kappa_profile, kinf_grid, wavenumbers,
+                     TWO_PI)
 from .norms import CoeffField, QuarkCoeffs
 
 TINY = 1e-300
@@ -78,8 +79,7 @@ class Atom:
 
     def to_grid(self, G: int, n: int) -> GridFunction:
         out = np.zeros((G,) * n, dtype=np.complex128)
-        idx = [np.arange(o, o + s) % G for o, s in zip(self.origin, self.patch.shape)]
-        out[np.ix_(*idx)] += self.patch
+        add_patch(out, self)
         return GridFunction(n, out)
 
 
@@ -92,17 +92,22 @@ def add_patch(accum: np.ndarray, atom: Atom, weight=1.0):
 # ---------------------------------------------------------------------------
 # validators
 
-def _spectral_derivative(samples: np.ndarray, alpha) -> np.ndarray:
-    n = samples.ndim
-    G = samples.shape[0]
-    spec = np.fft.fftn(samples)
+def _differentiate(spec: np.ndarray, alpha) -> np.ndarray:
+    """spec * prod_i (2 pi i k_i)^alpha_i, one axis at a time, with the
+    wavenumbers of the spectrum's own side."""
+    n = spec.ndim
+    G = spec.shape[0]
     k = wavenumbers(G)
     for ax, a in enumerate(alpha):
         if a:
             shape = [1] * n
             shape[ax] = G
             spec = spec * (2j * math.pi * k).reshape(shape) ** a
-    return np.fft.ifftn(spec)
+    return spec
+
+
+def _spectral_derivative(samples: np.ndarray, alpha) -> np.ndarray:
+    return np.fft.ifftn(_differentiate(np.fft.fftn(samples), alpha))
 
 
 def _centered_on_cube(f: GridFunction, Q: DyadicCube) -> np.ndarray:
@@ -112,6 +117,15 @@ def _centered_on_cube(f: GridFunction, Q: DyadicCube) -> np.ndarray:
     G = f.G
     shift = [-int(round(c * G)) for c in Q.center]
     return np.roll(f.samples, shift, axis=tuple(range(f.n)))
+
+
+def _moment_worst(f: GridFunction, Q: DyadicCube, L: int) -> float:
+    """Largest |discrete moment| over |beta| <= L in cube-centered
+    coordinates; 0 for j <= 0 cubes, where no moment condition applies."""
+    if Q.j < 1:
+        return 0.0
+    moms = _moments(_centered_on_cube(f, Q), L, f.h)
+    return max([0.0] + [abs(v) for v in moms.values()])
 
 
 def validate_atom(a: GridFunction, Q: DyadicCube, spec: AtomSpec) -> dict:
@@ -125,7 +139,7 @@ def validate_atom(a: GridFunction, Q: DyadicCube, spec: AtomSpec) -> dict:
     n, G = a.n, a.G
     j = Q.j
     center, half = dilate(Q, spec.support_dilate)
-    mask = _support_mask(center, half, G, n)
+    mask = box_mask(center, half, G, n)
     amax = float(np.abs(a.samples).max())
     outside = float(np.abs(a.samples[~mask]).max()) if (~mask).any() else 0.0
     support_ok = outside <= 1e-10 * max(amax, TINY)
@@ -137,19 +151,7 @@ def validate_atom(a: GridFunction, Q: DyadicCube, spec: AtomSpec) -> dict:
                           2.0 ** (-j * sum(alpha)) * float(np.abs(d).max()))
     deriv_ok = worst_deriv <= 1.0 + spec.deriv_tol
 
-    moment_worst = 0.0
-    if j >= 1 and spec.L >= 0:
-        rolled = _centered_on_cube(a, Q)
-        x = centered_axis(G)
-        h = 1.0 / G
-        for beta in _multi_indices(n, spec.L):
-            m = rolled
-            for ax, b in enumerate(beta):
-                if b:
-                    shape = [1] * n
-                    shape[ax] = G
-                    m = m * (x ** b).reshape(shape)
-            moment_worst = max(moment_worst, abs(complex(m.sum() * h ** n)))
+    moment_worst = _moment_worst(a, Q, spec.L)
     moment_ok = moment_worst <= spec.moment_tol * max(amax, TINY) * Q.volume \
         or moment_worst <= spec.moment_tol
 
@@ -164,11 +166,6 @@ def validate_atom(a: GridFunction, Q: DyadicCube, spec: AtomSpec) -> dict:
     }
 
 
-def _support_mask(center, half, G, n) -> np.ndarray:
-    from .dyadic import box_mask
-    return box_mask(center, half, G, n)
-
-
 def validate_molecule(b: GridFunction, Q: DyadicCube, spec: MoleculeSpec) -> dict:
     """Molecule check: |d^alpha b(x)| <= 2^{|alpha| j} (1 + 2^j d(x, corner))^{-N}
     pointwise on the torus (compact support replaced by the decay envelope)."""
@@ -178,7 +175,7 @@ def validate_molecule(b: GridFunction, Q: DyadicCube, spec: MoleculeSpec) -> dic
     # torus distance from the cube corner 2^-j m
     axes = []
     for mi, _ in zip(Q.m, range(n)):
-        x = coord = np.arange(G) / G
+        coord = np.arange(G) / G
         d = np.abs(((coord - mi * Q.side) + 0.5) % 1.0 - 0.5)
         axes.append(d ** 2)
     r2 = axes[0]
@@ -193,19 +190,7 @@ def validate_molecule(b: GridFunction, Q: DyadicCube, spec: MoleculeSpec) -> dic
         worst = max(worst, float(ratio.max()))
     deriv_ok = worst <= 1.0 + spec.deriv_tol
 
-    moment_worst = 0.0
-    if j >= 1 and spec.L >= 0:
-        rolled = _centered_on_cube(b, Q)
-        x = centered_axis(G)
-        h = 1.0 / G
-        for beta in _multi_indices(n, spec.L):
-            m = rolled
-            for ax, bb in enumerate(beta):
-                if bb:
-                    shape = [1] * n
-                    shape[ax] = G
-                    m = m * (x ** bb).reshape(shape)
-            moment_worst = max(moment_worst, abs(complex(m.sum() * h ** n)))
+    moment_worst = _moment_worst(b, Q, spec.L)
     moment_ok = moment_worst <= spec.moment_tol
 
     return {"deriv_ok": deriv_ok, "deriv_sup": worst,
@@ -254,7 +239,7 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
             for alpha in alphas:
                 d = _spectral_derivative(gamma, alpha)
                 lam = max(lam, 2.0 ** (-j * sum(alpha)) * float(np.abs(d).max()))
-            lam_levels.setdefault(j, {})[(0,) * n] = lam
+            lam_levels[j] = lam if j < 0 else np.full((1,) * n, lam)
             atoms[(j, (0,) * n)] = Atom(j, (0,) * n, gamma / lam, (0,) * n)
             continue
         c = G >> j
@@ -274,29 +259,15 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
             origin = tuple((mi * c - c) % G for mi in m)
             atoms[(j, m)] = Atom(j, m, gam[m] / lam[m], origin)
         lam_levels[j] = lam
-    levels = {}
-    for j, v in lam_levels.items():
-        if isinstance(v, dict):
-            v = v[(0,) * n] if j < 0 else np.full((1,) * n, v[(0,) * n])
-        levels[j] = v
-    return CoeffField(n, levels), atoms
+    return CoeffField(n, lam_levels), atoms
 
 
 def _derivative_kernels(pair: RychkovPair, j: int, alphas) -> list:
     """Full-grid spatial kernels of d^alpha phi_j via spectral
     differentiation (alpha = 0 gives phi_j itself, exactly compact)."""
     n, G = pair.n, pair.G
-    k = wavenumbers(G)
-    out = []
-    for alpha in alphas:
-        spec = pair.phi_spec[j]
-        for ax, a in enumerate(alpha):
-            if a:
-                shape = [1] * n
-                shape[ax] = G
-                spec = spec * (2j * math.pi * k).reshape(shape) ** a
-        out.append(np.fft.ifftn(spec * G ** n))
-    return out
+    return [np.fft.ifftn(_differentiate(pair.phi_spec[j], alpha) * G ** n)
+            for alpha in alphas]
 
 
 def _level_analysis(U: np.ndarray, kernels: list, c: int) -> list:
@@ -367,28 +338,11 @@ def make_atom(Q: DyadicCube, spec: AtomSpec, G: int, seed: int = 0) -> GridFunct
     n = Q.n
     rng = np.random.default_rng(seed)
     j = Q.j
-    x = centered_axis(G)
-    # coordinates centered on the cube, units of the cube side
-    t_axes = []
-    for ci in Q.center:
-        d = ((x + 0.5 - ci) % 1.0) - 0.5
-        t_axes.append(d / Q.side)
-    window_ax = [_bump_axis(t / 1.4) for t in t_axes]
-    window = window_ax[0]
-    for wa in window_ax[1:]:
-        window = np.multiply.outer(window, wa)
-    mesh = np.meshgrid(*t_axes, indexing="ij") if n > 1 else \
-        [t_axes[0]]
+    window, t_axes = _cube_window(Q, G)
     poly = np.zeros((G,) * n)
     for beta in _multi_indices(n, max(spec.L + 1, 2)):
         coef = rng.standard_normal()
-        term = np.ones((G,) * n)
-        for ax, b in enumerate(beta):
-            if b:
-                shape = [1] * n
-                shape[ax] = G
-                term = term * (t_axes[ax] ** b).reshape(shape)
-        poly += coef * term
+        poly += coef * _times_monomial(np.ones((G,) * n), beta, t_axes)
     a = window * poly
 
     if spec.L >= 0 and j >= 1:
@@ -404,29 +358,26 @@ def make_atom(Q: DyadicCube, spec: AtomSpec, G: int, seed: int = 0) -> GridFunct
     return GridFunction(n, a / worst)
 
 
+def _cube_window(Q: DyadicCube, G: int):
+    """(window, t_axes): a smooth bump supported in 3Q and the per-axis
+    coordinates centered on the cube, in units of the cube side."""
+    x = centered_axis(G)
+    t_axes = [(((x + 0.5 - ci) % 1.0) - 0.5) / Q.side for ci in Q.center]
+    window = _bump_axis(t_axes[0] / 1.4)
+    for t in t_axes[1:]:
+        window = np.multiply.outer(window, _bump_axis(t / 1.4))
+    return window, t_axes
+
+
 def _remove_moments(a: np.ndarray, window: np.ndarray, t_axes, L: int) -> np.ndarray:
     """Project out all moments |beta| <= L using window-times-monomial
     corrections supported in the same box."""
-    n = a.ndim
-    betas = list(_multi_indices(n, L))
-    basis = []
-    for beta in betas:
-        term = window.astype(np.complex128)
-        for ax, b in enumerate(beta):
-            if b:
-                shape = [1] * n
-                shape[ax] = a.shape[0]
-                term = term * (t_axes[ax] ** b).reshape(shape)
-        basis.append(term)
+    betas = list(_multi_indices(a.ndim, L))
+    basis = [_times_monomial(window.astype(np.complex128), beta, t_axes)
+             for beta in betas]
 
     def mom(g, beta):
-        m = g
-        for ax, b in enumerate(beta):
-            if b:
-                shape = [1] * n
-                shape[ax] = a.shape[0]
-                m = m * (t_axes[ax] ** b).reshape(shape)
-        return complex(m.sum())
+        return complex(_times_monomial(g, beta, t_axes).sum())
 
     M = np.array([[mom(bf, beta) for bf in basis] for beta in betas])
     rhs = np.array([mom(a.astype(np.complex128), beta) for beta in betas])
@@ -466,14 +417,7 @@ def make_molecule(Q: DyadicCube, spec: MoleculeSpec, G: int, seed: int = 0) -> G
     base = (1.0 + r2) ** (-spec.N / 2.0) * mod
     if spec.L >= 0 and Q.j >= 1:
         # moment removal against a compactly supported window on 3Q
-        t_axes = []
-        for ci in Q.center:
-            d = ((x + 0.5 - ci) % 1.0) - 0.5
-            t_axes.append(d / Q.side)
-        window_ax = [_bump_axis(t / 1.4) for t in t_axes]
-        window = window_ax[0]
-        for wa in window_ax[1:]:
-            window = np.multiply.outer(window, wa)
+        window, t_axes = _cube_window(Q, G)
         base = _remove_moments(base, window, t_axes, spec.L)
     g = GridFunction(n, base)
     report = validate_molecule(g, Q, MoleculeSpec(spec.K, -1, spec.N))
@@ -595,7 +539,6 @@ def quark_analyze(f: GridFunction, gen: QuarkGen, bank: FilterBank,
     with a = 2^-nu_s, b = 2^-(nu_s+rho)."""
     n, G = f.n, f.G
     J = G.bit_length() - 1
-    spec = f.spectrum()
     fields = {beta: {} for beta in _multi_indices(n, beta_cutoff)}
     lam_norms = {}
     for nu in bank.levels():
@@ -612,20 +555,10 @@ def quark_analyze(f: GridFunction, gen: QuarkGen, bank: FilterBank,
         lam_norms[nu] = float(np.abs(Lam).max())
         Sf = S * (1 << gen.rho)
         # kernel derivative samples on the Sf lattice (independent of G)
-        kf = wavenumbers(Sf)
-        kwin_ax = kf
-        u = np.abs(kf)
-        for _ in range(n - 1):
-            u = np.maximum.outer(u, np.abs(kf))
-        window = kappa_profile(TWO_PI * u / S)
+        window = kappa_profile(TWO_PI * kinf_grid(n, Sf) / S)
         b_spacing = 1.0 / Sf
         for beta in fields:
-            wspec = window.astype(np.complex128)
-            for ax, bb in enumerate(beta):
-                if bb:
-                    shape = [1] * n
-                    shape[ax] = Sf
-                    wspec = wspec * (2j * math.pi * kf).reshape(shape) ** bb
+            wspec = _differentiate(window.astype(np.complex128), beta)
             Dg = np.fft.ifftn(wspec * Sf ** n) / S ** n  # kernel has 1/S^n weight
             # lam^beta(l) = scale * sum_m Lam(m) Dg(l - 2^rho m)
             comb = np.zeros((Sf,) * n, dtype=np.complex128)

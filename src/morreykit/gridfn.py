@@ -339,7 +339,6 @@ def hl_maximal(f: GridFunction) -> GridFunction:
     best = np.full_like(a, a.mean())  # level 0: the whole torus
     for lev in range(1, J + 1):
         c = G >> lev  # cells per cube side
-        shifts = [()]
         if c >= 2:
             shifts = list(itertools.product([0, c // 2], repeat=n))
         else:
@@ -487,9 +486,14 @@ def _dilated_bump(n: int, G: int, scale: float) -> np.ndarray:
     # periodize: sum over integer shifts that can reach the support
     reach = int(math.ceil(1.0 / (4.0 * scale))) + 1
     ax = sum(_taper_axis(4.0 * scale * (x + t)) for t in range(-reach, reach + 1))
-    out = ax
+    return _tensor(ax, n)
+
+
+def _tensor(axis_vals: np.ndarray, n: int) -> np.ndarray:
+    """Outer product of n copies of one axis profile."""
+    out = axis_vals
     for _ in range(n - 1):
-        out = np.multiply.outer(out, ax)
+        out = np.multiply.outer(out, axis_vals)
     return out
 
 
@@ -547,21 +551,23 @@ class RychkovPair:
         return err.l2() / ref
 
 
+def _times_monomial(a: np.ndarray, beta, axes) -> np.ndarray:
+    """a * prod_i axes[i]^beta_i, one broadcast axis at a time."""
+    n = a.ndim
+    for ax, b in enumerate(beta):
+        if b:
+            shape = [1] * n
+            shape[ax] = a.shape[ax]
+            a = a * (axes[ax] ** b).reshape(shape)
+    return a
+
+
 def _moments(samples: np.ndarray, L: int, h: float) -> dict:
     """Discrete moments sum_x x^beta f(x) h^n in centered coordinates."""
     n = samples.ndim
-    G = samples.shape[0]
-    x = centered_axis(G)
-    out = {}
-    for beta in _multi_indices(n, L):
-        w = np.ones(G)
-        m = samples
-        for ax, b in enumerate(beta):
-            shape = [1] * n
-            shape[ax] = G
-            m = m * (x ** b).reshape(shape)
-        out[beta] = complex(m.sum() * h ** n)
-    return out
+    axes = [centered_axis(samples.shape[0])] * n
+    return {beta: complex(_times_monomial(samples, beta, axes).sum() * h ** n)
+            for beta in _multi_indices(n, L)}
 
 
 def _multi_indices(n: int, max_total: int):
@@ -635,15 +641,3 @@ def rychkov_pair(L: int, n: int = 1, G: int = 256,
                        psi_spec=psi_spec, phi_half_cells=half_cells,
                        homogeneous=homogeneous)
 
-
-def _single_moment(samples: np.ndarray, beta, h: float) -> complex:
-    n = samples.ndim
-    G = samples.shape[0]
-    x = centered_axis(G)
-    m = samples
-    for ax, b in enumerate(beta):
-        if b:
-            shape = [1] * n
-            shape[ax] = G
-            m = m * (x ** b).reshape(shape)
-    return complex(m.sum() * h ** n)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 INF = math.inf
 
@@ -41,6 +41,8 @@ class GrowthFunction:
                  base: "GrowthFunction" = None, shift: float = None):
         if n < 1:
             raise ValueError("dimension must be positive")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family}")
         self.family = family
         self.n = n
         self.p = p
@@ -51,40 +53,16 @@ class GrowthFunction:
             self.entries = {int(j): float(v) for j, v in dict(entries).items()}
         else:
             self.entries = None
-        if family == "power" and (p is None or p <= 0):
-            raise ValueError("power family needs p > 0")
-        if family == "powerlog" and (p is None or exponent is None):
-            raise ValueError("powerlog family needs p and exponent")
-        if family == "loginv" and exponent is None:
-            raise ValueError("loginv family needs exponent")
-        if family == "table" and not self.entries:
-            raise ValueError("table family needs entries")
-        if family == "powershift" and (base is None or shift is None):
-            raise ValueError("powershift family needs base and shift")
-        if family == "powerof" and (base is None or exponent is None):
-            raise ValueError("powerof family needs base and exponent")
+        for name in FAMILIES[family].fields:
+            value = getattr(self, name)
+            if value is None or not _FIELDS[name].valid(value):
+                raise ValueError(f"{family} family needs {_FIELDS[name].need}")
 
     def __call__(self, t: float) -> float:
         if t <= 0:
             raise ValueError("scale must be positive")
-        if self.family == "power":
-            v = t ** (self.n / self.p)
-        elif self.family == "powerlog":
-            v = t ** (self.n / self.p) * math.log(3.0 + t) ** (-self.exponent)
-        elif self.family == "loginv":
-            v = math.log(2.0 + 1.0 / t) ** (-self.exponent)
-        elif self.family == "table":
-            j = round(math.log2(t))
-            if abs(t - 2.0 ** j) > 1e-9 * t or j not in self.entries:
-                raise ValueError(f"table family not defined at t={t}")
-            v = self.entries[j]
-        elif self.family == "powershift":
-            v = self.base(t) * t ** self.shift
-        elif self.family == "powerof":
-            v = self.base(t) ** self.exponent
-        else:
-            raise ValueError(f"unknown family {self.family}")
-        if v <= 0:
+        v = FAMILIES[self.family].value(self, t)
+        if not v > 0:
             raise ValueError(f"phi({t}) = {v} is not positive")
         return v
 
@@ -92,21 +70,8 @@ class GrowthFunction:
 
     def to_json(self) -> dict:
         d = {"family": self.family, "n": self.n}
-        if self.family == "power":
-            d["p"] = self.p
-        elif self.family == "powerlog":
-            d["p"] = self.p
-            d["exponent"] = self.exponent
-        elif self.family == "loginv":
-            d["exponent"] = self.exponent
-        elif self.family == "table":
-            d["entries"] = [[j, v] for j, v in sorted(self.entries.items())]
-        elif self.family == "powershift":
-            d["base"] = self.base.to_json()
-            d["shift"] = self.shift
-        elif self.family == "powerof":
-            d["base"] = self.base.to_json()
-            d["exponent"] = self.exponent
+        for name in FAMILIES[self.family].fields:
+            d[name] = _FIELDS[name].encode(getattr(self, name))
         return d
 
     @staticmethod
@@ -114,27 +79,73 @@ class GrowthFunction:
         if isinstance(d, str):
             d = json.loads(d)
         fam = d["family"]
-        n = int(d.get("n", 1))
-        if fam == "power":
-            return GrowthFunction("power", n, p=d["p"])
-        if fam == "powerlog":
-            return GrowthFunction("powerlog", n, p=d["p"], exponent=d["exponent"])
-        if fam == "loginv":
-            return GrowthFunction("loginv", n, exponent=d["exponent"])
-        if fam == "table":
-            return GrowthFunction("table", n, entries={j: v for j, v in d["entries"]})
-        if fam == "powershift":
-            return GrowthFunction("powershift", n,
-                                  base=GrowthFunction.from_json(d["base"]),
-                                  shift=d["shift"])
-        if fam == "powerof":
-            return GrowthFunction("powerof", n,
-                                  base=GrowthFunction.from_json(d["base"]),
-                                  exponent=d["exponent"])
-        raise ValueError(f"unknown family {fam}")
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown family {fam}")
+        return GrowthFunction(fam, int(d.get("n", 1)),
+                              **{name: _FIELDS[name].decode(d[name])
+                                 for name in FAMILIES[fam].fields})
 
     def __repr__(self):
         return f"GrowthFunction({self.to_json()})"
+
+
+def _table_value(phi: GrowthFunction, t: float) -> float:
+    j = round(math.log2(t))
+    if abs(t - 2.0 ** j) > 1e-9 * t or j not in phi.entries:
+        raise ValueError(f"table family not defined at t={t}")
+    return phi.entries[j]
+
+
+class _Family(NamedTuple):
+    fields: tuple  # required fields, in JSON key order
+    value: Callable  # (phi, t) -> phi(t)
+
+
+FAMILIES = {
+    "power": _Family(("p",), lambda phi, t: t ** (phi.n / phi.p)),
+    "powerlog": _Family(("p", "exponent"), lambda phi, t: (
+        t ** (phi.n / phi.p) * math.log(3.0 + t) ** (-phi.exponent))),
+    "loginv": _Family(("exponent",), lambda phi, t: (
+        math.log(2.0 + 1.0 / t) ** (-phi.exponent))),
+    "table": _Family(("entries",), _table_value),
+    "powershift": _Family(("base", "shift"),
+                          lambda phi, t: phi.base(t) * t ** phi.shift),
+    "powerof": _Family(("base", "exponent"),
+                       lambda phi, t: phi.base(t) ** phi.exponent),
+}
+
+
+class _Field(NamedTuple):
+    need: str  # what the constructor demands, for its error message
+    valid: Callable  # value -> bool
+    encode: Callable  # value -> JSON
+    decode: Callable  # JSON -> constructor argument
+    relabel: Callable  # (phi, n) -> the value _with_dim gives dimension n
+
+
+def _same(v):
+    return v
+
+
+_FIELDS = {
+    # keep t^(n_old/p) literally: t^(n_new/p') with p' = p*n_new/n_old
+    "p": _Field("finite p > 0", lambda v: math.isfinite(v) and v > 0,
+                _same, _same, lambda phi, n: phi.p * n / phi.n),
+    "exponent": _Field("a finite exponent", math.isfinite, _same, _same,
+                       lambda phi, n: phi.exponent),
+    "shift": _Field("a finite shift", math.isfinite, _same, _same,
+                    lambda phi, n: phi.shift),
+    "entries": _Field("finite positive entries",
+                      lambda e: bool(e) and all(math.isfinite(v) and v > 0
+                                                for v in e.values()),
+                      lambda e: [[j, v] for j, v in sorted(e.items())],
+                      lambda pairs: {j: v for j, v in pairs},
+                      lambda phi, n: phi.entries),
+    "base": _Field("a base growth function",
+                   lambda b: isinstance(b, GrowthFunction),
+                   lambda b: b.to_json(), GrowthFunction.from_json,
+                   lambda phi, n: _with_dim(phi.base, n)),
+}
 
 
 def power(p: float, n: int = 1) -> GrowthFunction:
@@ -251,8 +262,10 @@ class SpaceParams:
     def __post_init__(self):
         if not (0 < self.q < INF):
             raise ValueError("q must be finite and positive")
-        if self.r <= 0:
+        if not self.r > 0:  # also rejects NaN; r = inf is allowed
             raise ValueError("r must be positive")
+        if not math.isfinite(self.s):
+            raise ValueError("s must be finite")
         if self.variant not in ("N", "E"):
             raise ValueError("variant must be 'N' or 'E'")
         if self.phi.n != self.n:
@@ -323,23 +336,9 @@ def trace_transform(params: SpaceParams) -> SpaceParams:
 def _with_dim(phi: GrowthFunction, n: int) -> GrowthFunction:
     """Same evaluator, relabelled dimension (the formula keeps phi verbatim;
     power-family exponents n/p are frozen to their original value)."""
-    if phi.family == "power":
-        # keep t^(n_old/p) literally: t^(n_new/p') with p' = p*n_new/n_old
-        return GrowthFunction("power", n, p=phi.p * n / phi.n)
-    if phi.family == "powerlog":
-        return GrowthFunction("powerlog", n, p=phi.p * n / phi.n,
-                              exponent=phi.exponent)
-    if phi.family == "loginv":
-        return GrowthFunction("loginv", n, exponent=phi.exponent)
-    if phi.family == "table":
-        return GrowthFunction("table", n, entries=phi.entries)
-    if phi.family == "powershift":
-        return GrowthFunction("powershift", n, base=_with_dim(phi.base, n),
-                              shift=phi.shift)
-    if phi.family == "powerof":
-        return GrowthFunction("powerof", n, base=_with_dim(phi.base, n),
-                              exponent=phi.exponent)
-    raise ValueError(phi.family)
+    return GrowthFunction(phi.family, n,
+                          **{name: _FIELDS[name].relabel(phi, n)
+                             for name in FAMILIES[phi.family].fields})
 
 
 def check_trace_summability(phi_star: GrowthFunction, scales: list[float],

@@ -62,8 +62,7 @@ class CoeffField:
         return complex(self.levels[j][tuple(int(k) % (1 << j) for k in m)])
 
     def scaled(self, c) -> "CoeffField":
-        return CoeffField(self.n, {j: (v * c if j >= 0 else v * c)
-                                   for j, v in self.levels.items()})
+        return CoeffField(self.n, {j: v * c for j, v in self.levels.items()})
 
     def __add__(self, other: "CoeffField") -> "CoeffField":
         out = {}
@@ -81,20 +80,7 @@ class CoeffField:
     # -- CSV persistence -----------------------------------------------------
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["j"] + [f"m{i+1}" for i in range(self.n)] + ["re", "im"])
-        for j in self.level_list():
-            v = self.levels[j]
-            if j < 0:
-                w.writerow([j] + [0] * self.n + [v.real, v.imag])
-                continue
-            it = np.ndindex(v.shape)
-            for m in it:
-                z = v[m]
-                if z != 0:
-                    w.writerow([j] + list(m) + [z.real, z.imag])
-        return buf.getvalue()
+        return _csv_text(["j"], self.n, [((), self)])
 
     @staticmethod
     def from_csv(text: str, n: int) -> "CoeffField":
@@ -129,31 +115,38 @@ class QuarkCoeffs:
         return sorted(self.fields, key=lambda b: (sum(b), b))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["beta", "nu"] + [f"m{i+1}" for i in range(self.n)]
-                   + ["re", "im"])
-        for beta in self.betas():
-            fld = self.fields[beta]
-            tag = "-".join(str(b) for b in beta)
-            for j in fld.level_list():
-                v = fld.levels[j]
-                if j < 0:
-                    w.writerow([tag, j] + [0] * self.n + [v.real, v.imag])
-                    continue
-                for m in np.ndindex(v.shape):
-                    z = v[m]
-                    if z != 0:
-                        w.writerow([tag, j] + list(m) + [z.real, z.imag])
-        return buf.getvalue()
+        return _csv_text(["beta", "nu"], self.n,
+                         [(("-".join(str(b) for b in beta),), self.fields[beta])
+                          for beta in self.betas()])
+
+
+def _csv_text(head: list, n: int, tagged: list) -> str:
+    """CSV with columns head + m1..mn + re, im: one row per nonzero
+    coefficient of each (prefix, CoeffField) pair, the prefix leading the
+    row; homogeneous levels are written at m = 0."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(head + [f"m{i+1}" for i in range(n)] + ["re", "im"])
+    for prefix, fld in tagged:
+        for j in fld.level_list():
+            v = fld.levels[j]
+            if j < 0:
+                w.writerow([*prefix, j] + [0] * n + [v.real, v.imag])
+                continue
+            for m in np.ndindex(v.shape):
+                z = v[m]
+                if z != 0:
+                    w.writerow([*prefix, j] + list(m) + [z.real, z.imag])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # Morrey norm on grid functions
 
 def _morrey_of_array(a: np.ndarray, q: float, phi: GrowthFunction) -> float:
-    """sup over dyadic cubes (levels 0..J) of phi(ell) (cube mean of a)^{1/q};
-    a holds |f|^q >= 0 on the grid."""
+    """sup over dyadic cubes (levels 0..J) of phi(ell) (cube mean of a^q)^{1/q}
+    for a nonnegative field a on the grid."""
+    a = a ** q
     G = a.shape[0]
     J = G.bit_length() - 1
     best = phi(1.0) * float(a.mean()) ** (1.0 / q)
@@ -169,7 +162,47 @@ def morrey_norm(f: GridFunction, q: float, phi: GrowthFunction) -> float:
     sup over the dyadic lattice down to single grid cells."""
     if q <= 0:
         raise ValueError("q must be positive")
-    return _morrey_of_array(np.abs(f.samples) ** q, q, phi)
+    return _morrey_of_array(np.abs(f.samples), q, phi)
+
+
+# ---------------------------------------------------------------------------
+# the N/E aggregation shared by function, sequence and starred norms
+
+def aggregate(level_fields, params: SpaceParams, theta=None) -> float:
+    """Space norm of nonnegative level fields F_j, given as (j, F_j) pairs
+    (dict.items() or a generator, so callers need not hold every level).
+
+    'N': (sum_j 2^{jsr} ||F_j||^r)^{1/r}, the ell^r over levels of Morrey
+    norms; 'E': || (sum_j 2^{jsr} F_j^r)^{1/r} ||, the Morrey norm of the
+    pointwise ell^r.  r = infinity uses sup semantics.  theta, if given, is
+    the low-pass field added as a plain Morrey term."""
+    q, r, s, phi = params.q, params.r, params.s, params.phi
+    if params.variant == "N":
+        terms = [2.0 ** (j * s) * _morrey_of_array(a, q, phi)
+                 for j, a in level_fields]
+        if r == INF:
+            high = max(terms) if terms else 0.0
+        else:
+            high = float(np.sum(np.array(terms) ** r)) ** (1.0 / r)
+    else:
+        agg = None
+        for j, a in level_fields:
+            w = 2.0 ** (j * s)
+            if r == INF:
+                cand = w * a
+                agg = cand if agg is None else np.maximum(agg, cand)
+            else:
+                cand = (w * a) ** r
+                agg = cand if agg is None else agg + cand
+        if agg is None:
+            high = 0.0
+        else:
+            if r != INF:
+                agg = agg ** (1.0 / r)
+            high = _morrey_of_array(agg, q, phi)
+    if theta is None:
+        return high
+    return _morrey_of_array(theta, q, phi) + high
 
 
 # ---------------------------------------------------------------------------
@@ -181,51 +214,18 @@ def space_norm(f: GridFunction, params: SpaceParams, bank: FilterBank,
     E-variant: ||theta(D)f|| + Morrey norm of the pointwise ell^r aggregate.
     Homogeneous mode drops theta and sums j over the full floored range.
     r = infinity uses sup semantics."""
-    q, r, s, phi = params.q, params.r, params.s, params.phi
     meta = {}
-    if params.variant == "E" and r != INF:
-        ok, _, _ = check_nakai(phi, dyadic_scales())
+    if params.variant == "E" and params.r != INF:
+        ok, _, _ = check_nakai(params.phi, dyadic_scales())
         if not ok:
             meta["nakai_warning"] = True
     if params.homogeneous != bank.homogeneous:
         raise ValueError("bank homogeneity does not match params")
-    levels = list(bank.levels())
-    if params.homogeneous:
-        tau_levels = levels
-        low = None
-    else:
-        tau_levels = [j for j in levels if j >= 1]
-        low = band(f, bank, 0)
-
-    if params.variant == "N":
-        terms = []
-        for j in tau_levels:
-            nj = morrey_norm(band(f, bank, j), q, phi)
-            terms.append(2.0 ** (j * s) * nj)
-        if r == INF:
-            high = max(terms) if terms else 0.0
-        else:
-            high = float(np.sum(np.array(terms) ** r)) ** (1.0 / r)
-    else:
-        agg = None
-        for j in tau_levels:
-            bj = np.abs(band(f, bank, j).samples)
-            w = 2.0 ** (j * s)
-            if r == INF:
-                cand = w * bj
-                agg = cand if agg is None else np.maximum(agg, cand)
-            else:
-                cand = (w * bj) ** r
-                agg = cand if agg is None else agg + cand
-        if agg is None:
-            high = 0.0
-        else:
-            if r != INF:
-                agg = agg ** (1.0 / r)
-            high = morrey_norm(GridFunction(f.n, agg.astype(np.complex128)),
-                               q, phi)
-
-    total = high if params.homogeneous else morrey_norm(low, q, phi) + high
+    low = None if params.homogeneous else band(f, bank, 0)
+    high = aggregate(((j, np.abs(band(f, bank, j).samples))
+                      for j in bank.levels() if params.homogeneous or j >= 1),
+                     params)
+    total = high if low is None else morrey_norm(low, params.q, params.phi) + high
     if return_meta:
         return total, meta
     return total
@@ -253,33 +253,7 @@ def seq_norm(lam: CoeffField, params: SpaceParams) -> float:
 
     'N' (n-type): (sum_j 2^{jsr} || sum_m lambda_jm chi_Q ||^r)^{1/r}
     'E' (e-type): || (sum_j 2^{jsr} (sum_m |lambda_jm| chi_Q)^r)^{1/r} ||"""
-    if not lam.levels:
-        return 0.0
-    q, r, s, phi = params.q, params.r, params.s, params.phi
-    cl = lam.max_level
-    fields = _cell_fields(lam, cl)
-    if params.variant == "N":
-        terms = []
-        for j, a in fields.items():
-            nj = _morrey_of_array(a ** q, q, phi)
-            terms.append(2.0 ** (j * s) * nj)
-        if r == INF:
-            return max(terms) if terms else 0.0
-        return float(np.sum(np.array(terms) ** r)) ** (1.0 / r)
-    agg = None
-    for j, a in fields.items():
-        w = 2.0 ** (j * s)
-        if r == INF:
-            cand = w * a
-            agg = cand if agg is None else np.maximum(agg, cand)
-        else:
-            cand = (w * a) ** r
-            agg = cand if agg is None else agg + cand
-    if agg is None:
-        return 0.0
-    if r != INF:
-        agg = agg ** (1.0 / r)
-    return _morrey_of_array(agg ** q, q, phi)
+    return aggregate(_cell_fields(lam, lam.max_level).items(), params)
 
 
 def quark_norm(qlam: QuarkCoeffs, params: SpaceParams, rho: float = None) -> float:

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicCube
 from .growth import (SpaceParams, check_trace_summability, dyadic_scales,
                      trace_transform)
-from .gridfn import GridFunction, RychkovPair
-from .norms import CoeffField, seq_norm
+from .gridfn import GridFunction, RychkovPair, _block_mean, _expand
+from .norms import CoeffField, _cell_fields, seq_norm
 
 INF = math.inf
 
@@ -106,10 +105,7 @@ def extend_coeff(mu: CoeffField, problem: TraceProblem) -> CoeffField:
 
 def _trace_cell_fields(lam: CoeffField, problem: TraceProblem):
     """|trace coefficients| per level, expanded to the finest (n-1)-lattice."""
-    from .norms import _cell_fields
-    tl = trace_coeff(lam, problem)
-    tl = CoeffField(tl.n, {j: (np.abs(v) if j >= 0 else abs(v))
-                           for j, v in tl.levels.items()})
+    tl = trace_coeff(lam, problem)  # _cell_fields takes the moduli
     cl = tl.max_level
     return _cell_fields(tl, cl), cl
 
@@ -123,7 +119,6 @@ def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
 
     with S_j the level-j trace indicator aggregate.  Finite constants here
     witness the fine-scale half of the trace estimate."""
-    from .gridfn import _block_mean
     star = problem.star
     q, s = star.q, star.s
     phi = star.phi
@@ -176,11 +171,7 @@ def trace_bound_II(lam: CoeffField, problem: TraceProblem) -> float:
     best = 0.0
     for j0 in range(0, cl + 1):
         if j0 in lam.levels:
-            slab = np.abs(lam.levels[j0][..., 0])
-            rep = 1 << (cl - j0)
-            expanded = slab
-            for ax in range(nn):
-                expanded = np.repeat(expanded, rep, axis=ax)
+            expanded = _expand(np.abs(lam.levels[j0][..., 0]), 1 << (cl - j0))
             acc = acc + (2.0 ** (j0 * s) * expanded) ** q
         val = phi(2.0 ** (-j0)) * float(acc.max()) ** (1.0 / q)
         best = max(best, val)

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
-from .gridfn import (FilterBank, GridFunction, _bump_axis, band, hl_maximal,
-                     make_bank, peetre_maximal, random_bandlimited,
-                     sobolev_norm, wavenumbers, kinf_grid, TWO_PI)
-from .norms import CoeffField, _morrey_of_array, morrey_norm, seq_norm, space_norm
+from .gridfn import (FilterBank, GridFunction, _bump_axis, _tensor, band,
+                     hl_maximal, make_bank, peetre_maximal, random_bandlimited,
+                     sobolev_norm, wavenumbers, kinf_grid)
+from .norms import (CoeffField, _morrey_of_array, aggregate, morrey_norm,
+                    seq_norm, space_norm)
 
 INF = math.inf
 
@@ -181,30 +182,25 @@ def maximal_campaign(q: float, r: float, phi: GrowthFunction, trials: int,
                   for t in range(stack)]
             mats = [np.abs(hl_maximal(f).samples) for f in fs]
             vals = [np.abs(f.samples) for f in fs]
-            ratio = (_morrey_array(mats[0], q, phi)
-                     / max(_morrey_array(vals[0], q, phi), 1e-300))
+            ratio = (_morrey_of_array(mats[0], q, phi)
+                     / max(_morrey_of_array(vals[0], q, phi), 1e-300))
             if ratio > c_scalar:
                 c_scalar = ratio
                 rep.witness = {"trial": i, "res": G, "ratio": ratio}
-            c_scalar = max(c_scalar, ratio)
             sup_m = np.maximum.reduce(mats)
             sup_v = np.maximum.reduce(vals)
-            c_sup = max(c_sup, _morrey_array(sup_m, q, phi)
-                        / max(_morrey_array(sup_v, q, phi), 1e-300))
+            c_sup = max(c_sup, _morrey_of_array(sup_m, q, phi)
+                        / max(_morrey_of_array(sup_v, q, phi), 1e-300))
             lr_m = np.sum(np.stack(mats) ** r, axis=0) ** (1.0 / r)
             lr_v = np.sum(np.stack(vals) ** r, axis=0) ** (1.0 / r)
-            c_lr = max(c_lr, _morrey_array(lr_m, q, phi)
-                       / max(_morrey_array(lr_v, q, phi), 1e-300))
+            c_lr = max(c_lr, _morrey_of_array(lr_m, q, phi)
+                       / max(_morrey_of_array(lr_v, q, phi), 1e-300))
         rep.extra["scalar"][G] = c_scalar
         rep.extra["sup"][G] = c_sup
         rep.extra["lr"][G] = c_lr
         rep.constants[G] = max(c_scalar, c_sup, c_lr)
     rep.runtime = time.time() - t0
     return rep
-
-
-def _morrey_array(a: np.ndarray, q: float, phi: GrowthFunction) -> float:
-    return _morrey_of_array(a ** q, q, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -236,37 +232,7 @@ def filter_invariance_campaign(bankA: FilterBank, bankB: FilterBank,
 
 
 # ---------------------------------------------------------------------------
-# level-field aggregation shared by the Peetre-flavoured campaigns
-
-def aggregate_fields(fields: dict, params: SpaceParams, theta=None) -> float:
-    """Norm of precomputed nonnegative level fields |F_j|: the same
-    aggregation space_norm applies to its bands.  theta, if given, is the
-    low-pass field added as a plain Morrey term."""
-    q, r, s, phi = params.q, params.r, params.s, params.phi
-    if params.variant == "N":
-        terms = [2.0 ** (j * s) * _morrey_array(a, q, phi)
-                 for j, a in fields.items()]
-        if r == INF:
-            high = max(terms) if terms else 0.0
-        else:
-            high = float(np.sum(np.array(terms) ** r)) ** (1.0 / r)
-    else:
-        agg = None
-        for j, a in fields.items():
-            w = 2.0 ** (j * s)
-            cand = w * a if r == INF else (w * a) ** r
-            agg = cand if agg is None else (np.maximum(agg, cand) if r == INF
-                                            else agg + cand)
-        if agg is None:
-            high = 0.0
-        else:
-            if r != INF:
-                agg = agg ** (1.0 / r)
-            high = _morrey_array(agg, q, phi)
-    if theta is None:
-        return high
-    return _morrey_array(theta, q, phi) + high
-
+# Peetre characterization
 
 def peetre_threshold(params: SpaceParams) -> float:
     """Smallest admissible Peetre weight order for the characterization."""
@@ -294,7 +260,7 @@ def peetre_char_campaign(params: SpaceParams, N: float, corpus,
         theta = None
         if not bank.homogeneous:
             theta = np.abs(peetre_maximal(f, bank, 0, N).samples)
-        starred = aggregate_fields(fields, params, theta=theta)
+        starred = aggregate(fields.items(), params, theta=theta)
         ratio = starred / plain
         if ratio < 1.0 - 1e-12:
             rep.failures.append({"trial": i, "ratio": ratio})
@@ -348,10 +314,10 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
             fields[j] = np.abs(peetre_maximal_of(g, j, N, G, n))
             plain_fields[j] = np.abs(
                 GridFunction.from_spectrum(n, spec * wind).samples)
-        rhs = sob * aggregate_fields(plain_fields, params)
+        rhs = sob * aggregate(plain_fields.items(), params)
         if rhs == 0:
             continue
-        ratio = aggregate_fields(fields, params) / rhs
+        ratio = aggregate(fields.items(), params) / rhs
         if ratio > hi:
             hi = ratio
             rep.witness = {"trial": i, "ratio": ratio}
@@ -378,13 +344,6 @@ def peetre_maximal_of(g: GridFunction, j: int, N: float, G: int, n: int):
         if wz * gmax <= out.min():
             break
         np.maximum(out, wz * np.roll(base, z, axis=tuple(range(n))), out=out)
-    return out
-
-
-def _tensor(axis_vals: np.ndarray, n: int) -> np.ndarray:
-    out = axis_vals
-    for _ in range(n - 1):
-        out = np.multiply.outer(out, axis_vals)
     return out
 
 

@@ -64,6 +64,23 @@ def test_norm_bad_family(capsys):
     assert "growth family" in err
 
 
+@pytest.mark.parametrize("params", [
+    "power-p2-q2-s0-N-rnan", "loginv-enan-q2-s0-N-r2",
+    "power-p2-q2-snan-N-r2", "power-pnan-q2-s0-N-r2"])
+def test_norm_rejects_non_finite_params(capsys, params):
+    code, out, err = run(capsys, "norm", "--params", params, "--res", "32")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_jobs_option_removed(capsys):
+    code, _, err = run(capsys, "norm", "--params", "power-p2-q1-s0-N-r2",
+                       "--jobs", "2")
+    assert code == EXIT_USAGE
+    assert "--jobs" in err
+
+
 def test_usage_error_on_missing_args(capsys):
     assert run(capsys, "norm")[0] == EXIT_USAGE
     assert run(capsys, "nonsense")[0] == EXIT_USAGE

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from morreykit.growth import (GrowthFunction, SpaceParams, check_nakai,
+from morreykit.growth import (FAMILIES, GrowthFunction, SpaceParams, check_nakai,
                               check_s_condition, check_trace_summability,
                               dyadic_scales, is_in_Gq, loginv, normalize_star,
                               power, power_of, powerlog, table,
@@ -210,17 +210,68 @@ def test_space_params_validation():
         SpaceParams(q=1.0, r=2.0, s=0.0, phi=power(2.0), variant="X", n=1)
     with pytest.raises(ValueError):
         SpaceParams(q=1.0, r=2.0, s=0.0, phi=power(2.0, n=2), variant="N", n=1)
+    for kw in ({"r": math.nan}, {"r": -INF}, {"s": math.nan}, {"s": INF},
+               {"q": math.nan}):
+        with pytest.raises(ValueError):
+            SpaceParams(**{"q": 1.0, "r": 2.0, "s": 0.0, "phi": power(2.0),
+                           "variant": "N", "n": 1, **kw})
+
+
+def family_examples(n):
+    """One growth function per family, keyed by family name."""
+    return {
+        "power": power(2.0, n),
+        "powerlog": powerlog(2.0, 1.5, n),
+        "loginv": loginv(0.5, n),
+        "table": table({-2: 0.1, -1: 0.3, 0: 1.0}, n),
+        "powershift": GrowthFunction("powershift", n, base=power(4.0, n),
+                                     shift=-0.5),
+        "powerof": power_of(power(2.0, n), 2.0),
+    }
 
 
 def test_growth_json_round_trip():
-    for phi in (power(2.0), powerlog(2.0, 1.5), loginv(0.5),
-                table({-2: 0.1, -1: 0.3, 0: 1.0}), power_of(power(2.0), 2.0),
+    for phi in (*family_examples(1).values(),
                 trace_transform(SpaceParams(q=1.0, r=2.0, s=1.0,
                                             phi=power(2.0, n=2),
                                             variant="N", n=2)).phi):
-        back = GrowthFunction.from_json(json.dumps(phi.to_json()))
+        text = json.dumps(phi.to_json())
+        back = GrowthFunction.from_json(text)
+        assert json.dumps(back.to_json()) == text
         for t in (0.25, 0.5, 1.0):
-            assert back(t) == pytest.approx(phi(t))
+            assert back(t) == phi(t)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_trace_transform_relabels_every_family(family):
+    # _with_dim keeps the evaluator verbatim in the lower dimension
+    phi = family_examples(2)[family]
+    star = trace_transform(SpaceParams(q=1.0, r=2.0, s=2.0, phi=phi,
+                                       variant="N", n=2)).phi
+    assert (star.n, star.family) == (1, "powershift")
+    assert (star.base.n, star.base.family) == (1, family)
+    for t in (0.25, 0.5, 1.0):
+        assert star.base(t) == phi(t)
+        assert star(t) == phi(t) * t ** -1.0
+    text = json.dumps(star.to_json())
+    assert json.dumps(GrowthFunction.from_json(text).to_json()) == text
+
+
+@pytest.mark.parametrize("kw", [
+    {"family": "power", "p": math.nan},
+    {"family": "power", "p": INF},
+    {"family": "powerlog", "p": 0.0, "exponent": 1.0},
+    {"family": "powerlog", "p": 2.0, "exponent": math.nan},
+    {"family": "loginv", "exponent": -INF},
+    {"family": "table", "entries": {0: 1.0, 1: math.nan}},
+    {"family": "table", "entries": {0: 0.0}},
+    {"family": "powershift", "base": power(2.0), "shift": math.nan},
+    {"family": "powerof", "base": "power", "exponent": 1.0},
+    {"family": "bogus"},
+])
+def test_constructor_rejects_bad_fields(kw):
+    with pytest.raises(ValueError):
+        GrowthFunction(kw.pop("family"), 1, **kw)
 
 
 def test_space_params_json_round_trip():

@@ -1,0 +1,56 @@
+"""Source hygiene: no module of the package imports a name it never uses.
+
+A stdlib-ast scan instead of a linter, so the check needs no extra
+dependency.  A name counts as used when it is read anywhere in the module,
+including inside string annotations.  `__init__.py` is skipped: its imports
+are the package's public surface.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "morreykit"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """(bound name, line) for every import outside `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield (a.asname or a.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield (a.asname or a.name), node.lineno
+
+
+def _used(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # string annotations such as -> "GrowthFunction"
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in used]
+
+
+def test_modules_found():
+    assert len(MODULES) >= 8
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from morreykit.dyadic import DyadicCube, cube_mask
 from morreykit.growth import SpaceParams, power, power_of
-from morreykit.gridfn import GridFunction, make_bank, random_bandlimited
-from morreykit.norms import (CoeffField, QuarkCoeffs, min_triangle_check,
-                             morrey_norm, quark_norm, seq_norm, space_norm)
+from morreykit.gridfn import (GridFunction, band, make_bank,
+                              random_bandlimited)
+from morreykit.norms import (CoeffField, QuarkCoeffs, _cell_fields, aggregate,
+                             min_triangle_check, morrey_norm, quark_norm,
+                             seq_norm, space_norm)
+from morreykit.verify import coeff_corpus
 
 INF = math.inf
 
@@ -81,6 +84,27 @@ def test_space_norm_variants_positive():
             params = SpaceParams(q=1.5, r=r, s=0.5, phi=power(2.0, 2),
                                  variant=variant, n=2)
             assert space_norm(f, params, bank) > 0
+
+
+def test_aggregate_matches_space_and_seq_norm():
+    # one N/E core: raw band moduli (plus theta unless homogeneous) give
+    # space_norm, and the lattice cell fields give seq_norm, bit for bit
+    G = 64
+    f = random_bandlimited(1, G, 12, seed=4)
+    lam = coeff_corpus(1, 5, 1, seed=4, floor=-2)[0]
+    for hom in (False, True):
+        bank = make_bank(1, G, homogeneous=hom)
+        fields = {j: np.abs(band(f, bank, j).samples)
+                  for j in bank.levels() if hom or j >= 1}
+        theta = None if hom else np.abs(band(f, bank, 0).samples)
+        for variant in ("N", "E"):
+            for r in (0.5, 2.0, INF):
+                params = SpaceParams(q=1.0, r=r, s=1.0, phi=power(2.0),
+                                     variant=variant, homogeneous=hom, n=1)
+                agg = aggregate(fields.items(), params, theta=theta)
+                assert agg == space_norm(f, params, bank)
+                cells = _cell_fields(lam, lam.max_level)
+                assert aggregate(cells.items(), params) == seq_norm(lam, params)
 
 
 def test_coeff_field_shape_validation():

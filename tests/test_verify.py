@@ -7,7 +7,7 @@ import pytest
 from morreykit.growth import SpaceParams, loginv, power, powerlog
 from morreykit.gridfn import GridFunction, make_bank, random_bandlimited
 from morreykit.norms import space_norm
-from morreykit.verify import (Report, aggregate_fields, band_pointwise_campaign,
+from morreykit.verify import (Report, band_pointwise_campaign,
                               coeff_corpus, counterexample_growth,
                               embedding_campaign, filter_invariance_campaign,
                               function_corpus, hardy_bound, hardy_campaign,
@@ -96,23 +96,6 @@ def test_filter_invariance_band_inside_unit():
                                      params, corpus)
     assert rep.trials == 10
     assert 0 < rep.extra["min"] <= rep.constants[G]
-
-
-def test_aggregate_fields_matches_space_norm():
-    # feeding the raw band moduli reproduces space_norm exactly
-    from morreykit.gridfn import band
-    G = 64
-    bank = make_bank(1, G)
-    f = random_bandlimited(1, G, 12, seed=4)
-    for variant in ("N", "E"):
-        for r in (2.0, INF):
-            params = SpaceParams(q=1.0, r=r, s=1.0, phi=power(2.0),
-                                 variant=variant, n=1)
-            fields = {j: np.abs(band(f, bank, j).samples)
-                      for j in bank.levels() if j >= 1}
-            theta = np.abs(band(f, bank, 0).samples)
-            agg = aggregate_fields(fields, params, theta=theta)
-            assert agg == pytest.approx(space_norm(f, params, bank), rel=1e-12)
 
 
 def test_peetre_threshold_and_precondition():
