@@ -269,9 +269,51 @@ def cmd_campaign(args) -> int:
     return EXIT_OK
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and not math.isnan(v)
+
+
+# the keys of a suite entry, which are the fields _campaign_report reads
+SUITE_KEYS = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "params": ("a string", lambda v: isinstance(v, str)),
+    "phi": ("a string", lambda v: isinstance(v, str)),
+    "seed": ("an integer", _is_int),
+    "dim": ("an integer", _is_int),
+    "depth": ("an integer", _is_int),
+    "trials": ("an integer", _is_int),
+    "delta": ("a number", _is_number),
+    "r": ("a number", _is_number),
+    "resolutions": ("a non-empty list of integers",
+                    lambda v: isinstance(v, list) and v and all(map(_is_int, v))),
+}
+
+
+def _check_suite(configs) -> None:
+    """A suite file is a list of objects, each with a string name and only
+    the keys in SUITE_KEYS, each of its stated type."""
+    if not isinstance(configs, list) or \
+            not all(isinstance(cfg, dict) for cfg in configs):
+        raise ValueError("suite file must hold a JSON list of objects")
+    for i, cfg in enumerate(configs):
+        if "name" not in cfg:
+            raise ValueError(f"suite entry {i} has no 'name'")
+        for key, val in cfg.items():
+            if key not in SUITE_KEYS:
+                raise ValueError(f"suite entry {i}: unknown key {key!r}")
+            what, ok = SUITE_KEYS[key]
+            if not ok(val):
+                raise ValueError(f"suite entry {i}: {key!r} must be {what}")
+
+
 def cmd_suite(args) -> int:
     with open(args.file) as fh:
         configs = json.load(fh)
+    _check_suite(configs)
     worst = EXIT_OK
     summary = []
     for cfg in configs:

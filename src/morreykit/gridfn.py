@@ -64,6 +64,25 @@ def kinf_grid(n: int, G: int) -> np.ndarray:
     return out
 
 
+def _check_grid(G: int) -> None:
+    """Filter banks need at least one band level: G a power of two >= 4."""
+    if G < 4 or G & (G - 1):
+        raise ValueError(f"grid size G={G} must be a power of two >= 4")
+
+
+def radial_window(profile, n: int, G: int, index=None) -> np.ndarray:
+    """profile(|k|_inf) on the n-dimensional frequency grid (FFT order).
+
+    |k|_inf takes only the G/2+1 values 0..G/2, so the profile is evaluated
+    once per shell and gathered through the integer |k|_inf grid; pass
+    index = kinf_grid(n, G).astype(np.intp) to share it between windows.
+    An elementwise profile gives the same bits as on the full grid."""
+    _check_grid(G)
+    if index is None:
+        index = kinf_grid(n, G).astype(np.intp)
+    return profile(np.arange(G // 2 + 1, dtype=float))[index]
+
+
 def coord_axis(G: int) -> np.ndarray:
     """Sample coordinates 0, h, ..., 1-h."""
     return np.arange(G) / G
@@ -251,12 +270,14 @@ class FilterBank:
         """Checks on the integer frequency grid: 0 not in supp(tau),
         theta > 0 on Q(2), tau > 0 on Q(2)\\Q(1); partition residual."""
         u = kinf_grid(self.n, self.G)
+        index = u.astype(np.intp)
         if self.kind == "partition":
-            theta = theta_profile(u)
-            tau = theta_profile(u) - theta_profile(2 * u)
+            theta = radial_window(theta_profile, self.n, self.G, index)
+            tau = radial_window(lambda v: theta_profile(v) - theta_profile(2 * v),
+                                self.n, self.G, index)
         else:
-            theta = theta_profile_bump(u)
-            tau = tau_profile_bump(u)
+            theta = radial_window(theta_profile_bump, self.n, self.G, index)
+            tau = radial_window(tau_profile_bump, self.n, self.G, index)
         checks = {
             "tau_vanishes_at_0": bool(tau[(0,) * self.n] == 0.0),
             "theta_pos_on_Q2": bool(np.all(theta[u <= 2.0] > 0.0)),
@@ -276,30 +297,30 @@ class FilterBank:
 
 def make_bank(n: int, G: int, kind: str = "partition",
               homogeneous: bool = False, floor: int = -4) -> FilterBank:
+    if kind not in ("partition", "bump"):
+        raise ValueError(f"unknown bank kind {kind}")
+    _check_grid(G)
     bank = FilterBank(n=n, G=G, kind=kind, homogeneous=homogeneous,
                       floor=floor if homogeneous else 0)
-    u = kinf_grid(n, G)
-    if kind == "partition":
-        th = theta_profile
-        for j in bank.levels():
-            if j == 0 and not homogeneous:
-                bank.windows[0] = th(u)
-            else:
-                bank.windows[j] = th(u / 2.0 ** j) - th(u / 2.0 ** (j - 1))
-    elif kind == "bump":
-        for j in bank.levels():
-            if j == 0 and not homogeneous:
-                bank.windows[0] = theta_profile_bump(u)
-            else:
-                bank.windows[j] = tau_profile_bump(u / 2.0 ** j)
-    else:
-        raise ValueError(f"unknown bank kind {kind}")
+    index = kinf_grid(n, G).astype(np.intp)
+    th = theta_profile
+    for j in bank.levels():
+        if j == 0 and not homogeneous:
+            prof = th if kind == "partition" else theta_profile_bump
+        elif kind == "partition":
+            prof = lambda u, j=j: th(u / 2.0 ** j) - th(u / 2.0 ** (j - 1))
+        else:
+            prof = lambda u, j=j: tau_profile_bump(u / 2.0 ** j)
+        bank.windows[j] = radial_window(prof, n, G, index)
     return bank
 
 
-def band(f: GridFunction, bank: FilterBank, j: int) -> GridFunction:
-    """F^{-1}[window_j . F f]."""
-    return GridFunction.from_spectrum(f.n, bank.window(j) * f.spectrum())
+def band(f: GridFunction, bank: FilterBank, j: int, spec=None) -> GridFunction:
+    """F^{-1}[window_j . F f]; spec, if given, is f.spectrum(), computed once
+    by callers that split one function into several bands."""
+    if spec is None:
+        spec = f.spectrum()
+    return GridFunction.from_spectrum(f.n, bank.window(j) * spec)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +456,8 @@ def sample_expand(f: GridFunction, kappa, nu: int) -> GridFunction:
     k = wavenumbers(G).astype(int)
     idx = np.ix_(*[k % S for _ in range(n)]) if n > 1 else (k % S,)
     A_full = A[idx]
-    window = kappa(TWO_PI * u / 2.0 ** nu)
+    window = radial_window(lambda v: kappa(TWO_PI * v / 2.0 ** nu), n, G,
+                           u.astype(np.intp))
     return GridFunction.from_spectrum(n, window * A_full)
 
 
@@ -591,6 +613,7 @@ def rychkov_pair(L: int, n: int = 1, G: int = 256,
     away from the zero frequency (constants are invisible)."""
     if L < 0:
         raise ValueError("L must be >= 0")
+    _check_grid(G)
     J = G.bit_length() - 1
     jmax = J - 2
     L1 = L // 2 + 1

@@ -7,6 +7,7 @@ is a mean of finitely many cell values with no sampling error.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
@@ -84,20 +85,44 @@ class CoeffField:
 
     @staticmethod
     def from_csv(text: str, n: int) -> "CoeffField":
-        rows = list(csv.reader(io.StringIO(text)))
+        """Inverse of to_csv.  Raises ValueError naming the line of a row
+        with the wrong column count, a non-numeric or non-finite entry, or
+        an index m outside [0, 2^j) (m = 0 on homogeneous levels j < 0)."""
+        rows = csv.reader(io.StringIO(text))
+        next(rows, None)  # header
+
+        def bad(msg):
+            return ValueError(f"coefficient CSV line {rows.line_num}: {msg}")
+
         levels = {}
-        for row in rows[1:]:
+        for row in rows:
             if not row:
                 continue
-            j = int(row[0])
-            m = tuple(int(x) for x in row[1:1 + n])
-            z = complex(float(row[1 + n]), float(row[2 + n]))
+            if len(row) != n + 3:
+                raise bad(f"expected {n + 3} columns (j, m1..m{n}, re, im),"
+                          f" got {len(row)}")
+            try:
+                j = int(row[0])
+                m = tuple(map(int, row[1:1 + n]))
+                z = complex(float(row[1 + n]), float(row[2 + n]))
+            except ValueError:
+                raise bad(f"not a number in {row}") from None
+            if not cmath.isfinite(z):
+                raise bad("non-finite coefficient")
             if j < 0:
+                if any(m):
+                    raise bad(f"homogeneous level {j} needs m = 0, got {m}")
                 levels[j] = levels.get(j, 0.0) + z
-            else:
-                if j not in levels:
-                    levels[j] = np.zeros((1 << j,) * n, dtype=np.complex128)
-                levels[j][m] += z
+                continue
+            if j not in levels:
+                levels[j] = np.zeros((1 << j,) * n, dtype=np.complex128)
+            if min(m) < 0:
+                raise bad(f"negative index m={m} at level {j}")
+            try:
+                levels[j][m] += z  # numpy's bounds check catches m >= 2^j
+            except IndexError:
+                raise bad(f"index m={m} outside [0, {1 << j})"
+                          f" at level {j}") from None
         return CoeffField(n, levels)
 
 
@@ -221,8 +246,9 @@ def space_norm(f: GridFunction, params: SpaceParams, bank: FilterBank,
             meta["nakai_warning"] = True
     if params.homogeneous != bank.homogeneous:
         raise ValueError("bank homogeneity does not match params")
-    low = None if params.homogeneous else band(f, bank, 0)
-    high = aggregate(((j, np.abs(band(f, bank, j).samples))
+    spec = f.spectrum()
+    low = None if params.homogeneous else band(f, bank, 0, spec)
+    high = aggregate(((j, np.abs(band(f, bank, j, spec).samples))
                       for j in bank.levels() if params.homogeneous or j >= 1),
                      params)
     total = high if low is None else morrey_norm(low, params.q, params.phi) + high

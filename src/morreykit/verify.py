@@ -21,8 +21,9 @@ import numpy as np
 
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
 from .gridfn import (FilterBank, GridFunction, _bump_axis, _tensor, band,
-                     hl_maximal, make_bank, peetre_maximal, random_bandlimited,
-                     sobolev_norm, wavenumbers, kinf_grid)
+                     hl_maximal, kinf_grid, make_bank, peetre_maximal,
+                     radial_window, random_bandlimited, sobolev_norm,
+                     wavenumbers)
 from .norms import (CoeffField, _morrey_of_array, aggregate, morrey_norm,
                     seq_norm, space_norm)
 
@@ -301,7 +302,7 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     sob = sobolev_norm(GridFunction(n, _tensor(Hprof(u), n)), nu,
                        spacing=16.0 / M)
     tau_levels = [j for j in bank.levels() if bank.homogeneous or j >= 1]
-    kabs = kinf_grid(n, G)
+    index = kinf_grid(n, G).astype(np.intp)
     hi = 0.0
     for i, f in enumerate(corpus):
         spec = f.spectrum()
@@ -309,7 +310,7 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
         plain_fields = {}
         for j in tau_levels:
             wind = bank.window(j)
-            mult = Hprof(kabs / 2.0 ** j)
+            mult = radial_window(lambda u: Hprof(u / 2.0 ** j), n, G, index)
             g = GridFunction.from_spectrum(n, spec * wind * mult)
             fields[j] = np.abs(peetre_maximal_of(g, j, N, G, n))
             plain_fields[j] = np.abs(
@@ -486,8 +487,9 @@ def band_pointwise_campaign(corpus, bank: FilterBank, q: float,
     rep = Report(name="band-pointwise")
     hi = 0.0
     for i, f in enumerate(corpus):
+        spec = f.spectrum()
         for j in bank.levels():
-            bj = band(f, bank, j)
+            bj = band(f, bank, j, spec)
             nb = morrey_norm(bj, q, phi)
             if nb == 0:
                 continue

@@ -168,6 +168,40 @@ def test_suite_command(capsys, tmp_path):
     assert len(summary) == 2 and all(s["pass"] for s in summary)
 
 
+def _assert_fails_closed(code, out, err):
+    assert code == EXIT_USAGE
+    assert out == "" and "NaN" not in out
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", ["1,5,0,1.0,0.0", "1,-1,0,1.0,0.0",
+                                 "1,0,0,nan,0.0", "1,0,0,1.0"])
+def test_seqnorm_rejects_bad_csv(capsys, tmp_path, row):
+    path = tmp_path / "lam.csv"
+    path.write_text("j,m1,m2,re,im\n" + row + "\n")
+    result = run(capsys, "seqnorm", "--params", "power-p2-q1-s1-N-r2",
+                 "--dim", "2", "--input", str(path))
+    _assert_fails_closed(*result)
+    assert "line 2" in result[2]
+
+
+@pytest.mark.parametrize("suite", [
+    [{"trials": 2}], [{"name": "hardy", "trials": "2"}],
+    [{"name": "hardy", "r": [2]}], [{"name": "hardy", "bogus": 1}],
+    [{"name": "filter", "resolutions": []}], {"name": "hardy"}, [3]])
+def test_suite_rejects_bad_schema(capsys, tmp_path, suite):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps(suite))
+    _assert_fails_closed(*run(capsys, "suite", "--file", str(cfg)))
+
+
+def test_norm_rejects_small_grid(capsys):
+    result = run(capsys, "norm", "--params", "power-p2-q1-s0-N-r2",
+                 "--res", "2")
+    _assert_fails_closed(*result)
+    assert "G=2" in result[2]
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("MORREYKIT_SEED", "7")
     code, out1, _ = run(capsys, "campaign", "--name", "hardy",

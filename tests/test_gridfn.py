@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from morreykit import decomp, gridfn, verify
+from morreykit.growth import SpaceParams, power
 from morreykit.gridfn import (FilterBank, GridFunction, band, centered_axis,
                               hl_maximal, kappa_profile, kinf_grid, make_bank,
                               peetre_maximal, powered_maximal, preset_function,
-                              random_bandlimited, rychkov_pair, sample_expand,
-                              smoothstep7, sobolev_norm, theta_profile,
-                              wavenumbers, _multi_indices, _times_monomial)
+                              radial_window, random_bandlimited, rychkov_pair,
+                              sample_expand, smoothstep7, sobolev_norm,
+                              tau_profile_bump, theta_profile,
+                              theta_profile_bump, wavenumbers, _multi_indices,
+                              _times_monomial)
 
 
 def test_smoothstep7_endpoints_and_symmetry():
@@ -95,6 +99,107 @@ def test_homogeneous_bank_levels():
     bank = make_bank(1, 64, homogeneous=True)
     assert list(bank.levels()) == list(range(-4, 5))
     assert bank.admissible()["partition"]
+
+
+SHELL_GRIDS = [(1, 64), (1, 4096), (2, 32), (2, 256), (3, 16)]
+
+
+def _full_grid_windows(n, G, kind, hom, floor=-4):
+    """The bank windows evaluated on every grid point: the reference for the
+    evaluation on |k|_inf shells."""
+    u = kinf_grid(n, G)
+    out = {}
+    for j in range(floor if hom else 0, G.bit_length() - 2):
+        if j == 0 and not hom:
+            low = theta_profile if kind == "partition" else theta_profile_bump
+            out[j] = low(u)
+        elif kind == "partition":
+            out[j] = theta_profile(u / 2.0 ** j) - theta_profile(u / 2.0 ** (j - 1))
+        else:
+            out[j] = tau_profile_bump(u / 2.0 ** j)
+    return out
+
+
+def _full_grid_admissible(n, G, kind, hom):
+    """FilterBank.admissible() with theta and tau on every grid point."""
+    u = kinf_grid(n, G)
+    if kind == "partition":
+        theta = theta_profile(u)
+        tau = theta_profile(u) - theta_profile(2 * u)
+    else:
+        theta = theta_profile_bump(u)
+        tau = tau_profile_bump(u)
+    checks = {
+        "tau_vanishes_at_0": bool(tau[(0,) * n] == 0.0),
+        "theta_pos_on_Q2": bool(np.all(theta[u <= 2.0] > 0.0)),
+        "tau_pos_on_Q2_minus_Q1": bool(np.all(tau[(u > 1.0) & (u <= 2.0)] > 0.0)),
+    }
+    if kind == "partition":
+        total = sum(_full_grid_windows(n, G, kind, hom).values())
+        mask = u > 0 if hom else np.ones(u.shape, dtype=bool)
+        resid = float(np.max(np.abs(total[mask] - 1.0)))
+        checks["partition_residual"] = resid
+        checks["partition"] = resid < 1e-12
+    return checks
+
+
+@pytest.mark.parametrize("n,G", SHELL_GRIDS)
+@pytest.mark.parametrize("kind", ["partition", "bump"])
+@pytest.mark.parametrize("hom", [False, True])
+def test_bank_windows_match_full_grid(n, G, kind, hom):
+    bank = make_bank(n, G, kind, homogeneous=hom)
+    want = _full_grid_windows(n, G, kind, hom)
+    assert list(bank.windows) == list(want)
+    for j, w in want.items():
+        assert np.array_equal(bank.windows[j], w)
+    assert bank.admissible() == _full_grid_admissible(n, G, kind, hom)
+
+
+def _full_grid_radial(profile, n, G, index=None):
+    return profile(kinf_grid(n, G))
+
+
+def _sample_expand_output():
+    f = random_bandlimited(2, 64, 7, seed=9)
+    return sample_expand(f, kappa_profile, 4).samples
+
+
+def _quark_output():
+    f = random_bandlimited(2, 64, 4, seed=13)
+    qlam = decomp.quark_analyze(f, decomp.QuarkGen(n=2), make_bank(2, 64), 2)
+    return qlam.to_csv()
+
+
+def _multiplier_output():
+    params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0, 2), variant="N",
+                         n=2)
+    rep = verify.multiplier_campaign(params, verify.function_corpus(2, 32, 2, 6),
+                                     make_bank(2, 32), nu=5.0, seed=3)
+    return rep.constants, rep.extra, rep.witness
+
+
+@pytest.mark.parametrize("module,output", [
+    (gridfn, _sample_expand_output), (decomp, _quark_output),
+    (verify, _multiplier_output)])
+def test_radial_windows_match_full_grid(monkeypatch, module, output):
+    # sample_expand's and quark_analyze's kappa and the multiplier profile
+    # give the same bits on shells as on every grid point
+    got = output()
+    monkeypatch.setattr(module, "radial_window", _full_grid_radial)
+    want = output()
+    if isinstance(got, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("G", [0, 1, 2, 3, 12, 48])
+def test_bank_and_pair_reject_bad_grid_size(G):
+    for build in (lambda: make_bank(1, G), lambda: rychkov_pair(1, n=1, G=G),
+                  lambda: radial_window(theta_profile, 1, G)):
+        with pytest.raises(ValueError, match=f"G={G} "):
+            build()
+    make_bank(1, 4)  # the smallest grid with a band level
 
 
 def test_band_reproduces_lowpass_function():

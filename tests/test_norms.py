@@ -107,6 +107,32 @@ def test_aggregate_matches_space_and_seq_norm():
                 assert aggregate(cells.items(), params) == seq_norm(lam, params)
 
 
+def test_space_norm_matches_per_band_spectrum():
+    # space_norm takes f.spectrum() once; the reference takes it per band
+    for n, G in ((1, 64), (2, 32)):
+        f = random_bandlimited(n, G, G // 4, seed=5)
+        for kind in ("partition", "bump"):
+            for hom in (False, True):
+                bank = make_bank(n, G, kind, homogeneous=hom)
+
+                def per_band(j):
+                    return GridFunction.from_spectrum(
+                        n, bank.window(j) * f.spectrum())
+
+                fields = {j: np.abs(per_band(j).samples)
+                          for j in bank.levels() if hom or j >= 1}
+                for variant in ("N", "E"):
+                    for r in (0.5, 2.0, INF):
+                        params = SpaceParams(q=1.0, r=r, s=0.5,
+                                             phi=power(2.0, n), variant=variant,
+                                             homogeneous=hom, n=n)
+                        want = aggregate(fields.items(), params)
+                        if not hom:
+                            want = morrey_norm(per_band(0), 1.0,
+                                               params.phi) + want
+                        assert space_norm(f, params, bank) == want
+
+
 def test_coeff_field_shape_validation():
     with pytest.raises(ValueError):
         CoeffField(1, {2: np.zeros(3)})
@@ -140,6 +166,22 @@ def test_coeff_field_csv_round_trip():
     for j in fld.level_list():
         assert np.allclose(np.atleast_1d(back.levels[j]),
                            np.atleast_1d(fld.levels[j]))
+    sparse = (rng.random((4, 4)) < 0.5) * rng.standard_normal((4, 4))
+    text = CoeffField(2, {-1: 0.25 - 1j, 2: sparse}).to_csv()
+    assert CoeffField.from_csv(text, 2).to_csv() == text
+
+
+@pytest.mark.parametrize("row,what", [
+    ("1,2,0,1.0,0.0", "outside [0, 2)"), ("1,0,-1,1.0,0.0", "negative index"),
+    ("-1,0,1,1.0,0.0", "needs m = 0"), ("1,0,0,nan,0.0", "non-finite"),
+    ("1,0,0,1.0,-inf", "non-finite"), ("1,0,0,1.0", "expected 5 columns"),
+    ("1,0,0,1.0,0.0,3", "expected 5 columns"), ("1,0,x,1.0,0.0", "not a number"),
+    ("1.5,0,0,1.0,0.0", "not a number")])
+def test_coeff_field_csv_rejects_bad_rows(row, what):
+    text = "j,m1,m2,re,im\n1,1,1,2.0,0.0\n\n" + row + "\n"
+    with pytest.raises(ValueError, match="line 4: ") as err:
+        CoeffField.from_csv(text, 2)
+    assert what in str(err.value)
 
 
 def _singleton(n, j, m, depth):
