@@ -13,6 +13,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import decomp, growth, trace, verify
 from .growth import (SpaceParams, check_nakai, dyadic_scales, loginv, power,
                      powerlog)
@@ -146,13 +148,14 @@ def cmd_decompose(args) -> int:
         return EXIT_OK
     f = _load_function(args)
     pair = rychkov_pair(args.L, n=args.dim, G=f.G, homogeneous=args.hom)
-    lam, atoms = decomp.atomic_analyze(f, pair)
-    rec = decomp.synthesize(lam, atoms, f.G)
+    lam, patches = decomp.atomic_analyze(f, pair)
+    rec = decomp.synthesize(lam, patches, f.G)
     resid = (rec - f).l2() / max(f.l2(), 1e-300)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(lam.to_csv())
-    print(json.dumps({"levels": lam.level_list(), "atoms": len(atoms),
+    atoms = sum(np.size(v) for v in lam.levels.values())
+    print(json.dumps({"levels": lam.level_list(), "atoms": atoms,
                       "roundtrip_residual": resid}))
     return EXIT_OK if resid < 1e-8 else EXIT_EXACT
 

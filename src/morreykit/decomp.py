@@ -1,13 +1,19 @@
 """Atoms, molecules and quarks: validators, analysis, synthesis.
 
-Atoms live on patches: an atom at cube (j, m) is stored on the 4c-cell
-window (c = grid cells per cube side) starting one cube side before the
-cube, which contains its full support 3Q.  Analysis computes
+Atomic analysis computes
 
     gamma_jm = phi_j * (chi_{Q_jm} . (psi_j * f))
 
 with the reproducing pair, so summing all gamma over (j, m) telescopes back
-to f exactly (Fubini split of the reproducing identity).
+to f exactly (Fubini split of the reproducing identity).  It returns the
+coefficients lam_jm and, per level, one array of the normalized atoms
+a_jm = gamma_jm / lam_jm:
+
+* j >= 1: a stack of shape (2^j,)*n + (4c,)*n, with c = G / 2^j grid cells
+  per cube side.  Entry [m] is atom (j, m) on the 4c-cell patch starting
+  one cube side before the cube, at cell (m c - c) mod G, which contains
+  its full support 3Q.  At j = 1 the patch is 2G wide and G-periodic.
+* j <= 0: the atom on the full grid, as one cube covers the torus.
 """
 
 from __future__ import annotations
@@ -65,28 +71,6 @@ class MoleculeSpec:
     def validate_for(self, n: int):
         if self.N <= self.K + n:
             raise ValueError("molecule decay must satisfy N > K + n")
-
-
-# ---------------------------------------------------------------------------
-# atoms as patches
-
-@dataclass
-class Atom:
-    j: int
-    m: tuple
-    patch: np.ndarray  # (4c,)*n for j >= 1; full grid for j <= 0
-    origin: tuple  # cell index of patch[0,...,0] on the full grid
-
-    def to_grid(self, G: int, n: int) -> GridFunction:
-        out = np.zeros((G,) * n, dtype=np.complex128)
-        add_patch(out, self)
-        return GridFunction(n, out)
-
-
-def add_patch(accum: np.ndarray, atom: Atom, weight=1.0):
-    G = accum.shape[0]
-    idx = [np.arange(o, o + s) % G for o, s in zip(atom.origin, atom.patch.shape)]
-    accum[np.ix_(*idx)] += weight * atom.patch
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +200,14 @@ def _patch_kernel(kernel_full: np.ndarray, size: int) -> np.ndarray:
 
 
 def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
-    """Split f into atoms: returns (lam: CoeffField, atoms: {(j,m): Atom}).
+    """Split f into atoms: returns (lam: CoeffField, patches: {j: ndarray}).
 
     lam_{jm} = max(sup_{|alpha| <= K} 2^{-j|alpha|} ||d^alpha gamma_jm||_inf,
     tiny) with K = max(1, L) unless overridden; derivatives are spectral,
-    matching validate_atom.  Summing lam_jm * a_jm over everything
-    reproduces f to FFT precision."""
+    matching validate_atom.  patches[j] holds the normalized atoms
+    a_jm = gamma_jm / lam_jm of level j (see the module docstring for the
+    layout), and synthesize(lam, patches, G) reproduces f to FFT
+    precision."""
     n, G = f.n, f.G
     if pair.G != G or pair.n != n:
         raise ValueError("pair was built for a different grid")
@@ -229,7 +215,7 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
         K_norm = max(1, pair.L)
     alphas = list(_multi_indices(n, K_norm))
     lam_levels = {}
-    atoms = {}
+    patches = {}
     for j in pair.levels:
         U = pair.conv_psi(f, j).samples
         if j <= 0:
@@ -240,7 +226,7 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
                 d = _spectral_derivative(gamma, alpha)
                 lam = max(lam, 2.0 ** (-j * sum(alpha)) * float(np.abs(d).max()))
             lam_levels[j] = lam if j < 0 else np.full((1,) * n, lam)
-            atoms[(j, (0,) * n)] = Atom(j, (0,) * n, gamma / lam, (0,) * n)
+            patches[j] = gamma / lam
             continue
         c = G >> j
         if pair.phi_half_cells[j] > c:
@@ -254,12 +240,9 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
         for alpha, st in zip(alphas, stacks):
             cand = 2.0 ** (-j * sum(alpha)) * np.abs(st).max(axis=patch_axes)
             lam = np.maximum(lam, cand)
-        gam = stacks[0]
-        for m in itertools.product(range(side), repeat=n):
-            origin = tuple((mi * c - c) % G for mi in m)
-            atoms[(j, m)] = Atom(j, m, gam[m] / lam[m], origin)
+        patches[j] = stacks[0] / lam[(...,) + (None,) * n]
         lam_levels[j] = lam
-    return CoeffField(n, lam_levels), atoms
+    return CoeffField(n, lam_levels), patches
 
 
 def _derivative_kernels(pair: RychkovPair, j: int, alphas) -> list:
@@ -303,28 +286,36 @@ def _level_analysis(U: np.ndarray, kernels: list, c: int) -> list:
     return out
 
 
-def synthesize(lam: CoeffField, atoms: dict, G: int) -> GridFunction:
-    """f = sum_j sum_m lam_jm a_jm, increasing j then lexicographic m."""
+def synthesize(lam: CoeffField, patches: dict, G: int) -> GridFunction:
+    """f = sum_j sum_m lam_jm a_jm, by increasing j.
+
+    Each level is an overlap-add: every patch axis splits into four blocks
+    of c cells, and block b lands on cube m + b - 1 (mod 2^j), so a level
+    is 4^n shifted block adds.  At j = 1 the 2G-wide patch is G-periodic,
+    so only its first G cells (two blocks) count."""
     n = lam.n
     out = np.zeros((G,) * n, dtype=np.complex128)
     for j in lam.level_list():
         v = lam.levels[j]
-        if j < 0 or np.isscalar(v) or getattr(v, "shape", None) == ():
-            key = (j, (0,) * n)
-            if key not in atoms:
-                if v != 0:
-                    raise KeyError(f"missing atom for level {j}")
-                continue
-            add_patch(out, atoms[key], v)
+        if j not in patches:
+            if np.any(v != 0):
+                raise KeyError(f"missing atoms for level {j}")
             continue
-        for m in itertools.product(range(v.shape[0]), repeat=n):
-            w = v[m]
-            if w == 0:
-                continue
-            key = (j, m)
-            if key not in atoms:
-                raise KeyError(f"missing atom for coefficient {key}")
-            add_patch(out, atoms[key], w)
+        if j <= 0:
+            out += np.reshape(v, ()) * patches[j]
+            continue
+        side, c = 1 << j, G >> j
+        # axes (m.., b_1, cell_1, ..., b_n, cell_n) -> (b.., m.., cell..)
+        blocks = patches[j].reshape((side,) * n + (4, c) * n).transpose(
+            [*range(n, 3 * n, 2), *range(n), *range(n + 1, 3 * n, 2)])
+        weight = v[(...,) + (None,) * n]
+        acc = np.zeros((side,) * n + (c,) * n, dtype=np.complex128)
+        for b in itertools.product(range(min(4, side)), repeat=n):
+            acc += np.roll(weight * blocks[b], [bi - 1 for bi in b],
+                           axis=tuple(range(n)))
+        # (m_1..m_n, cell_1..cell_n) -> (m_1, cell_1, ..., m_n, cell_n)
+        order = [ax for i in range(n) for ax in (i, n + i)]
+        out += acc.transpose(order).reshape((G,) * n)
     return GridFunction(n, out)
 
 

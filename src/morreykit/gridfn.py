@@ -405,15 +405,21 @@ def torus_dist_sq(n: int, G: int) -> np.ndarray:
 
 
 def peetre_maximal(f: GridFunction, bank: FilterBank, j: int, N: float) -> GridFunction:
-    """(psi_j f)_*(x) = max_y |band(f)(y)| / (1 + 2^j d(x,y))^N.
+    """(psi_j f)_*(x) = max_y |band(f)(y)| / (1 + 2^j d(x,y))^N."""
+    if N <= 0:
+        raise ValueError("N must be positive")
+    g = np.abs(band(f, bank, j).samples)
+    return GridFunction(f.n, _peetre_scan(g, j, N).astype(np.complex128))
+
+
+def _peetre_scan(g: np.ndarray, j: int, N: float) -> np.ndarray:
+    """max_z w(z) g(x - z) with w(z) = (1 + 2^j |z|)^(-N) on the torus, for
+    a nonnegative field g.
 
     Direct scan over grid offsets with a pruning bound (weights sorted
     descending; once the best possible remaining candidate cannot beat the
     current minimum of the running max, stop)."""
-    if N <= 0:
-        raise ValueError("N must be positive")
-    g = np.abs(band(f, bank, j).samples)
-    n, G = f.n, f.G
+    n, G = g.ndim, g.shape[0]
     w = (1.0 + 2.0 ** j * np.sqrt(torus_dist_sq(n, G))) ** (-N)
     flat_w = w.ravel()
     order = np.argsort(flat_w)[::-1]
@@ -426,7 +432,7 @@ def peetre_maximal(f: GridFunction, bank: FilterBank, j: int, N: float) -> GridF
             break
         z = np.unravel_index(idx, w.shape)
         np.maximum(out, wz * np.roll(g, z, axis=axes), out=out)
-    return GridFunction(n, out.astype(np.complex128))
+    return out
 
 
 # ---------------------------------------------------------------------------

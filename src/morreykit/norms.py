@@ -19,6 +19,8 @@ from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales
 from .gridfn import FilterBank, GridFunction, band, _block_mean, _expand
 
 INF = math.inf
+# largest level from_csv accepts: (2^j)^n <= 2^24 cells (256 MiB of complex)
+MAX_LEVEL_BITS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +88,9 @@ class CoeffField:
     @staticmethod
     def from_csv(text: str, n: int) -> "CoeffField":
         """Inverse of to_csv.  Raises ValueError naming the line of a row
-        with the wrong column count, a non-numeric or non-finite entry, or
-        an index m outside [0, 2^j) (m = 0 on homogeneous levels j < 0)."""
+        with the wrong column count, a non-numeric or non-finite entry, an
+        index m outside [0, 2^j) (m = 0 on homogeneous levels j < 0), or a
+        level whose (2^j)^n cells exceed 2^MAX_LEVEL_BITS."""
         rows = csv.reader(io.StringIO(text))
         next(rows, None)  # header
 
@@ -114,6 +117,9 @@ class CoeffField:
                     raise bad(f"homogeneous level {j} needs m = 0, got {m}")
                 levels[j] = levels.get(j, 0.0) + z
                 continue
+            if j * n > MAX_LEVEL_BITS:
+                raise bad(f"level {j} would hold 2^{j * n} cells, more than"
+                          f" 2^{MAX_LEVEL_BITS}")
             if j not in levels:
                 levels[j] = np.zeros((1 << j,) * n, dtype=np.complex128)
             if min(m) < 0:

@@ -192,27 +192,12 @@ def extension_bound(mu: CoeffField, problem: TraceProblem) -> float:
 def trace_function(f: GridFunction, pair: RychkovPair):
     """Restrict f (n = 2) to the line x_2 = 0 through its atomic split.
 
-    Returns (trace from atoms, direct restriction); the two agree to FFT
-    precision because the atom sum reproduces f exactly."""
-    from .decomp import atomic_analyze
+    Returns (restriction of the atom sum, direct restriction); the two
+    agree to FFT precision because the atom sum reproduces f exactly."""
+    from .decomp import atomic_analyze, synthesize
     if f.n != 2:
         raise ValueError("function trace is implemented for n = 2")
-    G = f.G
-    lam, atoms = atomic_analyze(f, pair)
-    out = np.zeros(G, dtype=np.complex128)
-    for (j, m), atom in atoms.items():
-        w = lam.get(j, m)
-        if w == 0:
-            continue
-        o0, o1 = atom.origin
-        # coarse patches exceed the grid and are G-periodic; one period counts
-        pw = min(atom.patch.shape[0], G)
-        P = min(atom.patch.shape[1], G)
-        # row index of the line x_2 = 0 inside the patch, if covered
-        row = (-o1) % G
-        if row >= P:
-            continue
-        idx = np.arange(o0, o0 + pw) % G
-        np.add.at(out, idx, w * atom.patch[:pw, row])
-    direct = GridFunction(1, f.samples[:, 0].copy())
-    return GridFunction(1, out), direct
+    lam, patches = atomic_analyze(f, pair)
+    atom_sum = synthesize(lam, patches, f.G)
+    return (GridFunction(1, atom_sum.samples[:, 0].copy()),
+            GridFunction(1, f.samples[:, 0].copy()))

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
-from .gridfn import (FilterBank, GridFunction, _bump_axis, _tensor, band,
-                     hl_maximal, kinf_grid, make_bank, peetre_maximal,
-                     radial_window, random_bandlimited, sobolev_norm,
-                     wavenumbers)
+from .gridfn import (FilterBank, GridFunction, _bump_axis, _peetre_scan,
+                     _tensor, band, hl_maximal, kinf_grid, make_bank,
+                     peetre_maximal, radial_window, random_bandlimited,
+                     sobolev_norm, wavenumbers)
 from .norms import (CoeffField, _morrey_of_array, aggregate, morrey_norm,
                     seq_norm, space_norm)
 
@@ -130,8 +130,10 @@ def _lr_norm(a: np.ndarray, r: float) -> float:
 def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0,
                    length: int = 64) -> Report:
     """Empirical sup of ||b||_r / ||a||_r against the closed-form bound."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r}")
     t0 = time.time()
     bound = hardy_bound(delta, r)
     idx = np.arange(length)
@@ -312,7 +314,7 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
             wind = bank.window(j)
             mult = radial_window(lambda u: Hprof(u / 2.0 ** j), n, G, index)
             g = GridFunction.from_spectrum(n, spec * wind * mult)
-            fields[j] = np.abs(peetre_maximal_of(g, j, N, G, n))
+            fields[j] = _peetre_scan(np.abs(g.samples), j, N)
             plain_fields[j] = np.abs(
                 GridFunction.from_spectrum(n, spec * wind).samples)
         rhs = sob * aggregate(plain_fields.items(), params)
@@ -327,25 +329,6 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     rep.extra["sobolev"] = sob
     rep.runtime = time.time() - t0
     return rep
-
-
-def peetre_maximal_of(g: GridFunction, j: int, N: float, G: int, n: int):
-    """Peetre maximal field of an already-banded function."""
-    from .gridfn import torus_dist_sq
-    dist = np.sqrt(torus_dist_sq(n, G))
-    w = (1.0 + 2.0 ** j * dist) ** (-N)
-    base = np.abs(g.samples)
-    out = base.copy()  # z = 0 has weight 1
-    order = np.argsort(w.ravel())[::-1]
-    gmax = base.max()
-    shape = (G,) * n
-    for flat in order[1:]:
-        z = np.unravel_index(flat, shape)
-        wz = w[z]
-        if wz * gmax <= out.min():
-            break
-        np.maximum(out, wz * np.roll(base, z, axis=tuple(range(n))), out=out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -274,8 +274,8 @@ def _atomic_constants(n, resolutions, count, seed, hom=False):
         bank = make_bank(n, G, homogeneous=hom)
         hi_c = hi_s = 0.0
         for f in function_corpus(n, G, count, seed=seed, zero_mean=hom):
-            lam, atoms = atomic_analyze(f, pair)
-            rec = synthesize(lam, atoms, G)
+            lam, patches = atomic_analyze(f, pair)
+            rec = synthesize(lam, patches, G)
             assert (rec - f).l2() / f.l2() < 1e-8
             sn = seq_norm(lam, params)
             fn = space_norm(f, params, bank)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -97,6 +98,25 @@ def test_decompose_round_trip(capsys, tmp_path):
     assert lam.level_list() == d["levels"]
 
 
+# sha256 of the coefficient CSV each run writes; computed with the
+# per-cube atom implementation that the per-level patch stacks replaced
+@pytest.mark.parametrize("argv,levels,atoms,csv_sha256", [
+    (["--res", "64"], list(range(5)), 341,
+     "63713a972b99cd4dd528d5cba37ad727a90759142514f739ff218cf74121af70"),
+    (["--res", "128", "--fn", "random-bandlimited"], list(range(6)), 1365,
+     "d28cdb42871e1dc7812bf864e2a406b06d442f51f2562e20ce2a2adf8f3d9fbb")])
+def test_decompose_report_pinned(capsys, tmp_path, argv, levels, atoms,
+                                 csv_sha256):
+    out_file = tmp_path / "lam.csv"
+    code, out, _ = run(capsys, "decompose", "--dim", "2", *argv,
+                       "--out", str(out_file))
+    assert code == EXIT_OK
+    d = json.loads(out)
+    assert (d["levels"], d["atoms"]) == (levels, atoms)
+    assert d["roundtrip_residual"] < 1e-12
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == csv_sha256
+
+
 def test_seqnorm_command(capsys, tmp_path):
     lam = CoeffField(1, {2: np.array([0.0, 1.0, 0.0, 0.0])})
     path = tmp_path / "lam.csv"
@@ -175,7 +195,8 @@ def _assert_fails_closed(code, out, err):
 
 
 @pytest.mark.parametrize("row", ["1,5,0,1.0,0.0", "1,-1,0,1.0,0.0",
-                                 "1,0,0,nan,0.0", "1,0,0,1.0"])
+                                 "1,0,0,nan,0.0", "1,0,0,1.0",
+                                 "30,0,0,1.0,0.0", "40,0,0,1.0,0.0"])
 def test_seqnorm_rejects_bad_csv(capsys, tmp_path, row):
     path = tmp_path / "lam.csv"
     path.write_text("j,m1,m2,re,im\n" + row + "\n")
@@ -183,6 +204,24 @@ def test_seqnorm_rejects_bad_csv(capsys, tmp_path, row):
                  "--dim", "2", "--input", str(path))
     _assert_fails_closed(*result)
     assert "line 2" in result[2]
+
+
+@pytest.mark.parametrize("row", ["30,0,1.0,0.0", "40,0,1.0,0.0"])
+def test_seqnorm_rejects_huge_level(capsys, tmp_path, row):
+    path = tmp_path / "lam.csv"
+    path.write_text("j,m1,re,im\n" + row + "\n")
+    result = run(capsys, "seqnorm", "--params", "power-p2-q1-s1-N-r2",
+                 "--dim", "1", "--input", str(path))
+    _assert_fails_closed(*result)
+    assert "line 2" in result[2]
+
+
+@pytest.mark.parametrize("flags", [["--r", "nan"], ["--r", "-1"],
+                                   ["--r", "0"], ["--delta", "nan"],
+                                   ["--delta", "inf"]])
+def test_hardy_campaign_rejects_bad_parameters(capsys, flags):
+    _assert_fails_closed(*run(capsys, "campaign", "--name", "hardy",
+                              "--trials", "2", *flags))
 
 
 @pytest.mark.parametrize("suite", [

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from morreykit.dyadic import DyadicCube, cube_mask
-from morreykit.decomp import (Atom, AtomSpec, MoleculeSpec, QuarkGen,
+from morreykit.decomp import (AtomSpec, MoleculeSpec, QuarkGen,
                               atomic_analyze, band_decay_profile,
                               fit_decay_slopes, make_atom, make_molecule,
                               quark_analyze, quark_synthesize, synthesize,
@@ -12,7 +13,7 @@ from morreykit.decomp import (Atom, AtomSpec, MoleculeSpec, QuarkGen,
 from morreykit.growth import SpaceParams, power
 from morreykit.gridfn import (GridFunction, make_bank, random_bandlimited,
                               rychkov_pair)
-from morreykit.norms import quark_norm
+from morreykit.norms import CoeffField, quark_norm
 
 
 def test_atom_spec_validation():
@@ -103,7 +104,7 @@ def test_slow_decay_fails_stricter_envelope():
 def test_atomic_analyze_zero_input():
     G = 64
     pair = rychkov_pair(1, n=1, G=G)
-    lam, atoms = atomic_analyze(GridFunction(1, np.zeros(G)), pair)
+    lam, patches = atomic_analyze(GridFunction(1, np.zeros(G)), pair)
     for j in lam.level_list():
         assert np.abs(np.atleast_1d(lam.levels[j])).max() < 1e-200
 
@@ -112,9 +113,62 @@ def test_atomic_round_trip():
     for n, G in ((1, 128), (2, 32)):
         pair = rychkov_pair(1, n=n, G=G)
         f = random_bandlimited(n, G, G // 8, seed=5)
-        lam, atoms = atomic_analyze(f, pair)
-        rec = synthesize(lam, atoms, G)
+        lam, patches = atomic_analyze(f, pair)
+        rec = synthesize(lam, patches, G)
         assert (rec - f).l2() / f.l2() < 1e-12
+
+
+def _cubes(lam):
+    """Every (j, m) of a coefficient field, by increasing j, then m."""
+    for j in lam.level_list():
+        for m in itertools.product(range(1 << max(j, 0)), repeat=lam.n):
+            yield j, m
+
+
+def _atom_grid(patches, j, m, n, G):
+    """Atom (j, m) on the full grid: the synthesis of a one-hot field."""
+    one_hot = np.zeros((1 << max(j, 0),) * n)
+    one_hot[m] = 1.0
+    return synthesize(CoeffField(n, {j: one_hot}), patches, G)
+
+
+def _per_atom_synthesis(lam, patches, G):
+    """sum_jm lam_jm a_jm, one wrapped-index add per atom.  Patch (j, m)
+    starts one cube side before the cube; patches wider than the grid are
+    G-periodic and contribute one period."""
+    n = lam.n
+    out = np.zeros((G,) * n, dtype=np.complex128)
+    for j, m in _cubes(lam):
+        if j <= 0:
+            out += lam.get(j, m) * patches[j]
+            continue
+        c = G >> j
+        patch = patches[j][m]
+        idx = [(np.arange(min(4 * c, G)) + mi * c - c) % G for mi in m]
+        out[np.ix_(*idx)] += lam.get(j, m) * patch[(slice(0, G),) * n]
+    return out
+
+
+@pytest.mark.parametrize("hom", [False, True])
+@pytest.mark.parametrize("n,G", [(1, 128), (2, 32), (2, 64)])
+def test_synthesize_matches_per_atom_reference(n, G, hom):
+    pair = rychkov_pair(1, n=n, G=G, homogeneous=hom)
+    f = random_bandlimited(n, G, G // 8, seed=[14, n, G], zero_mean=hom)
+    lam, patches = atomic_analyze(f, pair)
+    ref = _per_atom_synthesis(lam, patches, G)
+    got = synthesize(lam, patches, G).samples
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_synthesize_rejects_missing_level():
+    G = 32
+    pair = rychkov_pair(1, n=1, G=G)
+    lam, patches = atomic_analyze(random_bandlimited(1, G, 4, seed=2), pair)
+    del patches[2]
+    with pytest.raises(KeyError):
+        synthesize(lam, patches, G)
+    zero = CoeffField(1, {2: np.zeros(4)})
+    assert np.array_equal(synthesize(zero, patches, G).samples, np.zeros(G))
 
 
 def test_atomic_analyze_grid_mismatch():
@@ -127,9 +181,9 @@ def test_synthesize_scaling():
     G = 64
     pair = rychkov_pair(0, n=1, G=G)
     f = random_bandlimited(1, G, 6, seed=6)
-    lam, atoms = atomic_analyze(f, pair)
-    rec1 = synthesize(lam, atoms, G)
-    rec3 = synthesize(lam.scaled(3.0), atoms, G)
+    lam, patches = atomic_analyze(f, pair)
+    rec1 = synthesize(lam, patches, G)
+    rec3 = synthesize(lam.scaled(3.0), patches, G)
     assert np.allclose(rec3.samples, 3.0 * rec1.samples)
 
 
@@ -138,13 +192,14 @@ def test_analyzed_atoms_validate():
     L = 1
     pair = rychkov_pair(L, n=1, G=G)
     f = random_bandlimited(1, G, 10, seed=8)
-    lam, atoms = atomic_analyze(f, pair)
+    lam, patches = atomic_analyze(f, pair)
     spec = AtomSpec(K=max(1, L), L=L, deriv_tol=1e-6)
     checked = 0
-    for (j, m), atom in atoms.items():
+    for j, m in _cubes(lam):
         if j < 1 or abs(lam.get(j, m)) < 1e-8:
             continue
-        rep = validate_atom(atom.to_grid(G, 1), DyadicCube(j, m), spec)
+        rep = validate_atom(_atom_grid(patches, j, m, 1, G), DyadicCube(j, m),
+                            spec)
         assert rep["pass"], (j, m, rep)
         checked += 1
     assert checked > 10
@@ -220,8 +275,8 @@ def test_atom_patch_to_grid_consistency():
     G = 64
     pair = rychkov_pair(1, n=1, G=G)
     f = random_bandlimited(1, G, 6, seed=13)
-    lam, atoms = atomic_analyze(f, pair)
+    lam, patches = atomic_analyze(f, pair)
     total = np.zeros(G, dtype=np.complex128)
-    for (j, m), atom in atoms.items():
-        total += lam.get(j, m) * atom.to_grid(G, 1).samples
+    for j, m in _cubes(lam):
+        total += lam.get(j, m) * _atom_grid(patches, j, m, 1, G).samples
     assert np.abs(total - f.samples).max() < 1e-10 * f.linf()

@@ -261,6 +261,48 @@ def test_peetre_maximal_constant_band():
     assert np.allclose(P, 1.0)
 
 
+def _full_peetre_scan(g, j, N):
+    """max over every offset z of w(z) g(x - z), without pruning."""
+    n, G = g.ndim, g.shape[0]
+    w = (1.0 + 2.0 ** j * np.sqrt(gridfn.torus_dist_sq(n, G))) ** (-N)
+    out = np.zeros_like(g)
+    for z in np.ndindex(w.shape):
+        np.maximum(out, w[z] * np.roll(g, z, axis=tuple(range(n))), out=out)
+    return out
+
+
+@pytest.mark.parametrize("n,G", [(1, 256), (2, 32)])
+def test_peetre_scan_matches_full_scan(n, G):
+    # the pruning bound is exact: skipped offsets cannot raise any value
+    bank = make_bank(n, G)
+    for seed in range(3):
+        f = random_bandlimited(n, G, G // 8, seed=[15, seed])
+        for j in (1, 2, 3):
+            g = np.abs(band(f, bank, j).samples)
+            for N in (2.5, 4.0):
+                want = _full_peetre_scan(g, j, N)
+                assert np.array_equal(peetre_maximal(f, bank, j, N).samples,
+                                      want)
+
+
+def _peetre_char_output():
+    params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0, 2), variant="N",
+                         n=2)
+    rep = verify.peetre_char_campaign(params, 5.0,
+                                      verify.function_corpus(2, 32, 2, 6),
+                                      make_bank(2, 32))
+    return rep.constants, rep.extra, rep.witness
+
+
+@pytest.mark.parametrize("module,output", [
+    (gridfn, _peetre_char_output), (verify, _multiplier_output)])
+def test_peetre_campaigns_match_full_scan(monkeypatch, module, output):
+    # both campaigns run the one pruned scan, gridfn._peetre_scan
+    got = output()
+    monkeypatch.setattr(module, "_peetre_scan", _full_peetre_scan)
+    assert output() == got
+
+
 def test_sample_expand_exact():
     G = 128
     nu = 4

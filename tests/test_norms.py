@@ -176,12 +176,22 @@ def test_coeff_field_csv_round_trip():
     ("-1,0,1,1.0,0.0", "needs m = 0"), ("1,0,0,nan,0.0", "non-finite"),
     ("1,0,0,1.0,-inf", "non-finite"), ("1,0,0,1.0", "expected 5 columns"),
     ("1,0,0,1.0,0.0,3", "expected 5 columns"), ("1,0,x,1.0,0.0", "not a number"),
-    ("1.5,0,0,1.0,0.0", "not a number")])
+    ("1.5,0,0,1.0,0.0", "not a number"), ("30,0,0,1.0,0.0", "2^60 cells"),
+    ("40,0,0,1.0,0.0", "2^80 cells")])
 def test_coeff_field_csv_rejects_bad_rows(row, what):
     text = "j,m1,m2,re,im\n1,1,1,2.0,0.0\n\n" + row + "\n"
     with pytest.raises(ValueError, match="line 4: ") as err:
         CoeffField.from_csv(text, 2)
     assert what in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["25,0,1.0,0.0", "30,0,1.0,0.0",
+                                 "40,0,1.0,0.0"])
+def test_coeff_field_csv_caps_level_size(row):
+    # 2^24 cells is the largest level accepted; j = 30 at n = 1 used to
+    # request a 16 GiB array
+    with pytest.raises(ValueError, match="line 2: level .* more than 2"):
+        CoeffField.from_csv("j,m1,re,im\n" + row + "\n", 1)
 
 
 def _singleton(n, j, m, depth):
