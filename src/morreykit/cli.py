@@ -8,20 +8,20 @@ Same config + seed gives byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import decomp, growth, trace, verify
-from .growth import (SpaceParams, check_nakai, dyadic_scales, loginv, power,
-                     powerlog)
+from .growth import (GrowthFunction, SpaceParams, check_nakai, dyadic_scales,
+                     power, powerlog)
 from .gridfn import GridFunction, make_bank, preset_function, rychkov_pair
 from .norms import CoeffField, seq_norm, space_norm
-
-INF = math.inf
 
 EXIT_OK, EXIT_USAGE, EXIT_EXACT, EXIT_STABILITY = 0, 1, 2, 3
 
@@ -29,56 +29,55 @@ EXIT_OK, EXIT_USAGE, EXIT_EXACT, EXIT_STABILITY = 0, 1, 2, 3
 # ---------------------------------------------------------------------------
 # parameter presets
 
+# growth-family field -> (its token letter in a params string, default)
+_PHI_FIELDS = {"p": ("p", 2.0), "exponent": ("e", 1.0)}
+
+
 def parse_params(text: str, n: int = 1) -> SpaceParams:
-    """Grammar: family[-e<exp>]-p<p>-q<q>-s<s>-<N|E>-r<r>[-hom], e.g.
-    power-p2-q1-s0-E-r2 or loginv-e2-p1-q2-s0-E-r0.5; r may be 'inf'."""
+    """Grammar: family[-e<exp>][-p<p>]-q<q>-s<s>-<N|E>-r<r>[-hom], e.g.
+    power-p2-q1-s0-E-r2 or loginv-e2-q2-s0-E-r0.5; r may be 'inf'.  A
+    family takes only its own fields' tokens: power -p, powerlog -p and -e,
+    loginv -e.  trace-A ... trace-D name the TRACE_PRESETS."""
     if text.startswith("trace-"):
-        return TRACE_PRESETS[text.split("-", 1)[1]](n)
-    toks = text.split("-")
-    family = toks[0]
+        if text[6:] not in TRACE_PRESETS:
+            raise ValueError(f"unknown trace preset {text!r}")
+        return TRACE_PRESETS[text[6:]](n)
+    family, *toks = text.split("-")
+    fam = growth.FAMILIES.get(family)
+    if fam is None or not set(fam.fields) <= _PHI_FIELDS.keys():
+        raise ValueError(f"unknown growth family {family!r}")
+    takes = {_PHI_FIELDS[f][0]: f for f in fam.fields}  # token -> field
     vals = {}
     variant = "N"
     hom = False
-    for t in toks[1:]:
+    for t in toks:
+        key = t[:1]
         if t in ("N", "E"):
             variant = t
         elif t == "hom":
             hom = True
-        elif t and t[0] in "pqsre":
-            vals[t[0]] = INF if t[1:] == "inf" else float(t[1:])
+        elif key in takes or key and key in "qsr":
+            vals[key] = float(t[1:])
         else:
             raise ValueError(f"bad token {t!r} in params {text!r}")
-    p = vals.get("p", 2.0)
-    if family == "power":
-        phi = power(p, n)
-    elif family == "powerlog":
-        phi = powerlog(p, vals.get("e", 1.0), n)
-    elif family == "loginv":
-        phi = loginv(vals.get("e", 1.0), n)
-    else:
-        raise ValueError(f"unknown growth family {family!r}")
+    phi = GrowthFunction(family, n, **{
+        f: vals.get(tok, _PHI_FIELDS[f][1]) for tok, f in takes.items()})
     return SpaceParams(q=vals.get("q", 2.0), r=vals.get("r", 2.0),
                        s=vals.get("s", 0.0), phi=phi, variant=variant,
                        homogeneous=hom, n=n)
 
 
-def _preset_A(n):  # N-variant, phi(t) = t^2 in n = 2
-    return SpaceParams(q=1.0, r=2.0, s=1.5, phi=power(1.0, n), variant="N", n=n)
+def _trace_preset(q, r, s, variant, n):
+    return SpaceParams(q=q, r=r, s=s, phi=power(q, n), variant=variant, n=n)
 
 
-def _preset_B(n):
-    return SpaceParams(q=0.75, r=2.0, s=2.0, phi=power(0.75, n), variant="N", n=n)
-
-
-def _preset_C(n):
-    return SpaceParams(q=1.0, r=1.5, s=1.6, phi=power(1.0, n), variant="E", n=n)
-
-
-def _preset_D(n):
-    return SpaceParams(q=2.0, r=0.5, s=2.0, phi=power(2.0, n), variant="E", n=n)
-
-
-TRACE_PRESETS = {"A": _preset_A, "B": _preset_B, "C": _preset_C, "D": _preset_D}
+# name -> (q, r, s, variant), with phi(t) = t^(n/q); e.g. A is the
+# N-variant with phi(t) = t^2 in n = 2
+TRACE_PRESETS = {name: functools.partial(_trace_preset, *row)
+                 for name, row in {"A": (1.0, 2.0, 1.5, "N"),
+                                   "B": (0.75, 2.0, 2.0, "N"),
+                                   "C": (1.0, 1.5, 1.6, "E"),
+                                   "D": (2.0, 0.5, 2.0, "E")}.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +85,10 @@ TRACE_PRESETS = {"A": _preset_A, "B": _preset_B, "C": _preset_C, "D": _preset_D}
 
 def validate_params(params: SpaceParams, for_trace: bool = False) -> list:
     msgs = []
-    scales = dyadic_scales(-10, 0)
-    if not growth.is_in_Gq(params.phi, params.q, scales):
+    if not growth.is_in_Gq(params.phi, params.q, dyadic_scales(-10, 0)):
         raise ValueError("phi is not in the admissible growth class for q")
     msgs.append("growth class check: phi in G_q")
-    if params.variant == "E" and params.r != INF:
+    if params.variant == "E" and params.r != math.inf:
         ok, eps, C = check_nakai(params.phi, dyadic_scales())
         msgs.append(f"Nakai condition: {'ok' if ok else 'FAILS'}"
                     f" (eps={eps}, C={C:.3g})")
@@ -106,54 +104,58 @@ def validate_params(params: SpaceParams, for_trace: bool = False) -> list:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands (main() has replaced a checked --params by its SpaceParams)
 
 def _load_function(args) -> GridFunction:
-    if args.input:
-        with open(args.input, "rb") as fh:
-            return GridFunction.from_bytes(fh.read())
-    return preset_function(args.fn, args.dim, args.res, seed=args.seed)
+    if not args.input:
+        return preset_function(args.fn, args.dim, args.res, seed=args.seed)
+    with open(args.input, "rb") as fh:
+        f = GridFunction.from_bytes(fh.read())
+    if f.n != args.dim:
+        raise ValueError(f"--input holds an n={f.n} function,"
+                         f" not --dim {args.dim}")
+    return f
+
+
+def _load_coeffs(args, n: int) -> CoeffField:
+    if args.input is None:
+        raise ValueError(f"{args.command} needs --input")
+    with open(args.input) as fh:
+        return CoeffField.from_csv(fh.read(), n)
+
+
+def _write(path, text: Callable[[], str]) -> None:
+    """Write text() to path; no --out given means nothing is computed."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text())
 
 
 def cmd_norm(args) -> int:
-    params = parse_params(args.params, args.dim)
-    msgs = validate_params(params)
-    if args.dry_run:
-        print(json.dumps({"checked": msgs}))
-        return EXIT_OK
     f = _load_function(args)
     bank = make_bank(args.dim, f.G, kind=args.bank,
-                     homogeneous=params.homogeneous)
-    val = space_norm(f, params, bank)
-    print(json.dumps({"norm": val, "params": params.to_json()}))
+                     homogeneous=args.params.homogeneous)
+    print(json.dumps({"norm": space_norm(f, args.params, bank),
+                      "params": args.params.to_json()}))
     return EXIT_OK
 
 
 def cmd_seqnorm(args) -> int:
-    params = parse_params(args.params, args.dim)
-    msgs = validate_params(params)
-    if args.dry_run:
-        print(json.dumps({"checked": msgs}))
-        return EXIT_OK
-    with open(args.input) as fh:
-        lam = CoeffField.from_csv(fh.read(), args.dim)
-    print(json.dumps({"norm": seq_norm(lam, params)}))
+    lam = _load_coeffs(args, args.dim)
+    print(json.dumps({"norm": seq_norm(lam, args.params)}))
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    if args.dry_run:
-        print(json.dumps({"checked": [f"L={args.L} >= 0",
-                                      f"resolution {args.res} power of two"]}))
-        return EXIT_OK
     f = _load_function(args)
+    if args.hom and abs(f.samples.mean()) > 1e-8 * f.l2():
+        raise ValueError("--hom needs a zero-mean input: no level of the"
+                         " homogeneous pair carries the mean")
     pair = rychkov_pair(args.L, n=args.dim, G=f.G, homogeneous=args.hom)
     lam, patches = decomp.atomic_analyze(f, pair)
     rec = decomp.synthesize(lam, patches, f.G)
     resid = (rec - f).l2() / max(f.l2(), 1e-300)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(lam.to_csv())
+    _write(args.out, lam.to_csv)
     atoms = sum(np.size(v) for v in lam.levels.values())
     print(json.dumps({"levels": lam.level_list(), "atoms": atoms,
                       "roundtrip_residual": resid}))
@@ -161,92 +163,55 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_quark(args) -> int:
-    if args.dry_run:
-        print(json.dumps({"checked": ["band levels fit the sampling lattice"]}))
-        return EXIT_OK
     f = _load_function(args)
     gen = decomp.QuarkGen(n=args.dim)
     bank = make_bank(args.dim, f.G)
     qlam = decomp.quark_analyze(f, gen, bank, args.beta_cutoff)
     rec = decomp.quark_synthesize(qlam, gen, f.G)
     resid = (rec - f).l2() / max(f.l2(), 1e-300)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(qlam.to_csv())
+    _write(args.out, qlam.to_csv)
     print(json.dumps({"betas": [list(b) for b in qlam.betas()],
                       "residual": resid}))
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
-    params = parse_params(args.params, args.dim)
-    try:
-        msgs = validate_params(params, for_trace=True)
-    except ValueError as e:
-        print(f"precondition failed: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.dry_run:
-        print(json.dumps({"checked": msgs}))
-        return EXIT_OK
-    problem = trace.TraceProblem(params)
-    with open(args.input) as fh:
-        lam = CoeffField.from_csv(fh.read(), args.dim)
-    out = {
-        "bound_I": trace.trace_bound_I(lam, problem),
-        "bound_II": trace.trace_bound_II(lam, problem),
-    }
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(trace.trace_coeff(lam, problem).to_csv())
-    print(json.dumps(out))
+    problem = trace.TraceProblem(args.params)
+    lam = _load_coeffs(args, args.dim)
+    _write(args.out, lambda: trace.trace_coeff(lam, problem).to_csv())
+    print(json.dumps({"bound_I": trace.trace_bound_I(lam, problem),
+                      "bound_II": trace.trace_bound_II(lam, problem)}))
     return EXIT_OK
 
 
 def cmd_extend(args) -> int:
-    params = parse_params(args.params, args.dim)
-    try:
-        validate_params(params, for_trace=True)
-    except ValueError as e:
-        print(f"precondition failed: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    problem = trace.TraceProblem(params)
-    with open(args.input) as fh:
-        mu = CoeffField.from_csv(fh.read(), args.dim - 1)
-    if args.dry_run:
-        print(json.dumps({"checked": ["trace preconditions"]}))
-        return EXIT_OK
-    ext = trace.extend_coeff(mu, problem)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(ext.to_csv())
+    problem = trace.TraceProblem(args.params)
+    mu = _load_coeffs(args, args.dim - 1)
+    _write(args.out, lambda: trace.extend_coeff(mu, problem).to_csv())
     print(json.dumps({"extension_bound": trace.extension_bound(mu, problem)}))
     return EXIT_OK
 
 
 def _campaign_report(args):
-    name = args.name
-    seed = args.seed
+    name, seed = args.name, args.seed
     if name == "hardy":
         return verify.hardy_campaign(args.delta, args.r, args.trials, seed=seed)
     if name == "maximal":
-        phi = power(4.0) if args.phi == "power" else powerlog(4.0, 1.0)
+        phi = {"power": power(4.0), "powerlog": powerlog(4.0, 1.0)}.get(args.phi)
+        if phi is None:
+            raise ValueError(f"unknown phi {args.phi!r}: use power or powerlog")
         return verify.maximal_campaign(2.0, 2.0, phi, args.trials,
                                        resolutions=args.resolutions, seed=seed)
-    if name == "filter":
-        params = parse_params(args.params, args.dim)
-        G = args.resolutions[-1]
-        corpus = verify.function_corpus(args.dim, G, args.trials, seed)
-        bankA = make_bank(args.dim, G, "partition",
-                          homogeneous=params.homogeneous)
-        bankB = make_bank(args.dim, G, "bump", homogeneous=params.homogeneous)
-        return verify.filter_invariance_campaign(bankA, bankB, params, corpus)
-    if name == "peetre":
+    if name in ("filter", "peetre"):
         params = parse_params(args.params, args.dim)
         G = args.resolutions[-1]
         corpus = verify.function_corpus(args.dim, G, args.trials, seed)
         bank = make_bank(args.dim, G, homogeneous=params.homogeneous)
-        N = verify.peetre_threshold(params) + 1.0
-        return verify.peetre_char_campaign(params, N, corpus, bank)
+        if name == "peetre":
+            N = verify.peetre_threshold(params) + 1.0
+            return verify.peetre_char_campaign(params, N, corpus, bank)
+        bump = make_bank(args.dim, G, "bump", homogeneous=params.homogeneous)
+        return verify.filter_invariance_campaign(bank, bump, params, corpus)
     if name == "embedding":
         return verify.embedding_campaign(2.0, 2.0, args.r, depth=args.depth,
                                          trials=args.trials, seed=seed)
@@ -255,21 +220,16 @@ def _campaign_report(args):
     raise ValueError(f"unknown campaign {name!r}")
 
 
+def _exit_code(rep) -> int:
+    return EXIT_EXACT if rep.failures else \
+        (EXIT_OK if rep.stable() else EXIT_STABILITY)
+
+
 def cmd_campaign(args) -> int:
-    try:
-        rep = _campaign_report(args)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rep.to_json())
+    rep = _campaign_report(args)
+    _write(args.out, rep.to_json)
     print(rep.to_json())
-    if rep.failures:
-        return EXIT_EXACT
-    if not rep.stable():
-        return EXIT_STABILITY
-    return EXIT_OK
+    return _exit_code(rep)
 
 
 def _is_int(v) -> bool:
@@ -317,22 +277,15 @@ def cmd_suite(args) -> int:
     with open(args.file) as fh:
         configs = json.load(fh)
     _check_suite(configs)
+    # an entry's unset fields take the campaign defaults, but 50 trials
+    base = vars(build_parser().parse_args(["campaign", "--name", "",
+                                           "--trials", "50"]))
     worst = EXIT_OK
     summary = []
     for cfg in configs:
-        sub = argparse.Namespace(seed=args.seed, dim=1, depth=6,
-                                 trials=50, resolutions=[128, 256],
-                                 params="power-p2-q2-s1-N-r2",
-                                 delta=0.5, r=2.0, phi="power", out=None)
-        for k, v in cfg.items():
-            setattr(sub, k, v)
-        try:
-            rep = _campaign_report(sub)
-        except ValueError as e:
-            print(f"config error in {cfg}: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        code = EXIT_EXACT if rep.failures else \
-            (EXIT_OK if rep.stable() else EXIT_STABILITY)
+        rep = _campaign_report(
+            argparse.Namespace(**{**base, "seed": args.seed, **cfg}))
+        code = _exit_code(rep)
         worst = max(worst, code)
         summary.append({"campaign": rep.name, "constants": rep.constants,
                         "pass": code == EXIT_OK})
@@ -343,83 +296,83 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+# every option a command may take: flag name -> add_argument keywords
+OPTIONS = {
+    "params": {"required": True},
+    "input": {},
+    "out": {},
+    "dry-run": {"action": "store_true"},
+    "seed": {"type": int, "default": 0},
+    "dim": {"type": int, "default": 1},
+    "res": {"type": int, "default": 256},
+    "fn": {"default": "gaussian"},
+    "bank": {"default": "partition", "choices": ["partition", "bump"]},
+    "L": {"type": int, "default": 1},
+    "hom": {"action": "store_true"},
+    "beta-cutoff": {"type": int, "default": 4},
+    "name": {"required": True},
+    "delta": {"type": float, "default": 0.5},
+    "r": {"type": float, "default": 2.0},
+    "trials": {"type": int, "default": 100},
+    "depth": {"type": int, "default": 6},
+    "phi": {"default": "power"},
+    "resolutions": {"type": int, "nargs": "+", "default": [128, 256]},
+    "file": {"required": True},
+}
+
+
+class Command(NamedTuple):
+    handler: Callable
+    check: str  # "space" or "trace": the check main() gives --params
+    options: str  # names in OPTIONS
+    overrides: dict = {}  # option -> keywords replacing its OPTIONS entry
+
+
+_DIM2 = {"dim": {"type": int, "default": 2}}
+COMMANDS = {
+    "norm": Command(cmd_norm, "space",
+                    "params dim res fn seed input bank dry-run"),
+    "seqnorm": Command(cmd_seqnorm, "space", "params dim input dry-run"),
+    "decompose": Command(cmd_decompose, "", "dim res fn seed input out L hom"),
+    "quark": Command(cmd_quark, "", "dim res fn seed input out beta-cutoff"),
+    "trace": Command(cmd_trace, "trace", "params dim input out dry-run", _DIM2),
+    "extend": Command(cmd_extend, "trace", "params dim input out dry-run",
+                      _DIM2),
+    "campaign": Command(cmd_campaign, "", "name seed dim out delta r trials"
+                        " depth phi params resolutions",
+                        {"params": {"default": "power-p2-q2-s1-N-r2"}}),
+    "suite": Command(cmd_suite, "", "file seed"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="morreykit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--dim", type=int, default=1)
-        p.add_argument("--res", type=int, default=256)
-        p.add_argument("--dry-run", action="store_true", dest="dry_run")
-        p.add_argument("--out", default=None)
-        p.add_argument("--input", default=None)
-
-    p = sub.add_parser("norm")
-    common(p)
-    p.add_argument("--fn", default="gaussian")
-    p.add_argument("--params", required=True)
-    p.add_argument("--bank", default="partition", choices=["partition", "bump"])
-    p.set_defaults(func=cmd_norm)
-
-    p = sub.add_parser("seqnorm")
-    common(p)
-    p.add_argument("--params", required=True)
-    p.set_defaults(func=cmd_seqnorm)
-
-    p = sub.add_parser("decompose")
-    common(p)
-    p.add_argument("--fn", default="gaussian")
-    p.add_argument("--L", type=int, default=1)
-    p.add_argument("--hom", action="store_true")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("quark")
-    common(p)
-    p.add_argument("--fn", default="gaussian")
-    p.add_argument("--beta-cutoff", type=int, default=4, dest="beta_cutoff")
-    p.set_defaults(func=cmd_quark)
-
-    p = sub.add_parser("trace")
-    common(p)
-    p.add_argument("--params", required=True)
-    p.set_defaults(func=cmd_trace, dim=2)
-
-    p = sub.add_parser("extend")
-    common(p)
-    p.add_argument("--params", required=True)
-    p.set_defaults(func=cmd_extend, dim=2)
-
-    p = sub.add_parser("campaign")
-    common(p)
-    p.add_argument("--name", required=True)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--phi", default="power")
-    p.add_argument("--params", default="power-p2-q2-s1-N-r2")
-    p.add_argument("--resolutions", type=int, nargs="+", default=[128, 256])
-    p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser("suite")
-    common(p)
-    p.add_argument("--file", required=True)
-    p.set_defaults(func=cmd_suite)
+    for name, cmd in COMMANDS.items():
+        # no prefix matching, so a dropped flag is an error rather than
+        # an abbreviation of a longer one (campaign --res vs --resolutions)
+        p = sub.add_parser(name, allow_abbrev=False)
+        for opt in cmd.options.split():
+            p.add_argument("--" + opt, **cmd.overrides.get(opt, OPTIONS[opt]))
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    env_seed = os.environ.get("MORREYKIT_SEED")
-    if env_seed is not None:
-        args.seed = int(env_seed)
+    cmd = COMMANDS[args.command]
     try:
-        return args.func(args)
+        if "MORREYKIT_SEED" in os.environ:
+            args.seed = int(os.environ["MORREYKIT_SEED"])
+        if cmd.check:
+            args.params = parse_params(args.params, args.dim)
+            msgs = validate_params(args.params, for_trace=cmd.check == "trace")
+            if args.dry_run:
+                print(json.dumps({"checked": msgs}))
+                return EXIT_OK
+        return cmd.handler(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

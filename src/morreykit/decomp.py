@@ -94,6 +94,15 @@ def _spectral_derivative(samples: np.ndarray, alpha) -> np.ndarray:
     return np.fft.ifftn(_differentiate(np.fft.fftn(samples), alpha))
 
 
+def _deriv_sup(samples: np.ndarray, j: int, K: int) -> float:
+    """max over |alpha| <= K of 2^{-j|alpha|} ||d^alpha g||_inf (spectral)."""
+    worst = 0.0
+    for alpha in _multi_indices(samples.ndim, K):
+        d = _spectral_derivative(samples, alpha)
+        worst = max(worst, 2.0 ** (-j * sum(alpha)) * float(np.abs(d).max()))
+    return worst
+
+
 def _centered_on_cube(f: GridFunction, Q: DyadicCube) -> np.ndarray:
     """Roll samples so the cube center sits at index 0, where the wrapped
     coordinate is 0 and polynomial across the seam; moments are then read
@@ -128,11 +137,7 @@ def validate_atom(a: GridFunction, Q: DyadicCube, spec: AtomSpec) -> dict:
     outside = float(np.abs(a.samples[~mask]).max()) if (~mask).any() else 0.0
     support_ok = outside <= 1e-10 * max(amax, TINY)
 
-    worst_deriv = 0.0
-    for alpha in _multi_indices(n, spec.K):
-        d = _spectral_derivative(a.samples, alpha)
-        worst_deriv = max(worst_deriv,
-                          2.0 ** (-j * sum(alpha)) * float(np.abs(d).max()))
+    worst_deriv = _deriv_sup(a.samples, j, spec.K)
     deriv_ok = worst_deriv <= 1.0 + spec.deriv_tol
 
     moment_worst = _moment_worst(a, Q, spec.L)
@@ -193,10 +198,7 @@ def _patch_kernel(kernel_full: np.ndarray, size: int) -> np.ndarray:
     half = size // 2
     idx = [np.concatenate([np.arange(0, half), np.arange(G - (size - half), G)]) % G
            for _ in range(n)]
-    out = kernel_full[np.ix_(*idx)]
-    # reorder into wrap layout of the small window: indices 0..half-1 stay,
-    # the negative offsets go to the tail
-    return out
+    return kernel_full[np.ix_(*idx)]
 
 
 def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
@@ -221,10 +223,7 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
         if j <= 0:
             gamma = GridFunction.from_spectrum(
                 n, GridFunction(n, U).spectrum() * pair.phi_spec[j]).samples
-            lam = TINY
-            for alpha in alphas:
-                d = _spectral_derivative(gamma, alpha)
-                lam = max(lam, 2.0 ** (-j * sum(alpha)) * float(np.abs(d).max()))
+            lam = max(TINY, _deriv_sup(gamma, j, K_norm))
             lam_levels[j] = lam if j < 0 else np.full((1,) * n, lam)
             patches[j] = gamma / lam
             continue
@@ -340,10 +339,7 @@ def make_atom(Q: DyadicCube, spec: AtomSpec, G: int, seed: int = 0) -> GridFunct
         a = _remove_moments(a, window, t_axes, spec.L)
 
     # normalize the derivative sup to 1
-    worst = 0.0
-    for alpha in _multi_indices(n, spec.K):
-        d = _spectral_derivative(a, alpha)
-        worst = max(worst, 2.0 ** (-j * sum(alpha)) * float(np.abs(d).max()))
+    worst = _deriv_sup(a, j, spec.K)
     if worst == 0:
         raise ValueError("degenerate atom draw")
     return GridFunction(n, a / worst)

@@ -101,8 +101,8 @@ class GridFunction:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != self.n:
-            raise ValueError("sample array rank must equal n")
+        if self.n < 1 or self.samples.ndim != self.n:
+            raise ValueError("sample array rank must equal n >= 1")
         G = self.samples.shape[0]
         if any(s != G for s in self.samples.shape) or G & (G - 1):
             raise ValueError("grid must be square with power-of-two side")
@@ -155,6 +155,8 @@ class GridFunction:
 
     @staticmethod
     def from_bytes(buf: bytes) -> "GridFunction":
+        if len(buf) < 16:
+            raise ValueError("not a grid-function blob")
         magic, n, G, tag = struct.unpack_from("<4sII4s", buf, 0)
         if magic != GridFunction.MAGIC or tag != b"c128":
             raise ValueError("not a grid-function blob")
@@ -179,6 +181,9 @@ class GridFunction:
 
 def preset_function(name: str, n: int, G: int, seed: int = 0) -> GridFunction:
     """Named test functions: gaussian | mode | chirp | random-bandlimited."""
+    if n < 1:
+        raise ValueError(f"dimension n={n} must be positive")
+    _check_grid(G)
     x = [centered_axis(G)] * n
     mesh = np.meshgrid(*x, indexing="ij") if n > 1 else [x[0]]
     if name == "gaussian":
@@ -555,15 +560,8 @@ class RychkovPair:
     phi_half_cells: dict  # spatial support half-width of phi_j, in cells
     homogeneous: bool = False
 
-    def conv_phi(self, f: GridFunction, j: int) -> GridFunction:
-        """(phi_j * f) via spectra; torus convolution of coefficient fields."""
-        return GridFunction.from_spectrum(f.n, self.phi_spec[j] * f.spectrum())
-
     def conv_psi(self, f: GridFunction, j: int) -> GridFunction:
         return GridFunction.from_spectrum(f.n, self.psi_spec[j] * f.spectrum())
-
-    def psi_kernel(self, j: int) -> GridFunction:
-        return GridFunction.from_spectrum(self.n, self.psi_spec[j])
 
     def phi_kernel(self, j: int) -> GridFunction:
         return GridFunction.from_spectrum(self.n, self.phi_spec[j])

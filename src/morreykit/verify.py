@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .decomp import _deriv_sup
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
 from .gridfn import (FilterBank, GridFunction, _bump_axis, _peetre_scan,
                      _tensor, band, hl_maximal, kinf_grid, make_bank,
@@ -41,7 +41,6 @@ class Report:
     failures: list = field(default_factory=list)
     witness: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
-    runtime: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -71,7 +70,7 @@ class Report:
             "name": self.name, "constants": clean(self.constants),
             "trials": self.trials, "failures": clean(self.failures),
             "witness": clean(self.witness), "extra": clean(self.extra),
-            "runtime": self.runtime, "passed": self.passed,
+            "passed": self.passed,
         }, indent=2)
 
 
@@ -134,7 +133,6 @@ def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0,
         raise ValueError(f"delta must be finite and positive, got {delta}")
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
-    t0 = time.time()
     bound = hardy_bound(delta, r)
     idx = np.arange(length)
     kernel = 2.0 ** (-delta * np.abs(idx[:, None] - idx[None, :]))
@@ -154,7 +152,6 @@ def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0,
         if ratio > bound + 1e-9:
             rep.failures.append({"trial": i, "ratio": ratio, "bound": bound})
     rep.constants[length] = best
-    rep.runtime = time.time() - t0
     return rep
 
 
@@ -175,7 +172,6 @@ def maximal_campaign(q: float, r: float, phi: GrowthFunction, trials: int,
     ok, _, _ = check_nakai(phi, dyadic_scales())
     if not ok:
         raise ValueError("phi fails the Nakai condition")
-    t0 = time.time()
     rep = Report(name=f"maximal-q{q}-r{r}-{phi.family}", trials=trials,
                  extra={"scalar": {}, "sup": {}, "lr": {}})
     for G in resolutions:
@@ -202,7 +198,6 @@ def maximal_campaign(q: float, r: float, phi: GrowthFunction, trials: int,
         rep.extra["sup"][G] = c_sup
         rep.extra["lr"][G] = c_lr
         rep.constants[G] = max(c_scalar, c_sup, c_lr)
-    rep.runtime = time.time() - t0
     return rep
 
 
@@ -214,7 +209,6 @@ def filter_invariance_campaign(bankA: FilterBank, bankB: FilterBank,
     """Band of space_norm(f; A) / space_norm(f; B) over the corpus."""
     if not bankA.admissible() or not bankB.admissible():
         raise ValueError("both banks must be admissible")
-    t0 = time.time()
     rep = Report(name=f"filter-invariance-{params.variant}-r{params.r}")
     lo, hi = INF, 0.0
     for i, f in enumerate(corpus):
@@ -230,7 +224,6 @@ def filter_invariance_campaign(bankA: FilterBank, bankB: FilterBank,
     rep.constants[bankA.G] = hi
     rep.extra["min"] = lo if rep.trials else 0.0
     rep.extra["max"] = hi
-    rep.runtime = time.time() - t0
     return rep
 
 
@@ -250,7 +243,6 @@ def peetre_char_campaign(params: SpaceParams, N: float, corpus,
     >= 1 exactly by pointwise domination, the upper side is the constant."""
     if N <= peetre_threshold(params):
         raise ValueError(f"N must exceed {peetre_threshold(params)}")
-    t0 = time.time()
     rep = Report(name=f"peetre-{params.variant}-N{N}")
     lo, hi = INF, 0.0
     tau_levels = [j for j in bank.levels() if bank.homogeneous or j >= 1]
@@ -274,7 +266,6 @@ def peetre_char_campaign(params: SpaceParams, N: float, corpus,
         rep.trials += 1
     rep.constants[bank.G] = hi
     rep.extra["min"] = lo if rep.trials else 0.0
-    rep.runtime = time.time() - t0
     return rep
 
 
@@ -289,7 +280,6 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     n = params.n
     if nu <= n / min(1.0, params.q, params.r if params.r != INF else 1.0) + n / 2.0:
         raise ValueError("nu below the multiplier threshold")
-    t0 = time.time()
     rep = Report(name=f"multiplier-nu{nu}")
     G = bank.G
     N = peetre_threshold(params) + 1.0
@@ -327,7 +317,6 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
         rep.trials += 1
     rep.constants[G] = hi
     rep.extra["sobolev"] = sob
-    rep.runtime = time.time() - t0
     return rep
 
 
@@ -336,12 +325,7 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
 
 def bc_norm(g: GridFunction, k: int) -> float:
     """max over |alpha| <= k of ||d^alpha g||_inf (spectral derivatives)."""
-    from .decomp import _spectral_derivative
-    from .gridfn import _multi_indices
-    best = 0.0
-    for alpha in _multi_indices(g.n, k):
-        best = max(best, float(np.abs(_spectral_derivative(g.samples, alpha)).max()))
-    return best
+    return _deriv_sup(g.samples, 0, k)
 
 
 def pointwise_mult_campaign(k: int, params: SpaceParams, corpus_f, corpus_g,
@@ -350,7 +334,6 @@ def pointwise_mult_campaign(k: int, params: SpaceParams, corpus_f, corpus_g,
     sigma = params.sigma_q if params.variant == "N" else params.sigma_qr
     if not (k > params.s > sigma):
         raise ValueError("needs k > s > sigma")
-    t0 = time.time()
     rep = Report(name=f"pointwise-mult-k{k}")
     hi = 0.0
     for i, (f, g) in enumerate(zip(corpus_f, corpus_g)):
@@ -365,7 +348,6 @@ def pointwise_mult_campaign(k: int, params: SpaceParams, corpus_f, corpus_g,
             rep.witness = {"trial": i, "ratio": ratio}
         rep.trials += 1
     rep.constants[bank.G] = hi
-    rep.runtime = time.time() - t0
     return rep
 
 
@@ -379,7 +361,6 @@ def embedding_campaign(p: float, q: float, r: float, depth: int,
     norm at s = n/p, phi(t) = t^{n/p}, r = infinity."""
     if not (1 <= q <= p < INF) or not (0 < r < q):
         raise ValueError("needs 1 <= q <= p < inf and 0 < r < q")
-    t0 = time.time()
     lhs_params = SpaceParams(q=q, r=r, s=0.0, phi=loginv(1.0 / min(1.0, r), n),
                              variant="E", n=n)
     rhs_params = SpaceParams(q=q, r=INF, s=n / p, phi=power(p, n),
@@ -395,7 +376,6 @@ def embedding_campaign(p: float, q: float, r: float, depth: int,
             hi = ratio
             rep.witness = {"trial": i, "ratio": ratio}
     rep.constants[depth] = hi
-    rep.runtime = time.time() - t0
     return rep
 
 
@@ -419,7 +399,6 @@ def counterexample_growth(r: float, depths, q: float = 0.5, p: float = 2.0,
     ratio table is reported in constants."""
     if r >= 1 and exponent == 1.0:
         raise ValueError("the growth construction needs r < 1")
-    t0 = time.time()
     n = 1
     bank = make_bank(n, G)
     phi = loginv(exponent, n)
@@ -455,7 +434,6 @@ def counterexample_growth(r: float, depths, q: float = 0.5, p: float = 2.0,
     rep.extra["slope"] = slope
     rep.extra["fit_range"] = [tail[0], tail[-1]]
     rep.extra["expected"] = 1.0 / r - exponent
-    rep.runtime = time.time() - t0
     return rep
 
 
@@ -466,7 +444,6 @@ def band_pointwise_campaign(corpus, bank: FilterBank, q: float,
                             phi: GrowthFunction) -> Report:
     """sup over x, j, corpus of phi(2^-j) |band_j f(x)| / ||band_j f||_M:
     the pointwise control of a band by its Morrey norm."""
-    t0 = time.time()
     rep = Report(name="band-pointwise")
     hi = 0.0
     for i, f in enumerate(corpus):
@@ -482,5 +459,4 @@ def band_pointwise_campaign(corpus, bank: FilterBank, q: float,
                 rep.witness = {"trial": i, "level": j, "ratio": ratio}
         rep.trials += 1
     rep.constants[bank.G] = hi
-    rep.runtime = time.time() - t0
     return rep

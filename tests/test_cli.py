@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,86 @@ def test_norm_rejects_small_grid(capsys):
     assert "G=2" in result[2]
 
 
+@pytest.mark.parametrize("argv,env_seed", [
+    (["seqnorm", "--params", "power-p2-q1-s1-N-r2"], None),
+    (["trace", "--params", "trace-A"], None),
+    (["extend", "--params", "trace-A"], None),
+    (["trace", "--params", "trace-Z"], None),
+    (["campaign", "--name", "hardy", "--trials", "2"], "abc"),
+    (["campaign", "--name", "maximal", "--phi", "bogus", "--trials", "1",
+      "--resolutions", "16", "32"], None),
+    (["suite", "--file", "{suite}"], None),
+    (["norm", "--params", "power-p2-e3-q1-s0-N-r2", "--res", "32"], None),
+    (["norm", "--params", "loginv-p2-q1-s0-N-r2", "--res", "32"], None),
+    (["norm", "--params", "power-p2-q1-s0-N-r2", "--res", "32",
+      "--out", "{out}"], None),
+    # options that nothing read are gone, so passing one is a usage error
+    (["seqnorm", "--params", "power-p2-q1-s1-N-r2", "--input", "{csv}",
+      "--seed", "1"], None),
+    (["trace", "--params", "trace-A", "--dry-run", "--res", "64"], None),
+    (["decompose", "--dry-run"], None),
+    (["quark", "--dry-run"], None),
+    (["campaign", "--name", "hardy", "--trials", "2", "--res", "64"], None),
+    (["suite", "--file", "{suite}", "--dim", "2"], None)])
+def test_fail_open_inputs_exit_1(capsys, monkeypatch, tmp_path, argv,
+                                 env_seed):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"name": "maximal", "phi": "bogus",
+                                  "trials": 1, "resolutions": [16, 32]}]))
+    csv = tmp_path / "lam.csv"
+    csv.write_text(CoeffField(1, {1: np.array([1.0, 0.0])}).to_csv())
+    paths = {"{suite}": str(suite), "{csv}": str(csv),
+             "{out}": str(tmp_path / "x")}
+    if env_seed is not None:
+        monkeypatch.setenv("MORREYKIT_SEED", env_seed)
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("cmd,params", [("seqnorm", "power-p2-q1-s1-N-r2"),
+                                        ("trace", "trace-A"),
+                                        ("extend", "trace-A")])
+def test_dry_run_needs_no_input(capsys, cmd, params):
+    code, out, _ = run(capsys, cmd, "--params", params, "--dry-run")
+    assert code == EXIT_OK
+    assert json.loads(out)["checked"]
+
+
+@pytest.mark.parametrize("fn", ["random-bandlimited", "gaussian"])
+def test_decompose_hom_rejects_nonzero_mean(capsys, fn):
+    _assert_fails_closed(*run(capsys, "decompose", "--dim", "2", "--res",
+                              "64", "--hom", "--fn", fn))
+
+
+def test_decompose_hom_zero_mean(capsys):
+    code, out, _ = run(capsys, "decompose", "--dim", "2", "--res", "64",
+                       "--hom", "--fn", "mode")
+    assert code == EXIT_OK
+    assert json.loads(out)["roundtrip_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("n,res", [(2, 32), (1, 64)])
+def test_input_blob_must_match_dim(capsys, tmp_path, n, res):
+    path = tmp_path / "f.bin"
+    path.write_bytes(preset_function("gaussian", n, res).to_bytes())
+    _assert_fails_closed(*run(capsys, "norm", "--params",
+                              "power-p2-q1-s0-N-r2", "--input", str(path),
+                              "--dim", str(3 - n)))
+
+
+def test_readme_dry_run_examples(capsys):
+    """Every `--dry-run` example in the README's CLI section exits 0."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [ln for ln in readme.splitlines()
+             if ln.startswith("morreykit ") and "--dry-run" in ln]
+    assert lines
+    for line in lines:
+        assert run(capsys, *shlex.split(line)[1:])[0] == EXIT_OK, line
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("MORREYKIT_SEED", "7")
     code, out1, _ = run(capsys, "campaign", "--name", "hardy",
@@ -249,10 +331,7 @@ def test_env_seed_override(capsys, monkeypatch):
     code, out2, _ = run(capsys, "campaign", "--name", "hardy",
                         "--trials", "20", "--seed", "99")
     # same env seed beats different --seed flags: byte-identical reports
-    # modulo the runtime field
-    d1, d2 = json.loads(out1), json.loads(out2)
-    d1.pop("runtime"), d2.pop("runtime")
-    assert d1 == d2
+    assert out1 == out2
 
 
 def test_exit_codes_distinct():
