@@ -3,7 +3,7 @@
 Modules
 -------
 growth   growth functions phi, class checks, trace transforms
-dyadic   dyadic cube lattice on the periodic unit box
+dyadic   dyadic cubes and their grid masks on the periodic unit box
 gridfn   sampled functions, DFT filter banks, maximal operators
 norms    Morrey / function-space / sequence-space norms
 decomp   atoms, molecules, quarks: validators, analysis, synthesis

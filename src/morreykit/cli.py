@@ -131,22 +131,20 @@ def _write(path, text: Callable[[], str]) -> None:
             fh.write(text())
 
 
-def cmd_norm(args) -> int:
+def cmd_norm(args):
     f = _load_function(args)
     bank = make_bank(args.dim, f.G, kind=args.bank,
                      homogeneous=args.params.homogeneous)
-    print(json.dumps({"norm": space_norm(f, args.params, bank),
-                      "params": args.params.to_json()}))
-    return EXIT_OK
+    return {"norm": space_norm(f, args.params, bank),
+            "params": args.params.to_json()}, EXIT_OK
 
 
-def cmd_seqnorm(args) -> int:
+def cmd_seqnorm(args):
     lam = _load_coeffs(args, args.dim)
-    print(json.dumps({"norm": seq_norm(lam, args.params)}))
-    return EXIT_OK
+    return {"norm": seq_norm(lam, args.params)}, EXIT_OK
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     f = _load_function(args)
     if args.hom and abs(f.samples.mean()) > 1e-8 * f.l2():
         raise ValueError("--hom needs a zero-mean input: no level of the"
@@ -157,12 +155,12 @@ def cmd_decompose(args) -> int:
     resid = (rec - f).l2() / max(f.l2(), 1e-300)
     _write(args.out, lam.to_csv)
     atoms = sum(np.size(v) for v in lam.levels.values())
-    print(json.dumps({"levels": lam.level_list(), "atoms": atoms,
-                      "roundtrip_residual": resid}))
-    return EXIT_OK if resid < 1e-8 else EXIT_EXACT
+    return ({"levels": lam.level_list(), "atoms": atoms,
+             "roundtrip_residual": resid},
+            EXIT_OK if resid < 1e-8 else EXIT_EXACT)
 
 
-def cmd_quark(args) -> int:
+def cmd_quark(args):
     f = _load_function(args)
     gen = decomp.QuarkGen(n=args.dim)
     bank = make_bank(args.dim, f.G)
@@ -170,30 +168,31 @@ def cmd_quark(args) -> int:
     rec = decomp.quark_synthesize(qlam, gen, f.G)
     resid = (rec - f).l2() / max(f.l2(), 1e-300)
     _write(args.out, qlam.to_csv)
-    print(json.dumps({"betas": [list(b) for b in qlam.betas()],
-                      "residual": resid}))
-    return EXIT_OK
+    # a truncation error, not an identity: reported but not gated
+    return {"betas": [list(b) for b in qlam.betas()],
+            "residual": resid}, EXIT_OK
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args):
     problem = trace.TraceProblem(args.params)
     lam = _load_coeffs(args, args.dim)
     _write(args.out, lambda: trace.trace_coeff(lam, problem).to_csv())
-    print(json.dumps({"bound_I": trace.trace_bound_I(lam, problem),
-                      "bound_II": trace.trace_bound_II(lam, problem)}))
-    return EXIT_OK
+    return {"bound_I": trace.trace_bound_I(lam, problem),
+            "bound_II": trace.trace_bound_II(lam, problem)}, EXIT_OK
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args):
     problem = trace.TraceProblem(args.params)
     mu = _load_coeffs(args, args.dim - 1)
     _write(args.out, lambda: trace.extend_coeff(mu, problem).to_csv())
-    print(json.dumps({"extension_bound": trace.extension_bound(mu, problem)}))
-    return EXIT_OK
+    return {"extension_bound": trace.extension_bound(mu, problem)}, EXIT_OK
 
 
 def _campaign_report(args):
     name, seed = args.name, args.seed
+    if args.trials < 1 or args.depth < 1:
+        raise ValueError(f"a campaign needs trials >= 1 and depth >= 1,"
+                         f" got {args.trials} and {args.depth}")
     if name == "hardy":
         return verify.hardy_campaign(args.delta, args.r, args.trials, seed=seed)
     if name == "maximal":
@@ -225,11 +224,9 @@ def _exit_code(rep) -> int:
         (EXIT_OK if rep.stable() else EXIT_STABILITY)
 
 
-def cmd_campaign(args) -> int:
+def cmd_campaign(args):
     rep = _campaign_report(args)
-    _write(args.out, rep.to_json)
-    print(rep.to_json())
-    return _exit_code(rep)
+    return rep.to_dict(), _exit_code(rep)
 
 
 def _is_int(v) -> bool:
@@ -273,7 +270,7 @@ def _check_suite(configs) -> None:
                 raise ValueError(f"suite entry {i}: {key!r} must be {what}")
 
 
-def cmd_suite(args) -> int:
+def cmd_suite(args):
     with open(args.file) as fh:
         configs = json.load(fh)
     _check_suite(configs)
@@ -289,8 +286,7 @@ def cmd_suite(args) -> int:
         worst = max(worst, code)
         summary.append({"campaign": rep.name, "constants": rep.constants,
                         "pass": code == EXIT_OK})
-    print(json.dumps(summary, default=float, indent=2))
-    return worst
+    return summary, worst
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +318,11 @@ OPTIONS = {
 
 
 class Command(NamedTuple):
-    handler: Callable
+    handler: Callable  # args -> (report, exit code)
     check: str  # "space" or "trace": the check main() gives --params
     options: str  # names in OPTIONS
     overrides: dict = {}  # option -> keywords replacing its OPTIONS entry
+    indent: int | None = None  # of the JSON report
 
 
 _DIM2 = {"dim": {"type": int, "default": 2}}
@@ -338,10 +335,11 @@ COMMANDS = {
     "trace": Command(cmd_trace, "trace", "params dim input out dry-run", _DIM2),
     "extend": Command(cmd_extend, "trace", "params dim input out dry-run",
                       _DIM2),
-    "campaign": Command(cmd_campaign, "", "name seed dim out delta r trials"
+    "campaign": Command(cmd_campaign, "", "name seed dim delta r trials"
                         " depth phi params resolutions",
-                        {"params": {"default": "power-p2-q2-s1-N-r2"}}),
-    "suite": Command(cmd_suite, "", "file seed"),
+                        {"params": {"default": "power-p2-q2-s1-N-r2"}},
+                        indent=2),
+    "suite": Command(cmd_suite, "", "file seed", indent=2),
 }
 
 
@@ -357,7 +355,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _plain(v):
+    """v with numpy scalars as Python numbers, tuples as lists, keys as
+    strings and +-inf as "inf"/"-inf" (the SpaceParams.to_json encoding);
+    a NaN is an error, so that no report carries one."""
+    if isinstance(v, dict):
+        return {str(k): _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        if math.isnan(v):
+            raise ValueError("the report holds a NaN")
+        return "inf" if v > 0 else "-inf"
+    return v
+
+
 def main(argv=None) -> int:
+    """Parse, check --params, run the command, then write its report to
+    stdout as strict JSON; any error exits 1 with nothing on stdout."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
@@ -369,13 +386,17 @@ def main(argv=None) -> int:
         if cmd.check:
             args.params = parse_params(args.params, args.dim)
             msgs = validate_params(args.params, for_trace=cmd.check == "trace")
-            if args.dry_run:
-                print(json.dumps({"checked": msgs}))
-                return EXIT_OK
-        return cmd.handler(args)
+        if cmd.check and args.dry_run:
+            report, code = {"checked": msgs}, EXIT_OK
+        else:
+            report, code = cmd.handler(args)
+        text = json.dumps(_plain(report), allow_nan=False,
+                          indent=cmd.indent)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ metadata, since only the phi(ell) prefactor sees scales > 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +45,6 @@ class DyadicCube:
     @property
     def center(self) -> tuple:
         return tuple((k + 0.5) * self.side for k in self.m)
-
-    def literal(self) -> str:
-        return f"{self.j}:" + ",".join(str(k) for k in self.m)
-
-    @staticmethod
-    def from_literal(text: str) -> "DyadicCube":
-        j, ms = text.split(":")
-        return DyadicCube(int(j), tuple(int(x) for x in ms.split(",")))
 
     def contains_point(self, x) -> bool:
         """Point membership with periodic wrap (for j >= 0)."""
@@ -110,47 +101,3 @@ def cube_mask(Q: DyadicCube, G: int) -> np.ndarray:
     for a in axes[1:]:
         out = np.multiply.outer(out, a)
     return out
-
-
-@dataclass(frozen=True)
-class CubeLattice:
-    n: int
-    depth: int  # max level J
-    homogeneous_floor: int = 0  # min level (negative in homogeneous mode)
-    periodic: bool = True
-
-    def levels(self):
-        return range(self.homogeneous_floor, self.depth + 1)
-
-    def cubes(self, j: int):
-        if j < 0:
-            yield DyadicCube(j, (0,) * self.n)
-            return
-        side = 1 << j
-        for m in itertools.product(range(side), repeat=self.n):
-            yield DyadicCube(j, m)
-
-    def count(self, j: int) -> int:
-        return 1 if j < 0 else (1 << j) ** self.n
-
-
-def ancestor(Q: DyadicCube, j_prime: int) -> DyadicCube:
-    """The unique level-j' cube containing Q (j' <= j)."""
-    if j_prime > Q.j:
-        raise ValueError("ancestor level must not exceed the cube level")
-    if j_prime < 0:
-        return DyadicCube(j_prime, (0,) * Q.n)
-    shift = Q.j - j_prime
-    return DyadicCube(j_prime, tuple(k >> shift for k in Q.m))
-
-
-def trace_boxes(S: DyadicCube):
-    """The three boxes over a dyadic cube S in the hyperplane:
-
-    E(S) = S x (ell, 2 ell)   (pairwise disjoint over all S)
-    F(S) = S x (0, 2 ell)
-    G(S) = S x (0, ell)
-
-    Each is returned as (S, (lo, hi)) with the vertical interval open."""
-    ell = S.side
-    return (S, (ell, 2 * ell)), (S, (0.0, 2 * ell)), (S, (0.0, ell))

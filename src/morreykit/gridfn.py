@@ -161,6 +161,8 @@ class GridFunction:
         if magic != GridFunction.MAGIC or tag != b"c128":
             raise ValueError("not a grid-function blob")
         data = np.frombuffer(buf, dtype=np.complex128, offset=16)
+        if not np.isfinite(data).all():
+            raise ValueError("grid-function blob holds non-finite samples")
         return GridFunction(n, data.reshape((G,) * n).copy())
 
     def to_json(self) -> dict:
@@ -562,9 +564,6 @@ class RychkovPair:
 
     def conv_psi(self, f: GridFunction, j: int) -> GridFunction:
         return GridFunction.from_spectrum(f.n, self.psi_spec[j] * f.spectrum())
-
-    def phi_kernel(self, j: int) -> GridFunction:
-        return GridFunction.from_spectrum(self.n, self.phi_spec[j])
 
     def reproducing_residual(self, f: GridFunction) -> float:
         total = sum(self.psi_spec[j] * self.phi_spec[j] for j in self.levels)

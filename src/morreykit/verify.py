@@ -12,9 +12,8 @@ default_rng([S, i]) so trials are independent and order-free.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,21 +56,8 @@ class Report:
             return True
         return (hi - lo) / hi <= tol
 
-    def to_json(self) -> str:
-        def clean(v):
-            if isinstance(v, dict):
-                return {str(k): clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            return v
-        return json.dumps({
-            "name": self.name, "constants": clean(self.constants),
-            "trials": self.trials, "failures": clean(self.failures),
-            "witness": clean(self.witness), "extra": clean(self.extra),
-            "passed": self.passed,
-        }, indent=2)
+    def to_dict(self) -> dict:
+        return {**asdict(self), "passed": self.passed}
 
 
 def trial_rng(master: int, index: int) -> np.random.Generator:
@@ -114,10 +100,16 @@ def coeff_corpus(n: int, depth: int, count: int, seed: int,
 def hardy_bound(delta: float, r: float) -> float:
     """Closed-form geometric bound for the discrete Hardy convolution
     b_k = sum_j 2^{-|j-k| delta} a_j: ||b||_r <= B ||a||_r with
-    B = ((1 + x)/(1 - x))^{1/m}, x = 2^{-delta m}, m = min(1, r)."""
+    B = ((1 + x)/(1 - x))^{1/m}, x = 2^{-delta m}, m = min(1, r).
+    Raises ValueError where B is not a finite float: x rounds to 1 for
+    tiny delta*m, and the power overflows for small m."""
     m = min(1.0, r) if r != INF else 1.0
     x = 2.0 ** (-delta * m)
-    return ((1.0 + x) / (1.0 - x)) ** (1.0 / m)
+    try:
+        return ((1.0 + x) / (1.0 - x)) ** (1.0 / m)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"the Hardy bound for delta={delta}, r={r} is not"
+                         " a finite float") from None
 
 
 def _lr_norm(a: np.ndarray, r: float) -> float:

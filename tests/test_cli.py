@@ -220,7 +220,8 @@ def test_seqnorm_rejects_huge_level(capsys, tmp_path, row):
 
 @pytest.mark.parametrize("flags", [["--r", "nan"], ["--r", "-1"],
                                    ["--r", "0"], ["--delta", "nan"],
-                                   ["--delta", "inf"]])
+                                   ["--delta", "inf"], ["--r", "1e-3"],
+                                   ["--delta", "1e-17"]])
 def test_hardy_campaign_rejects_bad_parameters(capsys, flags):
     _assert_fails_closed(*run(capsys, "campaign", "--name", "hardy",
                               "--trials", "2", *flags))
@@ -263,7 +264,24 @@ def test_norm_rejects_small_grid(capsys):
     (["decompose", "--dry-run"], None),
     (["quark", "--dry-run"], None),
     (["campaign", "--name", "hardy", "--trials", "2", "--res", "64"], None),
-    (["suite", "--file", "{suite}", "--dim", "2"], None)])
+    (["suite", "--file", "{suite}", "--dim", "2"], None),
+    # non-finite samples, empty campaigns and a dropped --out
+    (["norm", "--params", "power-p2-q1-s0-N-r2", "--dim", "2", "--input",
+      "{nanblob}"], None),
+    (["norm", "--params", "power-p2-q1-s0-N-r2", "--dim", "2", "--input",
+      "{infblob}"], None),
+    (["decompose", "--dim", "2", "--input", "{nanblob}", "--out", "{out}"],
+     None),
+    (["campaign", "--name", "maximal", "--trials", "0", "--resolutions",
+      "16", "32"], None),
+    (["campaign", "--name", "peetre", "--trials", "0", "--resolutions",
+      "16"], None),
+    (["campaign", "--name", "hardy", "--trials", "-1"], None),
+    (["campaign", "--name", "embedding", "--r", "0.5", "--depth", "0",
+      "--trials", "2"], None),
+    (["suite", "--file", "{suite0}"], None),
+    (["campaign", "--name", "hardy", "--trials", "2", "--out", "{out}"],
+     None)])
 def test_fail_open_inputs_exit_1(capsys, monkeypatch, tmp_path, argv,
                                  env_seed):
     suite = tmp_path / "suite.json"
@@ -273,6 +291,14 @@ def test_fail_open_inputs_exit_1(capsys, monkeypatch, tmp_path, argv,
     csv.write_text(CoeffField(1, {1: np.array([1.0, 0.0])}).to_csv())
     paths = {"{suite}": str(suite), "{csv}": str(csv),
              "{out}": str(tmp_path / "x")}
+    suite0 = tmp_path / "suite0.json"
+    suite0.write_text(json.dumps([{"name": "hardy", "trials": 0}]))
+    paths["{suite0}"] = str(suite0)
+    for name, val in (("nan", math.nan), ("inf", INF)):
+        f = preset_function("gaussian", 2, 32)
+        f.samples[3, 5] = val
+        paths[f"{{{name}blob}}"] = str(tmp_path / f"{name}.bin")
+        (tmp_path / f"{name}.bin").write_bytes(f.to_bytes())
     if env_seed is not None:
         monkeypatch.setenv("MORREYKIT_SEED", env_seed)
     code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
@@ -280,6 +306,26 @@ def test_fail_open_inputs_exit_1(capsys, monkeypatch, tmp_path, argv,
     assert out == ""
     assert err and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_stdout_is_strict_json(capsys, tmp_path):
+    """+-inf results are written as "inf", never as the bare Infinity."""
+    code, out, _ = run(capsys, "campaign", "--name", "hardy", "--r", "inf",
+                       "--trials", "3")
+    assert code == EXIT_OK
+    assert _strict_json(out)["extra"]["r"] == "inf"
+    path = tmp_path / "lam.csv"
+    path.write_text(CoeffField(1, {2: np.full(4, 1e308)}).to_csv())
+    code, out, _ = run(capsys, "seqnorm", "--params", "power-p2-q1-s1-N-r2",
+                       "--input", str(path))
+    assert code == EXIT_OK
+    assert _strict_json(out)["norm"] == "inf"
 
 
 @pytest.mark.parametrize("cmd,params", [("seqnorm", "power-p2-q1-s1-N-r2"),

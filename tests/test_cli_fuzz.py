@@ -1,6 +1,6 @@
 """CLI fuzz: every subcommand, with argvs drawn from a small vocabulary of
-bad and edge values, ends in an exit code, never an exception, and never
-prints NaN.
+bad and edge values, ends in an exit code, never an exception, and prints
+nothing but strict JSON (no NaN or Infinity token).
 
 Options that set the cost of a run (--res, --trials, --resolutions) are
 always given, with small values, and --dim stays below 3 (each patch
@@ -41,6 +41,11 @@ def files(tmp_path_factory):
         paths[f"blob{n}"] = str(d / f"f{n}.bin")
         (d / f"f{n}.bin").write_bytes(
             random_bandlimited(n, 32 if n == 2 else 64, 4, seed=n).to_bytes())
+    for name, val in (("nanblob", np.nan), ("infblob", np.inf)):
+        f = random_bandlimited(2, 32, 4, seed=3)
+        f.samples[1, 2] = val
+        paths[name] = str(d / f"{name}.bin")
+        (d / f"{name}.bin").write_bytes(f.to_bytes())
     (d / "bad.csv").write_text("j,m1,re,im\n1,0,nan,0\n")
     paths["badcsv"] = str(d / "bad.csv")
     (d / "short.bin").write_bytes(b"GRD")
@@ -60,7 +65,8 @@ def files(tmp_path_factory):
     return paths
 
 
-INPUTS = ["missing", "csv1", "csv2", "blob1", "blob2", "badcsv", "short"]
+INPUTS = ["missing", "csv1", "csv2", "blob1", "blob2", "badcsv", "short",
+          "nanblob", "infblob"]
 VALUES = {
     "--params": PARAMS, "--dim": ["1", "2", "0", "-1", "nan"],
     "--res": ["16", "32", "64", "-1", "0", "3", "nan", "x"],
@@ -70,8 +76,10 @@ VALUES = {
     "--hom": [], "--beta-cutoff": ["-1", "0", "1", "2", "x"],
     "--name": ["hardy", "maximal", "filter", "peetre", "embedding",
                "counterexample", "x"],
-    "--trials": ["-1", "0", "1", "2", "nan", "x"], "--delta": JUNK,
-    "--r": JUNK + ["0.5"], "--depth": ["-1", "0", "1", "3", "x"],
+    "--trials": ["-1", "0", "1", "2", "nan", "x"],
+    "--delta": JUNK + ["1e-3", "1e-17"],
+    "--r": JUNK + ["0.5", "1e-3", "1e-17"],
+    "--depth": ["-1", "0", "1", "3", "x"],
     "--phi": ["power", "powerlog", "bogus"],
     "--resolutions": ["16 32", "32", "4", "-1", "0", "16 x", "x"],
     "--file": ["suite_ok", "suite_phi", "suite_bad", "suite_junk", "missing"],
@@ -97,7 +105,7 @@ OWN = {
     "quark": "--dim --res --fn --seed --input --out --beta-cutoff",
     "trace": "--params --dim --input --out --dry-run",
     "extend": "--params --dim --input --out --dry-run",
-    "campaign": "--name --seed --dim --out --delta --r --trials --depth --phi"
+    "campaign": "--name --seed --dim --delta --r --trials --depth --phi"
                 " --params --resolutions",
     "suite": "--file --seed",
 }
@@ -123,6 +131,10 @@ def argvs(draw):
     return cmd, opts
 
 
+def _reject(token):
+    raise AssertionError(f"stdout holds the non-JSON token {token}")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(drawn=argvs())
@@ -140,4 +152,5 @@ def test_cli_fuzz_fails_closed(files, drawn):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
-    assert "NaN" not in out.getvalue(), argv
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject)

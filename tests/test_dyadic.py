@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from morreykit.dyadic import (CubeLattice, DyadicCube, ancestor, box_mask,
-                              cube_mask, dilate, trace_boxes)
+from morreykit.dyadic import DyadicCube, box_mask, cube_mask, dilate
 
 
 def test_cube_geometry():
@@ -23,11 +22,6 @@ def test_homogeneous_cube_covers_torus():
     Q = DyadicCube(-2, (0,))
     assert Q.side == 4.0
     assert Q.contains_point((0.73,))
-
-
-def test_literal_round_trip():
-    Q = DyadicCube(3, (5, 0))
-    assert DyadicCube.from_literal(Q.literal()) == Q
 
 
 def test_contains_point_periodic():
@@ -85,35 +79,3 @@ def test_box_mask_full_torus():
     center, half = dilate(DyadicCube(0, (0,)), 3.0)
     assert box_mask(center, half, 8, 1).all()
 
-
-def test_lattice_counts():
-    lat = CubeLattice(n=2, depth=3)
-    for j in lat.levels():
-        cubes = list(lat.cubes(j))
-        assert len(cubes) == lat.count(j) == 4 ** j
-    hom = CubeLattice(n=1, depth=2, homogeneous_floor=-2)
-    assert list(hom.levels()) == [-2, -1, 0, 1, 2]
-    assert hom.count(-1) == 1
-
-
-def test_ancestor():
-    Q = DyadicCube(4, (13, 6))
-    assert ancestor(Q, 4) == Q
-    A = ancestor(Q, 2)
-    assert A == DyadicCube(2, (3, 1))
-    # containment: the corner of Q lies in A
-    assert A.contains_point(Q.lower)
-    with pytest.raises(ValueError):
-        ancestor(Q, 5)
-    assert ancestor(Q, -1).j == -1
-
-
-def test_trace_boxes():
-    S = DyadicCube(2, (1,))
-    (sE, iE), (sF, iF), (sG, iG) = trace_boxes(S)
-    ell = S.side
-    assert sE == S and iE == (ell, 2 * ell)
-    assert iF == (0.0, 2 * ell)
-    assert iG == (0.0, ell)
-    # |F(S)| = 2 |S| ell(S)
-    assert (iF[1] - iF[0]) * S.volume == pytest.approx(2 * S.volume * ell)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from morreykit.cli import _plain
 from morreykit.growth import SpaceParams, loginv, power, powerlog
 from morreykit.gridfn import GridFunction, make_bank, random_bandlimited
 from morreykit.norms import space_norm
@@ -30,8 +31,9 @@ def test_report_stability_rule():
 def test_report_json():
     rep = Report(name="x", constants={64: np.float64(1.5)},
                  witness={"trial": np.int64(3)})
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(_plain(rep.to_dict()), allow_nan=False))
     assert d["constants"]["64"] == 1.5
+    assert d["witness"]["trial"] == 3
     assert d["passed"] is True
 
 
