@@ -8,6 +8,7 @@ Same config + seed gives byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -124,24 +125,17 @@ def _load_coeffs(args, n: int) -> CoeffField:
         return CoeffField.from_csv(fh.read(), n)
 
 
-def _write(path, text: Callable[[], str]) -> None:
-    """Write text() to path; no --out given means nothing is computed."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text())
-
-
 def cmd_norm(args):
     f = _load_function(args)
     bank = make_bank(args.dim, f.G, kind=args.bank,
                      homogeneous=args.params.homogeneous)
     return {"norm": space_norm(f, args.params, bank),
-            "params": args.params.to_json()}, EXIT_OK
+            "params": args.params.to_json()}, EXIT_OK, None
 
 
 def cmd_seqnorm(args):
     lam = _load_coeffs(args, args.dim)
-    return {"norm": seq_norm(lam, args.params)}, EXIT_OK
+    return {"norm": seq_norm(lam, args.params)}, EXIT_OK, None
 
 
 def cmd_decompose(args):
@@ -153,11 +147,10 @@ def cmd_decompose(args):
     lam, patches = decomp.atomic_analyze(f, pair)
     rec = decomp.synthesize(lam, patches, f.G)
     resid = (rec - f).l2() / max(f.l2(), 1e-300)
-    _write(args.out, lam.to_csv)
     atoms = sum(np.size(v) for v in lam.levels.values())
     return ({"levels": lam.level_list(), "atoms": atoms,
              "roundtrip_residual": resid},
-            EXIT_OK if resid < 1e-8 else EXIT_EXACT)
+            EXIT_OK if resid < 1e-8 else EXIT_EXACT, lam.to_csv)
 
 
 def cmd_quark(args):
@@ -167,25 +160,24 @@ def cmd_quark(args):
     qlam = decomp.quark_analyze(f, gen, bank, args.beta_cutoff)
     rec = decomp.quark_synthesize(qlam, gen, f.G)
     resid = (rec - f).l2() / max(f.l2(), 1e-300)
-    _write(args.out, qlam.to_csv)
     # a truncation error, not an identity: reported but not gated
     return {"betas": [list(b) for b in qlam.betas()],
-            "residual": resid}, EXIT_OK
+            "residual": resid}, EXIT_OK, qlam.to_csv
 
 
 def cmd_trace(args):
     problem = trace.TraceProblem(args.params)
     lam = _load_coeffs(args, args.dim)
-    _write(args.out, lambda: trace.trace_coeff(lam, problem).to_csv())
-    return {"bound_I": trace.trace_bound_I(lam, problem),
-            "bound_II": trace.trace_bound_II(lam, problem)}, EXIT_OK
+    return ({"bound_I": trace.trace_bound_I(lam, problem),
+             "bound_II": trace.trace_bound_II(lam, problem)}, EXIT_OK,
+            lambda: trace.trace_coeff(lam, problem).to_csv())
 
 
 def cmd_extend(args):
     problem = trace.TraceProblem(args.params)
     mu = _load_coeffs(args, args.dim - 1)
-    _write(args.out, lambda: trace.extend_coeff(mu, problem).to_csv())
-    return {"extension_bound": trace.extension_bound(mu, problem)}, EXIT_OK
+    return ({"extension_bound": trace.extension_bound(mu, problem)}, EXIT_OK,
+            lambda: trace.extend_coeff(mu, problem).to_csv())
 
 
 def _campaign_report(args):
@@ -226,7 +218,7 @@ def _exit_code(rep) -> int:
 
 def cmd_campaign(args):
     rep = _campaign_report(args)
-    return rep.to_dict(), _exit_code(rep)
+    return rep.to_dict(), _exit_code(rep), None
 
 
 def _is_int(v) -> bool:
@@ -286,7 +278,7 @@ def cmd_suite(args):
         worst = max(worst, code)
         summary.append({"campaign": rep.name, "constants": rep.constants,
                         "pass": code == EXIT_OK})
-    return summary, worst
+    return summary, worst, None
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,8 @@ OPTIONS = {
 
 
 class Command(NamedTuple):
-    handler: Callable  # args -> (report, exit code)
+    # args -> (report, exit code, None or a callable giving the --out text)
+    handler: Callable
     check: str  # "space" or "trace": the check main() gives --params
     options: str  # names in OPTIONS
     overrides: dict = {}  # option -> keywords replacing its OPTIONS entry
@@ -374,7 +367,9 @@ def _plain(v):
 
 def main(argv=None) -> int:
     """Parse, check --params, run the command, then write its report to
-    stdout as strict JSON; any error exits 1 with nothing on stdout."""
+    stdout as strict JSON; any error exits 1 with nothing on stdout.  The
+    --out file is written only once the report has serialized, so a failing
+    run leaves none behind."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
@@ -387,15 +382,31 @@ def main(argv=None) -> int:
             args.params = parse_params(args.params, args.dim)
             msgs = validate_params(args.params, for_trace=cmd.check == "trace")
         if cmd.check and args.dry_run:
-            report, code = {"checked": msgs}, EXIT_OK
+            report, code, out = {"checked": msgs}, EXIT_OK, None
         else:
-            report, code = cmd.handler(args)
+            report, code, out = cmd.handler(args)
         text = json.dumps(_plain(report), allow_nan=False,
                           indent=cmd.indent)
+        if out is not None and args.out:
+            data = out()
+            with open(args.out, "w") as fh:
+                fh.write(data)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError as e:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        with contextlib.suppress(OSError, ValueError, AttributeError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

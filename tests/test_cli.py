@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from morreykit import cli
 from morreykit.cli import (EXIT_EXACT, EXIT_OK, EXIT_STABILITY, EXIT_USAGE,
                            main, parse_params, validate_params)
 from morreykit.growth import SpaceParams, power
-from morreykit.gridfn import make_bank, preset_function
+from morreykit.gridfn import GridFunction, make_bank, preset_function
 from morreykit.norms import CoeffField, space_norm
 
 INF = math.inf
@@ -378,6 +380,43 @@ def test_env_seed_override(capsys, monkeypatch):
                         "--trials", "20", "--seed", "99")
     # same env seed beats different --seed flags: byte-identical reports
     assert out1 == out2
+
+
+def _huge_input(tmp_path, cmd):
+    """A huge input, whose report overflows to a NaN."""
+    if cmd == "decompose":
+        f = preset_function("gaussian", 1, 256)
+        path = tmp_path / "big.bin"
+        path.write_bytes(GridFunction(1, f.samples * 1e300).to_bytes())
+        return ["decompose", "--dim", "1", "--input", str(path)]
+    n = 2 if cmd == "trace" else 1
+    path = tmp_path / "big.csv"
+    path.write_text(CoeffField(n, {j: np.full((1 << j,) * n, 1e308)
+                                   for j in range(4)}).to_csv())
+    return [cmd, "--params", "trace-A", "--input", str(path)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cmd", ["decompose", "trace", "extend"])
+def test_failed_report_writes_no_out_file(capsys, tmp_path, cmd):
+    out = tmp_path / "out.csv"
+    _assert_fails_closed(*run(capsys, *_huge_input(tmp_path, cmd),
+                              "--out", str(out)))
+    assert not out.exists()
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_1(capsys, monkeypatch):
+    # `morreykit campaign ... | head -c 20`: the reader leaves early
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["campaign", "--name", "hardy", "--r", "inf", "--trials", "3"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_exit_codes_distinct():

@@ -303,6 +303,59 @@ def test_peetre_campaigns_match_full_scan(monkeypatch, module, output):
     assert output() == got
 
 
+def _localized_field(n, G, seed):
+    """exp(-|x - c| / 0.02) at a seeded grid point c: one cusp."""
+    c = tuple(np.random.default_rng([17, seed]).integers(0, G, n))
+    bump = np.exp(-np.sqrt(gridfn.torus_dist_sq(n, G)) / 0.02)
+    return np.roll(bump, c, axis=tuple(range(n)))
+
+
+def _spread_field(n, G, seed):
+    """|f| of a band-limited trigonometric polynomial, many comparable
+    peaks."""
+    return np.abs(random_bandlimited(n, G, max(G // 8, 1),
+                                     seed=[16, seed]).samples)
+
+
+# (n, G, field, j, N) per path of _peetre_scan.  The block side is 64 in 1-D,
+# 8 in 2-D and 4 in 3-D, so G = 4 and 8 never reach the block phase.
+_SCAN_PATHS = {
+    "phase1-exit": [(1, 1024, _spread_field, 8, 3.0),
+                    (2, 64, _spread_field, 4, 5.0)],
+    "switch-global-no-estimate": [(1, 1024, _spread_field, 6, 3.0),
+                                  (2, 64, _spread_field, 3, 5.0)],
+    "switch-global-estimated": [(1, 1024, _spread_field, 5, 3.0),
+                                (2, 64, _spread_field, 1, 5.0),
+                                (2, 32, _spread_field, 2, 5.0)],
+    "block": [(1, 1024, _localized_field, 0, 3.0),
+              (1, 1024, _localized_field, 3, 3.0),
+              (1, 1024, _localized_field, 8, 3.0),
+              (1, 1024, _spread_field, 0, 3.0),
+              (1, 128, _localized_field, 3, 3.0),
+              (2, 64, _localized_field, 0, 5.0),
+              (2, 64, _localized_field, 4, 5.0),
+              (2, 64, _spread_field, 0, 5.0),
+              (2, 16, _localized_field, 3, 5.0),
+              (3, 16, _localized_field, 0, 7.0)],
+    "tiny-grid": [(1, 4, _localized_field, 0, 3.0),
+                  (1, 8, _spread_field, 2, 3.0),
+                  (2, 4, _localized_field, 1, 5.0),
+                  (2, 8, _spread_field, 0, 5.0)],
+}
+
+
+@pytest.mark.parametrize("path,case", [
+    (path, case) for path, cases in _SCAN_PATHS.items() for case in cases],
+    ids=lambda v: v if isinstance(v, str)
+    else f"{v[0]}x{v[1]}-{v[2].__name__.split('_')[1]}-j{v[3]}")
+def test_peetre_scan_paths_match_full_scan(path, case):
+    # every path of the scan returns the unpruned max bit for bit
+    n, G, field, j, N = case
+    g = field(n, G, seed=3)
+    assert np.array_equal(gridfn._peetre_scan(g, j, N),
+                          _full_peetre_scan(g, j, N))
+
+
 def test_sample_expand_exact():
     G = 128
     nu = 4
