@@ -369,7 +369,9 @@ def main(argv=None) -> int:
     """Parse, check --params, run the command, then write its report to
     stdout as strict JSON; any error exits 1 with nothing on stdout.  The
     --out file is written only once the report has serialized, so a failing
-    run leaves none behind."""
+    run leaves none behind.  Floating-point warnings are silenced, so that
+    an error is the one stderr line: an overflow reaches the report as inf,
+    which prints as "inf", and a NaN fails in _plain."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
@@ -381,16 +383,17 @@ def main(argv=None) -> int:
         if cmd.check:
             args.params = parse_params(args.params, args.dim)
             msgs = validate_params(args.params, for_trace=cmd.check == "trace")
-        if cmd.check and args.dry_run:
-            report, code, out = {"checked": msgs}, EXIT_OK, None
-        else:
-            report, code, out = cmd.handler(args)
-        text = json.dumps(_plain(report), allow_nan=False,
-                          indent=cmd.indent)
-        if out is not None and args.out:
-            data = out()
-            with open(args.out, "w") as fh:
-                fh.write(data)
+        with np.errstate(all="ignore"):
+            if cmd.check and args.dry_run:
+                report, code, out = {"checked": msgs}, EXIT_OK, None
+            else:
+                report, code, out = cmd.handler(args)
+            text = json.dumps(_plain(report), allow_nan=False,
+                              indent=cmd.indent)
+            if out is not None and args.out:
+                data = out()
+                with open(args.out, "w") as fh:
+                    fh.write(data)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

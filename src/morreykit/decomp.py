@@ -26,9 +26,10 @@ import numpy as np
 
 from .dyadic import DyadicCube, box_mask, cube_mask, dilate
 from .gridfn import (FilterBank, GridFunction, RychkovPair, band, smoothstep7,
-                     _bump_axis, _moments, _multi_indices, _times_monomial,
-                     centered_axis, kappa_profile, radial_window, wavenumbers,
-                     TWO_PI)
+                     _along, _bump_axis, _join_blocks, _moments,
+                     _multi_indices, _outer, _split_blocks, _times_monomial,
+                     centered_axis, coord_axis, hl_maximal, kappa_profile,
+                     radial_window, wavenumbers, TWO_PI)
 from .norms import CoeffField, QuarkCoeffs
 
 TINY = 1e-300
@@ -79,14 +80,10 @@ class MoleculeSpec:
 def _differentiate(spec: np.ndarray, alpha) -> np.ndarray:
     """spec * prod_i (2 pi i k_i)^alpha_i, one axis at a time, with the
     wavenumbers of the spectrum's own side."""
-    n = spec.ndim
-    G = spec.shape[0]
-    k = wavenumbers(G)
+    k = wavenumbers(spec.shape[0])
     for ax, a in enumerate(alpha):
         if a:
-            shape = [1] * n
-            shape[ax] = G
-            spec = spec * (2j * math.pi * k).reshape(shape) ** a
+            spec = spec * _along(2j * math.pi * k, ax, spec.ndim) ** a
     return spec
 
 
@@ -162,14 +159,9 @@ def validate_molecule(b: GridFunction, Q: DyadicCube, spec: MoleculeSpec) -> dic
     n, G = b.n, b.G
     j = Q.j
     # torus distance from the cube corner 2^-j m
-    axes = []
-    for mi, _ in zip(Q.m, range(n)):
-        coord = np.arange(G) / G
-        d = np.abs(((coord - mi * Q.side) + 0.5) % 1.0 - 0.5)
-        axes.append(d ** 2)
-    r2 = axes[0]
-    for d2 in axes[1:]:
-        r2 = np.add.outer(r2, d2)
+    r2 = _outer(np.add, [
+        np.abs(((coord_axis(G) - mi * Q.side) + 0.5) % 1.0 - 0.5) ** 2
+        for mi in Q.m[:n]])
     envelope = (1.0 + 2.0 ** j * np.sqrt(r2)) ** (-spec.N)
 
     worst = 0.0
@@ -201,11 +193,11 @@ def _patch_kernel(kernel_full: np.ndarray, size: int) -> np.ndarray:
     return kernel_full[np.ix_(*idx)]
 
 
-def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
+def atomic_analyze(f: GridFunction, pair: RychkovPair):
     """Split f into atoms: returns (lam: CoeffField, patches: {j: ndarray}).
 
     lam_{jm} = max(sup_{|alpha| <= K} 2^{-j|alpha|} ||d^alpha gamma_jm||_inf,
-    tiny) with K = max(1, L) unless overridden; derivatives are spectral,
+    tiny) with K = max(1, L); derivatives are spectral,
     matching validate_atom.  patches[j] holds the normalized atoms
     a_jm = gamma_jm / lam_jm of level j (see the module docstring for the
     layout), and synthesize(lam, patches, G) reproduces f to FFT
@@ -213,9 +205,8 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
     n, G = f.n, f.G
     if pair.G != G or pair.n != n:
         raise ValueError("pair was built for a different grid")
-    if K_norm is None:
-        K_norm = max(1, pair.L)
-    alphas = list(_multi_indices(n, K_norm))
+    K = max(1, pair.L)
+    alphas = list(_multi_indices(n, K))
     lam_levels = {}
     patches = {}
     for j in pair.levels:
@@ -223,7 +214,7 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair, K_norm: int = None):
         if j <= 0:
             gamma = GridFunction.from_spectrum(
                 n, GridFunction(n, U).spectrum() * pair.phi_spec[j]).samples
-            lam = max(TINY, _deriv_sup(gamma, j, K_norm))
+            lam = max(TINY, _deriv_sup(gamma, j, K))
             lam_levels[j] = lam if j < 0 else np.full((1,) * n, lam)
             patches[j] = gamma / lam
             continue
@@ -261,18 +252,10 @@ def _level_analysis(U: np.ndarray, kernels: list, c: int) -> list:
     as the kernel support half-width stays below 2c cells."""
     n = U.ndim
     G = U.shape[0]
-    side = G // c
     size = 4 * c
     # blocks of U per cube, zero-extended into the 4c patch at offset c
-    shape = []
-    for _ in range(n):
-        shape += [side, c]
-    blk = U.reshape(shape)
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    blk = blk.transpose(order)
-    ext = np.zeros((side,) * n + (size,) * n, dtype=np.complex128)
-    sl = (slice(None),) * n + (slice(c, 2 * c),) * n
-    ext[sl] = blk
+    ext = np.zeros((G // c,) * n + (size,) * n, dtype=np.complex128)
+    ext[(...,) + (slice(c, 2 * c),) * n] = _split_blocks(U, c)
     axes = tuple(range(n, 2 * n))
     ext_hat = np.fft.fftn(ext, axes=axes)
     out = []
@@ -312,9 +295,7 @@ def synthesize(lam: CoeffField, patches: dict, G: int) -> GridFunction:
         for b in itertools.product(range(min(4, side)), repeat=n):
             acc += np.roll(weight * blocks[b], [bi - 1 for bi in b],
                            axis=tuple(range(n)))
-        # (m_1..m_n, cell_1..cell_n) -> (m_1, cell_1, ..., m_n, cell_n)
-        order = [ax for i in range(n) for ax in (i, n + i)]
-        out += acc.transpose(order).reshape((G,) * n)
+        out += _join_blocks(acc)
     return GridFunction(n, out)
 
 
@@ -350,10 +331,7 @@ def _cube_window(Q: DyadicCube, G: int):
     coordinates centered on the cube, in units of the cube side."""
     x = centered_axis(G)
     t_axes = [(((x + 0.5 - ci) % 1.0) - 0.5) / Q.side for ci in Q.center]
-    window = _bump_axis(t_axes[0] / 1.4)
-    for t in t_axes[1:]:
-        window = np.multiply.outer(window, _bump_axis(t / 1.4))
-    return window, t_axes
+    return _outer(np.multiply, [_bump_axis(t / 1.4) for t in t_axes]), t_axes
 
 
 def _remove_moments(a: np.ndarray, window: np.ndarray, t_axes, L: int) -> np.ndarray:
@@ -388,19 +366,14 @@ def make_molecule(Q: DyadicCube, spec: MoleculeSpec, G: int, seed: int = 0) -> G
     n = Q.n
     rng = np.random.default_rng(seed)
     x = centered_axis(G)
-    s_axes = [np.sin(math.pi * (x - ci)) / (math.pi * Q.side)
-              for ci in Q.center]
-    r2 = s_axes[0] ** 2
-    for t in s_axes[1:]:
-        r2 = np.add.outer(r2, t ** 2)
+    r2 = _outer(np.add, [(np.sin(math.pi * (x - ci)) / (math.pi * Q.side)) ** 2
+                         for ci in Q.center])
     mod = np.ones((G,) * n)
     for ax in range(n):
         freq = rng.integers(1, 4)
         wave = 1.0 + 0.3 * np.cos(2.0 * math.pi * freq * x
                                   + rng.uniform(0, 2 * math.pi))
-        shape = [1] * n
-        shape[ax] = G
-        mod = mod * wave.reshape(shape)
+        mod = mod * _along(wave, ax, n)
     base = (1.0 + r2) ** (-spec.N / 2.0) * mod
     if spec.L >= 0 and Q.j >= 1:
         # moment removal against a compactly supported window on 3Q
@@ -418,7 +391,6 @@ def make_molecule(Q: DyadicCube, spec: MoleculeSpec, G: int, seed: int = 0) -> G
 def band_decay_profile(a: GridFunction, Q: DyadicCube, bank: FilterBank,
                        P: float, maximal_field: np.ndarray = None) -> dict:
     """sup_x |tau_nu(D) a(x)| / M[chi_Q](x)^{P/n} per level nu."""
-    from .gridfn import hl_maximal
     n, G = a.n, a.G
     if maximal_field is None:
         chi = GridFunction(n, cube_mask(Q, G).astype(np.complex128))
@@ -426,9 +398,7 @@ def band_decay_profile(a: GridFunction, Q: DyadicCube, bank: FilterBank,
     env = maximal_field ** (P / n)
     out = {}
     spec = a.spectrum()
-    for nu in bank.levels():
-        if nu == 0 and not bank.homogeneous:
-            continue
+    for nu in bank.tau_levels():
         bnu = np.abs(band(a, bank, nu, spec).samples)
         out[nu] = float((bnu / env).max())
     return out
@@ -474,8 +444,8 @@ class QuarkGen:
         t = np.asarray(t, dtype=float)
         return smoothstep7(t + 1.0) - smoothstep7(t)
 
-    def partition_residual(self, samples: int = 4096) -> float:
-        x = np.linspace(-0.5, 0.5, samples, endpoint=False)
+    def partition_residual(self) -> float:
+        x = np.linspace(-0.5, 0.5, 4096, endpoint=False)
         total = sum(self.psi1(x - m) for m in range(-2, 3))
         return float(np.max(np.abs(total - 1.0)))
 
@@ -499,9 +469,7 @@ class QuarkGen:
             for sft in range(-1, 2):
                 ax += self.quark_axis(b, t + sft * 2.0 ** nu_q)
             ker_ax.append(ax)
-        ker = ker_ax[0]
-        for ka in ker_ax[1:]:
-            ker = np.multiply.outer(ker, ka)
+        ker = _outer(np.multiply, ker_ax)
         comb = np.zeros((G,) * n, dtype=np.complex128)
         comb[(slice(None, None, step),) * n] = lam_level
         # ker is already in wrap layout: centered_axis puts u = 0 at index 0

@@ -2,7 +2,7 @@
 
 A cube is the pair (j, m): side 2^-j, lower corner m * 2^-j.  In periodic
 mode the index is taken mod 2^j for j >= 0.  Homogeneous mode allows j < 0
-down to a configured floor; such a "cube" covers the torus (possibly many
+down to gridfn.HOM_FLOOR; such a "cube" covers the torus (possibly many
 times over) and is represented as the full torus with its scale kept as
 metadata, since only the phi(ell) prefactor sees scales > 1.
 """
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .gridfn import _outer
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,7 @@ def box_mask(center, half, G: int, n: int) -> np.ndarray:
             axes.append(np.ones(G, dtype=bool))
         else:
             axes.append((delta >= -hw - 1e-12) & (delta < hw - 1e-12))
-    out = axes[0]
-    for a in axes[1:]:
-        out = np.multiply.outer(out, a)
-    return out
+    return _outer(np.multiply, axes)
 
 
 def cube_mask(Q: DyadicCube, G: int) -> np.ndarray:
@@ -97,7 +96,4 @@ def cube_mask(Q: DyadicCube, G: int) -> np.ndarray:
         a = np.zeros(G, dtype=bool)
         a[mi * w:(mi + 1) * w] = True
         axes.append(a)
-    out = axes[0]
-    for a in axes[1:]:
-        out = np.multiply.outer(out, a)
-    return out
+    return _outer(np.multiply, axes)

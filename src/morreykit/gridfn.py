@@ -16,8 +16,8 @@ sampling window is evaluated at xi = 2 pi k / 2^nu (see sample_expand).
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -56,13 +56,21 @@ def wavenumbers(G: int) -> np.ndarray:
     return np.fft.fftfreq(G, d=1.0 / G)
 
 
+def _outer(ufunc, axes) -> np.ndarray:
+    """ufunc folded over per-axis arrays: out[i_1, ..., i_n] =
+    ufunc(...ufunc(axes[0][i_1], axes[1][i_2])..., axes[-1][i_n])."""
+    return functools.reduce(ufunc.outer, axes)
+
+
+def _along(v: np.ndarray, ax: int, n: int) -> np.ndarray:
+    """Per-axis vector v shaped to broadcast along axis ax of an n-axis
+    array."""
+    return v.reshape([-1 if a == ax else 1 for a in range(n)])
+
+
 def kinf_grid(n: int, G: int) -> np.ndarray:
     """|k|_inf on the n-dimensional frequency grid (FFT order)."""
-    k = np.abs(wavenumbers(G))
-    out = k
-    for _ in range(n - 1):
-        out = np.maximum.outer(out, k)
-    return out
+    return _outer(np.maximum, [np.abs(wavenumbers(G))] * n)
 
 
 def _check_grid(G: int) -> None:
@@ -166,18 +174,6 @@ class GridFunction:
             raise ValueError("grid-function blob holds non-finite samples")
         return GridFunction(n, data.reshape((G,) * n).copy())
 
-    def to_json(self) -> dict:
-        flat = self.samples.ravel()
-        return {"n": self.n, "G": self.G,
-                "re": flat.real.tolist(), "im": flat.imag.tolist()}
-
-    @staticmethod
-    def from_json(d) -> "GridFunction":
-        if isinstance(d, str):
-            d = json.loads(d)
-        arr = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
-        return GridFunction(d["n"], arr.reshape((d["G"],) * d["n"]))
-
 
 # ---------------------------------------------------------------------------
 # synthetic presets
@@ -204,14 +200,15 @@ def preset_function(name: str, n: int, G: int, seed: int = 0) -> GridFunction:
 
 
 def random_bandlimited(n: int, G: int, kmax: int, seed: int,
-                       zero_mean: bool = False, decay: float = 1.0) -> GridFunction:
-    """Seeded Gaussian Fourier coefficients supported in |k|_inf <= kmax."""
+                       zero_mean: bool = False) -> GridFunction:
+    """Seeded Gaussian Fourier coefficients supported in |k|_inf <= kmax,
+    damped by exp(-|k|_inf / kmax)."""
     rng = np.random.default_rng(seed)
     kinf = kinf_grid(n, G)
     mask = kinf <= kmax
     spec = np.zeros((G,) * n, dtype=np.complex128)
     cnt = int(mask.sum())
-    weights = np.exp(-decay * kinf[mask] / max(kmax, 1))
+    weights = np.exp(-kinf[mask] / max(kmax, 1))
     spec[mask] = (rng.standard_normal(cnt) + 1j * rng.standard_normal(cnt)) * weights
     if zero_mean:
         spec[(0,) * n] = 0.0
@@ -243,31 +240,34 @@ def kappa_profile(u):
     return smoothstep7((3.01 - np.asarray(u, dtype=float)) / 0.01)
 
 
+HOM_FLOOR = -4  # coarsest level of a homogeneous bank or reproducing pair
+
+
+def band_levels(G: int, homogeneous: bool) -> range:
+    """Levels of a bank or pair on the G-grid, up to J - 2 for G = 2^J:
+    from 0 (theta) when inhomogeneous, from HOM_FLOOR when homogeneous."""
+    return range(HOM_FLOOR if homogeneous else 0, G.bit_length() - 2)
+
+
 @dataclass
 class FilterBank:
     """Frequency windows tau_j(xi) = tau(2^-j xi) plus a low-pass theta.
 
     Level 0 is theta in inhomogeneous mode; homogeneous banks carry only
-    tau levels from `floor` up (theta dropped, constants invisible)."""
+    tau levels from HOM_FLOOR up (theta dropped, constants invisible)."""
     n: int
     G: int
     kind: str  # "partition" | "bump"
     homogeneous: bool = False
-    floor: int = 0
     windows: dict = field(default_factory=dict)
     kappa = staticmethod(kappa_profile)
 
-    @property
-    def J(self) -> int:
-        return self.G.bit_length() - 1
+    def levels(self) -> range:
+        return band_levels(self.G, self.homogeneous)
 
-    @property
-    def jmax(self) -> int:
-        return self.J - 2
-
-    def levels(self):
-        lo = self.floor if self.homogeneous else 0
-        return range(lo, self.jmax + 1)
+    def tau_levels(self) -> range:
+        """The tau levels: every level but theta's."""
+        return self.levels()[0 if self.homogeneous else 1:]
 
     def window(self, j: int) -> np.ndarray:
         if j not in self.windows:
@@ -304,12 +304,11 @@ class FilterBank:
 
 
 def make_bank(n: int, G: int, kind: str = "partition",
-              homogeneous: bool = False, floor: int = -4) -> FilterBank:
+              homogeneous: bool = False) -> FilterBank:
     if kind not in ("partition", "bump"):
         raise ValueError(f"unknown bank kind {kind}")
     _check_grid(G)
-    bank = FilterBank(n=n, G=G, kind=kind, homogeneous=homogeneous,
-                      floor=floor if homogeneous else 0)
+    bank = FilterBank(n=n, G=G, kind=kind, homogeneous=homogeneous)
     index = kinf_grid(n, G).astype(np.intp)
     th = theta_profile
     for j in bank.levels():
@@ -345,6 +344,13 @@ def _split_blocks(a: np.ndarray, c: int) -> np.ndarray:
 def _block_mean(a: np.ndarray, c: int) -> np.ndarray:
     """Mean over c^n cells per block; a has shape (G,)*n, G divisible by c."""
     return _split_blocks(a, c).mean(axis=tuple(range(a.ndim, 2 * a.ndim)))
+
+
+def _join_blocks(a: np.ndarray) -> np.ndarray:
+    """Inverse of _split_blocks: (G/c,)*n + (c,)*n back to (G,)*n."""
+    n = a.ndim // 2
+    return a.transpose([ax for i in range(n) for ax in (i, n + i)]).reshape(
+        [a.shape[i] * a.shape[n + i] for i in range(n)])
 
 
 def _expand(a: np.ndarray, c: int) -> np.ndarray:
@@ -408,10 +414,7 @@ def powered_maximal(f: GridFunction, eta: float) -> GridFunction:
 def torus_dist_sq(n: int, G: int) -> np.ndarray:
     """|z|^2 (Euclidean, torus metric) for every grid offset z."""
     d = np.minimum(coord_axis(G), 1.0 - coord_axis(G))
-    out = d ** 2
-    for _ in range(n - 1):
-        out = np.add.outer(out, d ** 2)
-    return out
+    return _outer(np.add, [d ** 2] * n)
 
 
 def peetre_maximal(f: GridFunction, bank: FilterBank, j: int, N: float) -> GridFunction:
@@ -580,10 +583,7 @@ def sobolev_norm(H: GridFunction, nu: float, spacing: float = 1.0) -> float:
     """||(1+|xi|^2)^(nu/2) H||_{L^2} with xi = wavenumber * spacing."""
     n, G = H.n, H.G
     k = wavenumbers(G) * spacing
-    r2 = k ** 2
-    for _ in range(n - 1):
-        r2 = np.add.outer(r2, k ** 2)
-    w = (1.0 + r2) ** (nu / 2.0)
+    w = (1.0 + _outer(np.add, [k ** 2] * n)) ** (nu / 2.0)
     return float(np.sqrt(np.sum((w * np.abs(H.samples)) ** 2) * spacing ** n))
 
 
@@ -600,17 +600,17 @@ def _bump_axis(t):
     return out
 
 
-def _taper_axis(t, a: float = 6.0):
-    """Sharply tapered C^inf bump on (-1,1): exp(-a t^2 / (1 - t^2)).
+def _taper_axis(t):
+    """Sharply tapered C^inf bump on (-1,1): exp(-6 t^2 / (1 - t^2)).
 
     The taper exponent controls how fast the Fourier tail dies; spectral
     derivative sups of the reproducing kernels are resolution-stable only
-    once that tail is negligible at the grid Nyquist, hence a >> 1 here."""
+    once that tail is negligible at the grid Nyquist, hence 6 >> 1 here."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     ti = t[inside]
-    out[inside] = np.exp(-a * ti * ti / (1.0 - ti * ti))
+    out[inside] = np.exp(-6.0 * ti * ti / (1.0 - ti * ti))
     return out
 
 
@@ -620,25 +620,13 @@ def _dilated_bump(n: int, G: int, scale: float) -> np.ndarray:
     # periodize: sum over integer shifts that can reach the support
     reach = int(math.ceil(1.0 / (4.0 * scale))) + 1
     ax = sum(_taper_axis(4.0 * scale * (x + t)) for t in range(-reach, reach + 1))
-    return _tensor(ax, n)
-
-
-def _tensor(axis_vals: np.ndarray, n: int) -> np.ndarray:
-    """Outer product of n copies of one axis profile."""
-    out = axis_vals
-    for _ in range(n - 1):
-        out = np.multiply.outer(out, axis_vals)
-    return out
+    return _outer(np.multiply, [ax] * n)
 
 
 def _laplace_symbol(n: int, G: int) -> np.ndarray:
     """Symbol of the unscaled discrete Laplacian sum_i (S_i + S_i^-1 - 2)."""
     k = wavenumbers(G)
-    axis = 2.0 * np.cos(TWO_PI * k / G) - 2.0
-    out = axis
-    for _ in range(n - 1):
-        out = np.add.outer(out, axis)
-    return out
+    return _outer(np.add, [2.0 * np.cos(TWO_PI * k / G) - 2.0] * n)
 
 
 @dataclass
@@ -677,12 +665,9 @@ class RychkovPair:
 
 def _times_monomial(a: np.ndarray, beta, axes) -> np.ndarray:
     """a * prod_i axes[i]^beta_i, one broadcast axis at a time."""
-    n = a.ndim
     for ax, b in enumerate(beta):
         if b:
-            shape = [1] * n
-            shape[ax] = a.shape[ax]
-            a = a * (axes[ax] ** b).reshape(shape)
+            a = a * _along(axes[ax] ** b, ax, a.ndim)
     return a
 
 
@@ -705,7 +690,7 @@ def _multi_indices(n: int, max_total: int):
 
 
 def rychkov_pair(L: int, n: int = 1, G: int = 256,
-                 homogeneous: bool = False, floor: int = -4) -> RychkovPair:
+                 homogeneous: bool = False) -> RychkovPair:
     """Construct the reproducing filter pair with L+1 vanishing moments.
 
     Level j >= 1 kernels are dilated bumps (support shrinking like 2^-j)
@@ -716,12 +701,9 @@ def rychkov_pair(L: int, n: int = 1, G: int = 256,
     if L < 0:
         raise ValueError("L must be >= 0")
     _check_grid(G)
-    J = G.bit_length() - 1
-    jmax = J - 2
     L1 = L // 2 + 1
     w = _laplace_symbol(n, G)
-    lo = floor if homogeneous else 0
-    levels = list(range(lo, jmax + 1))
+    levels = list(band_levels(G, homogeneous))
 
     phi_spec = {}
     half_cells = {}

@@ -18,6 +18,9 @@ INF = math.inf
 
 # relative tolerance for monotonicity checks (closed-form double precision)
 MONO_TOL = 1e-12
+# a sup over the dyadic scale grid counts as finite when it exceeds the sup
+# over the trimmed grid by at most this factor
+TRIM_STABILITY = 1.25
 
 
 def dyadic_scales(jmin: int = -10, jmax: int = 10) -> list[float]:
@@ -188,8 +191,8 @@ def is_in_Gq(phi: GrowthFunction, q: float, scales: list[float]) -> bool:
     return True
 
 
-def check_nakai(phi: GrowthFunction, scales: list[float],
-                stability: float = 1.25) -> tuple[bool, float, float]:
+def check_nakai(phi: GrowthFunction,
+                scales: list[float]) -> tuple[bool, float, float]:
     """Search epsilon in {2^-k, k=0..10} such that
 
         sup_{t >= r} t^eps phi(r) / (r^eps phi(t))
@@ -220,7 +223,7 @@ def check_nakai(phi: GrowthFunction, scales: list[float],
         eps = 2.0 ** (-k)
         c_full = double_sup(scales, vals, eps)
         c_trim = double_sup(scales[1:-1], vals[1:-1], eps)
-        if c_full <= c_trim * stability:
+        if c_full <= c_trim * TRIM_STABILITY:
             return True, eps, c_full
     return False, 0.0, math.inf
 
@@ -341,8 +344,8 @@ def _with_dim(phi: GrowthFunction, n: int) -> GrowthFunction:
                              for name in FAMILIES[phi.family].fields})
 
 
-def check_trace_summability(phi_star: GrowthFunction, scales: list[float],
-                            stability: float = 1.25) -> tuple[bool, float]:
+def check_trace_summability(phi_star: GrowthFunction,
+                            scales: list[float]) -> tuple[bool, float]:
     """C = sup_s phi*(s) * sum_{j>=0, 2^j s <= 1} 1/phi*(2^j s) over scales <= 1.
 
     Finiteness surrogate: the sup must not keep growing as the grid deepens,
@@ -365,7 +368,7 @@ def check_trace_summability(phi_star: GrowthFunction, scales: list[float],
 
     c_full = the_sup(scales)
     c_trim = the_sup(scales[3:]) if len(scales) > 5 else c_full
-    return c_full <= c_trim * stability, c_full
+    return c_full <= c_trim * TRIM_STABILITY, c_full
 
 
 def check_s_condition(params: SpaceParams, depth: int = 40) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales
+from .growth import GrowthFunction, SpaceParams
 from .gridfn import FilterBank, GridFunction, band, _block_mean, _expand
 
 INF = math.inf
@@ -239,28 +239,18 @@ def aggregate(level_fields, params: SpaceParams, theta=None) -> float:
 # ---------------------------------------------------------------------------
 # function-space norms
 
-def space_norm(f: GridFunction, params: SpaceParams, bank: FilterBank,
-               return_meta: bool = False):
+def space_norm(f: GridFunction, params: SpaceParams, bank: FilterBank) -> float:
     """N-variant: ||theta(D)f|| + (sum_{j>=1} 2^{jsr} ||tau_j(D)f||^r)^{1/r}.
     E-variant: ||theta(D)f|| + Morrey norm of the pointwise ell^r aggregate.
     Homogeneous mode drops theta and sums j over the full floored range.
     r = infinity uses sup semantics."""
-    meta = {}
-    if params.variant == "E" and params.r != INF:
-        ok, _, _ = check_nakai(params.phi, dyadic_scales())
-        if not ok:
-            meta["nakai_warning"] = True
     if params.homogeneous != bank.homogeneous:
         raise ValueError("bank homogeneity does not match params")
     spec = f.spectrum()
     low = None if params.homogeneous else band(f, bank, 0, spec)
     high = aggregate(((j, np.abs(band(f, bank, j, spec).samples))
-                      for j in bank.levels() if params.homogeneous or j >= 1),
-                     params)
-    total = high if low is None else morrey_norm(low, params.q, params.phi) + high
-    if return_meta:
-        return total, meta
-    return total
+                      for j in bank.tau_levels()), params)
+    return high if low is None else morrey_norm(low, params.q, params.phi) + high
 
 
 # ---------------------------------------------------------------------------

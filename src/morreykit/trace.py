@@ -103,6 +103,16 @@ def extend_coeff(mu: CoeffField, problem: TraceProblem) -> CoeffField:
 # ---------------------------------------------------------------------------
 # empirical trace constants
 
+def _finite_norm(lam: CoeffField, params: SpaceParams) -> float:
+    """seq_norm(lam, params) as the denominator of a bound; a norm that
+    overflows is an error, as dividing by it would read as a bound of 0."""
+    norm = seq_norm(lam, params)
+    if not math.isfinite(norm):
+        raise ValueError(f"the coefficient norm is {norm}: no bound can be"
+                         " formed")
+    return norm
+
+
 def _trace_cell_fields(lam: CoeffField, problem: TraceProblem):
     """|trace coefficients| per level, expanded to the finest (n-1)-lattice."""
     tl = trace_coeff(lam, problem)  # _cell_fields takes the moduli
@@ -123,7 +133,7 @@ def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
     q, s = star.q, star.s
     phi = star.phi
     fields, cl = _trace_cell_fields(lam, problem)
-    denom = seq_norm(lam, problem.params)
+    denom = _finite_norm(lam, problem.params)
     if denom == 0:
         return 0.0
     side = 1 << cl
@@ -156,7 +166,7 @@ def trace_bound_II(lam: CoeffField, problem: TraceProblem) -> float:
     star = problem.star
     q, s = star.q, star.s
     phi = star.phi
-    denom = seq_norm(lam, problem.params)
+    denom = _finite_norm(lam, problem.params)
     if denom == 0:
         return 0.0
     nn = star.n
@@ -180,7 +190,7 @@ def trace_bound_II(lam: CoeffField, problem: TraceProblem) -> float:
 
 def extension_bound(mu: CoeffField, problem: TraceProblem) -> float:
     """|| extend(mu) ||_source / || mu ||_trace."""
-    denom = seq_norm(mu, problem.star)
+    denom = _finite_norm(mu, problem.star)
     if denom == 0:
         return 0.0
     return seq_norm(extend_coeff(mu, problem), problem.params) / denom

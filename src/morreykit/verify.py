@@ -19,14 +19,16 @@ import numpy as np
 
 from .decomp import _deriv_sup
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
-from .gridfn import (FilterBank, GridFunction, _bump_axis, _peetre_scan,
-                     _tensor, band, hl_maximal, kinf_grid, make_bank,
+from .gridfn import (FilterBank, GridFunction, _bump_axis, _outer,
+                     _peetre_scan, band, hl_maximal, kinf_grid, make_bank,
                      peetre_maximal, radial_window, random_bandlimited,
                      sobolev_norm, wavenumbers)
 from .norms import (CoeffField, _morrey_of_array, aggregate, morrey_norm,
                     seq_norm, space_norm)
 
 INF = math.inf
+HARDY_LENGTH = 64  # entries of each Hardy trial sequence
+MAXIMAL_STACK = 8  # functions per trial of the vector-valued maximal bound
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +78,8 @@ def function_corpus(n: int, G: int, count: int, seed: int, kmax: int = 24,
 
 
 def coeff_corpus(n: int, depth: int, count: int, seed: int,
-                 sparsity: float = 0.2, floor: int = 0) -> list:
-    """Sparse coefficient fields: Bernoulli(sparsity) support, log-normal
+                 floor: int = 0) -> list:
+    """Sparse coefficient fields: Bernoulli(0.2) support, log-normal
     magnitudes (heavy tails stress sup-type constants)."""
     out = []
     for i in range(count):
@@ -85,10 +87,10 @@ def coeff_corpus(n: int, depth: int, count: int, seed: int,
         levels = {}
         for j in range(floor, depth + 1):
             if j < 0:
-                levels[j] = rng.lognormal(0.0, 1.0) * (rng.random() < sparsity)
+                levels[j] = rng.lognormal(0.0, 1.0) * (rng.random() < 0.2)
                 continue
             shape = (1 << j,) * n
-            mask = rng.random(shape) < sparsity
+            mask = rng.random(shape) < 0.2
             levels[j] = mask * rng.lognormal(0.0, 1.0, shape)
         out.append(CoeffField(n, levels))
     return out
@@ -118,22 +120,22 @@ def _lr_norm(a: np.ndarray, r: float) -> float:
     return float(np.sum(a ** r)) ** (1.0 / r)
 
 
-def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0,
-                   length: int = 64) -> Report:
+def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0) -> Report:
     """Empirical sup of ||b||_r / ||a||_r against the closed-form bound."""
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be finite and positive, got {delta}")
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
     bound = hardy_bound(delta, r)
-    idx = np.arange(length)
+    idx = np.arange(HARDY_LENGTH)
     kernel = 2.0 ** (-delta * np.abs(idx[:, None] - idx[None, :]))
     rep = Report(name=f"hardy-d{delta}-r{r}", trials=trials,
                  extra={"bound": bound, "delta": delta, "r": r})
     best = 0.0
     for i in range(trials):
         rng = trial_rng(seed, i)
-        a = (rng.random(length) < 0.3) * rng.lognormal(0.0, 1.5, length)
+        a = ((rng.random(HARDY_LENGTH) < 0.3)
+             * rng.lognormal(0.0, 1.5, HARDY_LENGTH))
         na = _lr_norm(a, r)
         if na == 0:
             continue
@@ -143,7 +145,7 @@ def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0,
             rep.witness = {"trial": i, "seed": [seed, i], "ratio": ratio}
         if ratio > bound + 1e-9:
             rep.failures.append({"trial": i, "ratio": ratio, "bound": bound})
-    rep.constants[length] = best
+    rep.constants[HARDY_LENGTH] = best
     return rep
 
 
@@ -151,12 +153,11 @@ def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0,
 # maximal function
 
 def maximal_campaign(q: float, r: float, phi: GrowthFunction, trials: int,
-                     resolutions, n: int = 1, seed: int = 0,
-                     stack: int = 8) -> Report:
+                     resolutions, n: int = 1, seed: int = 0) -> Report:
     """Empirical constants of the maximal bound on the Morrey space:
     scalar form, sup-in-i form, and the ell^r-valued form over a stack of
-    functions.  Preconditions: q > 1; the vector form needs r > 1 and the
-    Nakai condition on phi."""
+    MAXIMAL_STACK functions.  Preconditions: q > 1; the vector form needs
+    r > 1 and the Nakai condition on phi."""
     if q <= 1:
         raise ValueError("maximal bound needs q > 1")
     if r <= 1:
@@ -169,8 +170,9 @@ def maximal_campaign(q: float, r: float, phi: GrowthFunction, trials: int,
     for G in resolutions:
         c_scalar = c_sup = c_lr = 0.0
         for i in range(trials):
-            fs = [random_bandlimited(n, G, 24, seed=[seed, i * stack + t])
-                  for t in range(stack)]
+            fs = [random_bandlimited(n, G, 24,
+                                     seed=[seed, i * MAXIMAL_STACK + t])
+                  for t in range(MAXIMAL_STACK)]
             mats = [np.abs(hl_maximal(f).samples) for f in fs]
             vals = [np.abs(f.samples) for f in fs]
             ratio = (_morrey_of_array(mats[0], q, phi)
@@ -237,13 +239,12 @@ def peetre_char_campaign(params: SpaceParams, N: float, corpus,
         raise ValueError(f"N must exceed {peetre_threshold(params)}")
     rep = Report(name=f"peetre-{params.variant}-N{N}")
     lo, hi = INF, 0.0
-    tau_levels = [j for j in bank.levels() if bank.homogeneous or j >= 1]
     for i, f in enumerate(corpus):
         plain = space_norm(f, params, bank)
         if plain == 0:
             continue
         fields = {j: np.abs(peetre_maximal(f, bank, j, N).samples)
-                  for j in tau_levels}
+                  for j in bank.tau_levels()}
         theta = None
         if not bank.homogeneous:
             theta = np.abs(peetre_maximal(f, bank, 0, N).samples)
@@ -283,16 +284,15 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     # H^nu_2 norm of the profile on a fixed box
     M = 256
     u = np.linspace(-8.0, 8.0, M, endpoint=False)
-    sob = sobolev_norm(GridFunction(n, _tensor(Hprof(u), n)), nu,
-                       spacing=16.0 / M)
-    tau_levels = [j for j in bank.levels() if bank.homogeneous or j >= 1]
+    sob = sobolev_norm(GridFunction(n, _outer(np.multiply, [Hprof(u)] * n)),
+                       nu, spacing=16.0 / M)
     index = kinf_grid(n, G).astype(np.intp)
     hi = 0.0
     for i, f in enumerate(corpus):
         spec = f.spectrum()
         fields = {}
         plain_fields = {}
-        for j in tau_levels:
+        for j in bank.tau_levels():
             wind = bank.window(j)
             mult = radial_window(lambda u: Hprof(u / 2.0 ** j), n, G, index)
             g = GridFunction.from_spectrum(n, spec * wind * mult)
@@ -374,16 +374,16 @@ def embedding_campaign(p: float, q: float, r: float, depth: int,
 # ---------------------------------------------------------------------------
 # counterexample: min(1, r) in the logarithmic phi is sharp
 
-def counterexample_growth(r: float, depths, q: float = 0.5, p: float = 2.0,
-                          exponent: float = 1.0, G: int = 1 << 14) -> Report:
+def counterexample_growth(r: float, depths, exponent: float = 1.0) -> Report:
     """Stacked unimodal bands f_N = sum_{k<=N} of smooth frequency bumps at
     1.75 * 2^k (inside the region where the level-k filter is identically 1).
     With phi(t) = log(2 + 1/t)^{-exponent} the ratio
 
-        ||f_N||_{E^0_{phi, q, r}} / ||f_N||_{E^{n/p}_{p q inf}}
+        ||f_N||_{E^0_{phi, q, r}} / ||f_N||_{E^{n/p}_{p q inf}},
 
-    grows like N^{1/r - exponent}: exponent 1 exhibits the 1/r - 1 growth
-    (the sharpness counterexample), exponent 1/min(1,r) flattens it.
+    with q = 1/2, p = 2 and n = 1 on a G = 2^14 grid, grows like
+    N^{1/r - exponent}: exponent 1 exhibits the 1/r - 1 growth (the
+    sharpness counterexample), exponent 1/min(1,r) flattens it.
 
     The ratio sequence saturates from below (every truncation carries the
     full weight of the early pieces), so the slope is fitted on the upper
@@ -391,7 +391,7 @@ def counterexample_growth(r: float, depths, q: float = 0.5, p: float = 2.0,
     ratio table is reported in constants."""
     if r >= 1 and exponent == 1.0:
         raise ValueError("the growth construction needs r < 1")
-    n = 1
+    n, q, p, G = 1, 0.5, 2.0, 1 << 14
     bank = make_bank(n, G)
     phi = loginv(exponent, n)
     lhs_params = SpaceParams(q=q, r=r, s=0.0, phi=phi, variant="E", n=n)

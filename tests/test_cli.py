@@ -4,6 +4,7 @@ import json
 import math
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,13 +397,41 @@ def _huge_input(tmp_path, cmd):
     return [cmd, "--params", "trace-A", "--input", str(path)]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cmd", ["decompose", "trace", "extend"])
 def test_failed_report_writes_no_out_file(capsys, tmp_path, cmd):
     out = tmp_path / "out.csv"
     _assert_fails_closed(*run(capsys, *_huge_input(tmp_path, cmd),
                               "--out", str(out)))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [1e200, 1e300])
+@pytest.mark.parametrize("cmd", ["trace", "extend"])
+def test_overflowing_norm_is_no_bound(capsys, tmp_path, cmd, value):
+    # a finite input whose sequence norm overflows to inf: dividing by it
+    # would report the bounds as 0.0
+    n = 2 if cmd == "trace" else 1
+    path, out = tmp_path / "lam.csv", tmp_path / "out.csv"
+    path.write_text(CoeffField(n, {j: np.full((1 << j,) * n, value)
+                                   for j in range(4)}).to_csv())
+    _assert_fails_closed(*run(capsys, cmd, "--params", "trace-A", "--input",
+                              str(path), "--out", str(out)))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,code", [("decompose", EXIT_USAGE),
+                                      ("norm", EXIT_OK)])
+def test_float_warnings_stay_off_stderr(capsys, tmp_path, cmd, code):
+    argv = _huge_input(tmp_path, "decompose")[1:]
+    if cmd == "norm":
+        argv += ["--params", "power-p2-q1-s0-N-r2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, cmd, *argv)
+    assert got == code
+    assert len(err.splitlines()) == (code != EXIT_OK)
+    if code == EXIT_OK:
+        assert _strict_json(out)["norm"] == "inf"
 
 
 class _ClosedPipe(io.StringIO):

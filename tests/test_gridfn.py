@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -60,8 +61,6 @@ def test_bytes_and_json_round_trip():
     f = random_bandlimited(2, 8, 3, seed=5)
     assert np.array_equal(GridFunction.from_bytes(f.to_bytes()).samples,
                           f.samples)
-    g = GridFunction.from_json(f.to_json())
-    assert np.allclose(g.samples, f.samples)
     with pytest.raises(ValueError):
         GridFunction.from_bytes(b"nope" + f.to_bytes()[4:])
 
@@ -99,6 +98,34 @@ def test_homogeneous_bank_levels():
     bank = make_bank(1, 64, homogeneous=True)
     assert list(bank.levels()) == list(range(-4, 5))
     assert bank.admissible()["partition"]
+
+
+@pytest.mark.parametrize("hom", [False, True])
+def test_tau_levels_drop_only_theta(hom):
+    bank = make_bank(2, 32, homogeneous=hom)
+    want = range(-4, 4) if hom else range(1, 4)
+    assert list(bank.tau_levels()) == list(want)
+    assert list(bank.levels()) == ([] if hom else [0]) + list(want)
+    assert rychkov_pair(1, n=2, G=32, homogeneous=hom).levels == \
+        list(bank.levels())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_join_blocks_inverts_split_blocks(n):
+    G = 16
+    a = np.arange(G ** n, dtype=float).reshape((G,) * n)
+    for c in (1, 2, G // 2):
+        assert np.array_equal(gridfn._join_blocks(gridfn._split_blocks(a, c)),
+                              a)
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.multiply, np.maximum])
+def test_outer_matches_meshgrid(ufunc):
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        axes = [rng.standard_normal(4 + i) for i in range(n)]
+        want = functools.reduce(ufunc, np.meshgrid(*axes, indexing="ij"))
+        assert np.array_equal(gridfn._outer(ufunc, axes), want)
 
 
 SHELL_GRIDS = [(1, 64), (1, 4096), (2, 32), (2, 256), (3, 16)]

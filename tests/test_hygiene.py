@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and only `gridfn._outer` builds an n-axis product grid.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -54,3 +55,16 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def outer_uses(path):
+    """Lines that reach for a `<ufunc>.outer`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "outer"]
+
+
+def test_grid_products_only_in_gridfn():
+    found = {p.name: outer_uses(p) for p in MODULES}
+    assert len(found.pop("gridfn.py")) == 1  # the fold inside _outer
+    assert {name: lines for name, lines in found.items() if lines} == {}
