@@ -324,7 +324,8 @@ COMMANDS = {
                     "params dim res fn seed input bank dry-run"),
     "seqnorm": Command(cmd_seqnorm, "space", "params dim input dry-run"),
     "decompose": Command(cmd_decompose, "", "dim res fn seed input out L hom"),
-    "quark": Command(cmd_quark, "", "dim res fn seed input out beta-cutoff"),
+    "quark": Command(cmd_quark, "", "dim res fn seed input out beta-cutoff",
+                     {"fn": {"default": "random-bandlimited"}}),
     "trace": Command(cmd_trace, "trace", "params dim input out dry-run", _DIM2),
     "extend": Command(cmd_extend, "trace", "params dim input out dry-run",
                       _DIM2),

@@ -9,10 +9,10 @@ to f exactly (Fubini split of the reproducing identity).  It returns the
 coefficients lam_jm and, per level, one array of the normalized atoms
 a_jm = gamma_jm / lam_jm:
 
-* j >= 1: a stack of shape (2^j,)*n + (4c,)*n, with c = G / 2^j grid cells
-  per cube side.  Entry [m] is atom (j, m) on the 4c-cell patch starting
-  one cube side before the cube, at cell (m c - c) mod G, which contains
-  its full support 3Q.  At j = 1 the patch is 2G wide and G-periodic.
+* j >= 1: a stack of shape (2^j,)*n + (min(3c, G),)*n, with c = G / 2^j
+  grid cells per cube side.  Entry [m] is atom (j, m) on the patch
+  starting one cube side before the cube, at cell (m c - c) mod G: its
+  full support 3Q, or at j = 1 the whole torus once.
 * j <= 0: the atom on the full grid, as one cube covers the torus.
 """
 
@@ -126,10 +126,9 @@ def validate_atom(a: GridFunction, Q: DyadicCube, spec: AtomSpec) -> dict:
         tolerance 1 + deriv_tol);
     (3) discrete moments vanish for |beta| <= L when j >= 1 (grid Riemann
         sums, tolerance moment_tol); j = 0 atoms skip this."""
-    n, G = a.n, a.G
     j = Q.j
     center, half = dilate(Q, spec.support_dilate)
-    mask = box_mask(center, half, G, n)
+    mask = box_mask(center, half, a.G)
     amax = float(np.abs(a.samples).max())
     outside = float(np.abs(a.samples[~mask]).max()) if (~mask).any() else 0.0
     support_ok = outside <= 1e-10 * max(amax, TINY)
@@ -206,11 +205,14 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair):
     if pair.G != G or pair.n != n:
         raise ValueError("pair was built for a different grid")
     K = max(1, pair.L)
-    alphas = list(_multi_indices(n, K))
+    spec = f.spectrum()
     lam_levels = {}
     patches = {}
     for j in pair.levels:
-        U = pair.conv_psi(f, j).samples
+        # the copy is a temporary operand, which numpy multiplies into in
+        # place when it is large; that product is the one the pinned
+        # coefficient CSVs hold, and it differs from a fresh one by ulps
+        U = GridFunction.from_spectrum(n, pair.psi_spec[j] * spec.copy()).samples
         if j <= 0:
             gamma = GridFunction.from_spectrum(
                 n, GridFunction(n, U).spectrum() * pair.phi_spec[j]).samples
@@ -218,63 +220,58 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair):
             lam_levels[j] = lam if j < 0 else np.full((1,) * n, lam)
             patches[j] = gamma / lam
             continue
-        c = G >> j
-        if pair.phi_half_cells[j] > c:
+        if pair.phi_half_cells[j] > G >> j:
             raise ValueError(
                 f"kernel support at level {j} exceeds 3Q; lower L or refine G")
-        kernels = _derivative_kernels(pair, j, alphas)
-        stacks = _level_analysis(U, kernels, c)
-        side = 1 << j
-        patch_axes = tuple(range(n, 2 * n))
-        lam = np.full((side,) * n, TINY)
-        for alpha, st in zip(alphas, stacks):
-            cand = 2.0 ** (-j * sum(alpha)) * np.abs(st).max(axis=patch_axes)
-            lam = np.maximum(lam, cand)
-        patches[j] = stacks[0] / lam[(...,) + (None,) * n]
-        lam_levels[j] = lam
+        lam_levels[j], patches[j] = _level_analysis(U, pair.phi_spec[j], j, K)
     return CoeffField(n, lam_levels), patches
 
 
-def _derivative_kernels(pair: RychkovPair, j: int, alphas) -> list:
-    """Full-grid spatial kernels of d^alpha phi_j via spectral
-    differentiation (alpha = 0 gives phi_j itself, exactly compact)."""
-    n, G = pair.n, pair.G
-    return [np.fft.ifftn(_differentiate(pair.phi_spec[j], alpha) * G ** n)
-            for alpha in alphas]
+def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
+    """lam and normalized atoms of level j >= 1, one derivative at a time.
 
-
-def _level_analysis(U: np.ndarray, kernels: list, c: int) -> list:
-    """All masked convolutions of one level at once, on 4c patches.
-
-    Returns, per kernel, an array indexed by the cube multi-index m whose
-    entries are the (4c,)*n patches of kernel * (chi_{Q_m} U) in patch
-    coordinates (origin = cube corner minus one cube side).  Exact as long
-    as the kernel support half-width stays below 2c cells."""
+    gamma_m = phi_j * (chi_{Q_m} U) is a circular convolution on a 4c
+    patch (origin = cube corner minus one cube side), exact while the
+    kernel half-width stays at most c cells; its support is then the first
+    3c cells.  Each d^alpha phi_j, |alpha| <= K, is convolved into one
+    reused buffer and folded into lam; only the alpha = 0 stack is kept,
+    cut to min(3c, G) cells per patch axis (at j = 1 the 2G patch is
+    G-periodic)."""
     n = U.ndim
     G = U.shape[0]
+    c = G >> j
     size = 4 * c
-    # blocks of U per cube, zero-extended into the 4c patch at offset c
-    ext = np.zeros((G // c,) * n + (size,) * n, dtype=np.complex128)
-    ext[(...,) + (slice(c, 2 * c),) * n] = _split_blocks(U, c)
     axes = tuple(range(n, 2 * n))
-    ext_hat = np.fft.fftn(ext, axes=axes)
-    out = []
+    # blocks of U per cube, zero-extended into the 4c patch at offset c
+    ext = np.zeros((1 << j,) * n + (size,) * n, dtype=np.complex128)
+    ext[(...,) + (slice(c, 2 * c),) * n] = _split_blocks(U, c)
+    np.fft.fftn(ext, axes=axes, out=ext)
+    buf = np.empty_like(ext)
     hn = G ** (-n)  # quadrature weight of the sample-space convolution
-    for kernel in kernels:
-        kern = _patch_kernel(kernel, size)
-        conv = np.fft.ifftn(ext_hat * np.fft.fftn(kern)[(None,) * n],
-                            axes=axes) * hn
-        out.append(conv)
-    return out
+    lam = np.full((1 << j,) * n, TINY)
+    for alpha in _multi_indices(n, K):
+        # full-grid kernel of d^alpha phi_j (alpha = 0: phi_j itself,
+        # exactly compact) via spectral differentiation
+        kernel = np.fft.ifftn(_differentiate(phi_spec, alpha) * G ** n)
+        kern_hat = np.fft.fftn(_patch_kernel(kernel, size))
+        np.multiply(ext, kern_hat[(None,) * n], out=buf)
+        np.fft.ifftn(buf, axes=axes, out=buf)
+        buf *= hn
+        lam = np.maximum(
+            lam, 2.0 ** (-j * sum(alpha)) * np.abs(buf).max(axis=axes))
+        if not any(alpha):
+            atoms = buf[(...,) + (slice(0, min(3 * c, G)),) * n].copy()
+    atoms /= lam[(...,) + (None,) * n]
+    return lam, atoms
 
 
 def synthesize(lam: CoeffField, patches: dict, G: int) -> GridFunction:
     """f = sum_j sum_m lam_jm a_jm, by increasing j.
 
-    Each level is an overlap-add: every patch axis splits into four blocks
-    of c cells, and block b lands on cube m + b - 1 (mod 2^j), so a level
-    is 4^n shifted block adds.  At j = 1 the 2G-wide patch is G-periodic,
-    so only its first G cells (two blocks) count."""
+    Each level is an overlap-add: every patch axis splits into blocks of
+    c cells, three (min(3c, G) = 3c) for j >= 2 and two (G) for j = 1, and
+    block b lands on cube m + b - 1 (mod 2^j), so a level is 3^n (j >= 2)
+    or 2^n (j = 1) shifted block adds."""
     n = lam.n
     out = np.zeros((G,) * n, dtype=np.complex128)
     for j in lam.level_list():
@@ -287,12 +284,13 @@ def synthesize(lam: CoeffField, patches: dict, G: int) -> GridFunction:
             out += np.reshape(v, ()) * patches[j]
             continue
         side, c = 1 << j, G >> j
+        nb = patches[j].shape[n] // c
         # axes (m.., b_1, cell_1, ..., b_n, cell_n) -> (b.., m.., cell..)
-        blocks = patches[j].reshape((side,) * n + (4, c) * n).transpose(
+        blocks = patches[j].reshape((side,) * n + (nb, c) * n).transpose(
             [*range(n, 3 * n, 2), *range(n), *range(n + 1, 3 * n, 2)])
         weight = v[(...,) + (None,) * n]
         acc = np.zeros((side,) * n + (c,) * n, dtype=np.complex128)
-        for b in itertools.product(range(min(4, side)), repeat=n):
+        for b in itertools.product(range(nb), repeat=n):
             acc += np.roll(weight * blocks[b], [bi - 1 for bi in b],
                            axis=tuple(range(n)))
         out += _join_blocks(acc)

@@ -67,8 +67,9 @@ def dilate(Q: DyadicCube, d: float) -> tuple[tuple, tuple]:
     return Q.center, tuple(half for _ in Q.m)
 
 
-def box_mask(center, half, G: int, n: int) -> np.ndarray:
-    """Grid-cell indicator of a box on the periodic G^n grid.
+def box_mask(center, half, G: int) -> np.ndarray:
+    """Grid-cell indicator of a box on the periodic G^n grid, with one
+    axis per entry of center.
 
     A cell belongs to the box iff its lower-left corner lies in the box
     (consistent with half-open dyadic cells)."""

@@ -649,9 +649,6 @@ class RychkovPair:
     phi_half_cells: dict  # spatial support half-width of phi_j, in cells
     homogeneous: bool = False
 
-    def conv_psi(self, f: GridFunction, j: int) -> GridFunction:
-        return GridFunction.from_spectrum(f.n, self.psi_spec[j] * f.spectrum())
-
     def reproducing_residual(self, f: GridFunction) -> float:
         total = sum(self.psi_spec[j] * self.phi_spec[j] for j in self.levels)
         spec = f.spectrum()

@@ -197,7 +197,7 @@ def test_maximal_envelope_and_comparability():
             M = hl_maximal(GridFunction(n, chi.astype(np.complex128)))
             M = M.samples.real
             center, half = dilate(Q, 3.0)
-            on3 = box_mask(center, half, G, n)
+            on3 = box_mask(center, half, G)
             # exact two-sided envelope on the tripled cube
             assert M[on3].min() >= 3.0 ** -n - 1e-12
             assert M[on3].max() <= 1.0 + 1e-12

@@ -122,6 +122,21 @@ def test_decompose_report_pinned(capsys, tmp_path, argv, levels, atoms,
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == csv_sha256
 
 
+def test_decompose_fine_1d_pinned(capsys, tmp_path):
+    # sha256 computed before analysis moved to one derivative stack at a
+    # time; the residual carries FFT rounding of G = 4096 cells
+    out_file = tmp_path / "lam.csv"
+    code, out, _ = run(capsys, "decompose", "--dim", "1", "--res", "4096",
+                       "--L", "2", "--fn", "random-bandlimited",
+                       "--out", str(out_file))
+    assert code == EXIT_OK
+    d = json.loads(out)
+    assert (d["levels"], d["atoms"]) == (list(range(11)), 2047)
+    assert d["roundtrip_residual"] < 1e-8
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+        "97f933d12218bea740e1e3059567f489a77ca3dfb1006b0f77a8e21ae1ad9254"
+
+
 def test_seqnorm_command(capsys, tmp_path):
     lam = CoeffField(1, {2: np.array([0.0, 1.0, 0.0, 0.0])})
     path = tmp_path / "lam.csv"
@@ -141,6 +156,13 @@ def test_quark_command(capsys):
     d = json.loads(out)
     assert d["residual"] < 0.05
     assert [0] in d["betas"]
+
+
+def test_quark_defaults(capsys):
+    code, out, _ = run(capsys, "quark")
+    assert code == EXIT_OK
+    resid = json.loads(out)["residual"]
+    assert math.isfinite(resid) and resid < 0.05
 
 
 def test_trace_command_and_validator(capsys, tmp_path):

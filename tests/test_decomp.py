@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,8 +136,7 @@ def _atom_grid(patches, j, m, n, G):
 
 def _per_atom_synthesis(lam, patches, G):
     """sum_jm lam_jm a_jm, one wrapped-index add per atom.  Patch (j, m)
-    starts one cube side before the cube; patches wider than the grid are
-    G-periodic and contribute one period."""
+    starts one cube side before the cube."""
     n = lam.n
     out = np.zeros((G,) * n, dtype=np.complex128)
     for j, m in _cubes(lam):
@@ -144,8 +145,8 @@ def _per_atom_synthesis(lam, patches, G):
             continue
         c = G >> j
         patch = patches[j][m]
-        idx = [(np.arange(min(4 * c, G)) + mi * c - c) % G for mi in m]
-        out[np.ix_(*idx)] += lam.get(j, m) * patch[(slice(0, G),) * n]
+        idx = [(np.arange(patch.shape[0]) + mi * c - c) % G for mi in m]
+        out[np.ix_(*idx)] += lam.get(j, m) * patch
     return out
 
 
@@ -158,6 +159,41 @@ def test_synthesize_matches_per_atom_reference(n, G, hom):
     ref = _per_atom_synthesis(lam, patches, G)
     got = synthesize(lam, patches, G).samples
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,G", [(1, 64), (2, 32), (3, 16)])
+def test_patches_cover_3q(n, G):
+    pair = rychkov_pair(1, n=n, G=G)
+    lam, patches = atomic_analyze(random_bandlimited(n, G, 4, seed=1), pair)
+    for j in lam.level_list():
+        if j >= 1:
+            c = G >> j
+            assert patches[j].shape == (1 << j,) * n + (min(3 * c, G),) * n
+
+
+def test_atomic_analyze_peak_memory():
+    # one convolved stack at a time peaks near 21 MB; holding all n + 1
+    # derivative stacks at once took 57.5 MB
+    pair = rychkov_pair(1, n=2, G=128)
+    f = random_bandlimited(2, 128, 16, seed=1)
+    tracemalloc.start()
+    try:
+        atomic_analyze(f, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_homogeneous_lam_pinned():
+    # sha256 computed before analysis moved to one derivative stack at a time
+    pair = rychkov_pair(1, n=2, G=64, homogeneous=True)
+    f = random_bandlimited(2, 64, 8, seed=3, zero_mean=True)
+    lam, patches = atomic_analyze(f, pair)
+    assert lam.level_list() == list(range(-4, 5))
+    assert hashlib.sha256(lam.to_csv().encode()).hexdigest() == \
+        "6f0f2d00cd5f547f1420d5df3ce39c30887ac4bd3953f434aae586da364128e0"
+    assert (synthesize(lam, patches, 64) - f).l2() < 1e-12 * f.l2()
 
 
 def test_synthesize_rejects_missing_level():

@@ -72,10 +72,10 @@ def test_box_mask_agrees_with_cube_mask_at_d1():
     for j, m in ((1, (0,)), (2, (3,)), (3, (5,))):
         Q = DyadicCube(j, m)
         center, half = dilate(Q, 1.0)
-        assert np.array_equal(box_mask(center, half, G, 1), cube_mask(Q, G))
+        assert np.array_equal(box_mask(center, half, G), cube_mask(Q, G))
 
 
 def test_box_mask_full_torus():
     center, half = dilate(DyadicCube(0, (0,)), 3.0)
-    assert box_mask(center, half, 8, 1).all()
+    assert box_mask(center, half, 8).all()
 
