@@ -209,10 +209,14 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair):
     lam_levels = {}
     patches = {}
     for j in pair.levels:
-        # the copy is a temporary operand, which numpy multiplies into in
-        # place when it is large; that product is the one the pinned
-        # coefficient CSVs hold, and it differs from a fresh one by ulps
-        U = GridFunction.from_spectrum(n, pair.psi_spec[j] * spec.copy()).samples
+        # a complex product rounds by ulps differently with its operands
+        # swapped; the pinned lambda CSVs take the order numpy's temporary
+        # elision gave, spec * psi from 256 KiB (NPY_MIN_ELIDE_BYTES) up and
+        # psi * spec below, so it is chosen here by size, not left to numpy
+        psi = pair.psi_spec[j]
+        U = GridFunction.from_spectrum(n, np.multiply(spec, psi)
+                                       if spec.nbytes >= 256 * 1024
+                                       else np.multiply(psi, spec)).samples
         if j <= 0:
             gamma = GridFunction.from_spectrum(
                 n, GridFunction(n, U).spectrum() * pair.phi_spec[j]).samples

@@ -333,17 +333,21 @@ def band(f: GridFunction, bank: FilterBank, j: int, spec=None) -> GridFunction:
 # ---------------------------------------------------------------------------
 # maximal operators
 
-def _split_blocks(a: np.ndarray, c: int) -> np.ndarray:
-    """View of a, shape (G,)*n with G divisible by c, as (G/c,)*n + (c,)*n:
-    block index first, then the cell inside the block."""
-    n = a.ndim
-    return a.reshape((a.shape[0] // c, c) * n).transpose(
-        tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
+def _split_blocks(a: np.ndarray, c: int, n: int = None) -> np.ndarray:
+    """View of a, shape S + (G,)*n with G divisible by c, as
+    S + (G/c,)*n + (c,)*n: any leading stack axes S first, then the block
+    index, then the cell inside the block.  n defaults to a.ndim (no S)."""
+    n = n or a.ndim
+    k = a.ndim - n
+    return a.reshape(a.shape[:k] + (a.shape[-1] // c, c) * n).transpose(
+        [*range(k), *range(k, k + 2 * n, 2), *range(k + 1, k + 2 * n, 2)])
 
 
-def _block_mean(a: np.ndarray, c: int) -> np.ndarray:
-    """Mean over c^n cells per block; a has shape (G,)*n, G divisible by c."""
-    return _split_blocks(a, c).mean(axis=tuple(range(a.ndim, 2 * a.ndim)))
+def _block_mean(a: np.ndarray, c: int, n: int = None) -> np.ndarray:
+    """Mean over c^n cells per block of the trailing n axes (default all)
+    of a, each of them divisible by c."""
+    n = n or a.ndim
+    return _split_blocks(a, c, n).mean(axis=tuple(range(a.ndim, a.ndim + n)))
 
 
 def _join_blocks(a: np.ndarray) -> np.ndarray:
@@ -353,10 +357,11 @@ def _join_blocks(a: np.ndarray) -> np.ndarray:
         [a.shape[i] * a.shape[n + i] for i in range(n)])
 
 
-def _expand(a: np.ndarray, c: int) -> np.ndarray:
-    """Inverse of _block_mean's shape: repeat each block value over c cells."""
+def _expand(a: np.ndarray, c: int, n: int = None) -> np.ndarray:
+    """Inverse of _block_mean's shape: repeat each block value over c cells
+    along each of the trailing n axes (default all) of a."""
     out = a
-    for ax in range(a.ndim):
+    for ax in range(a.ndim - (n or a.ndim), a.ndim):
         out = np.repeat(out, c, axis=ax)
     return out
 
@@ -368,39 +373,44 @@ def hl_maximal(f: GridFunction) -> GridFunction:
     arbitrary-cube sup on indicators of dyadic cubes: at each level, the
     aligned dyadic cubes, their half-side shifts in every axis combination,
     and the side-3 cubes aligned to the level grid (the tripled cubes are
-    what makes M[chi_R] >= 3^-n hold exactly on 3R)."""
-    a = np.abs(f.samples).astype(float)
-    G = f.G
-    n = f.n
-    J = G.bit_length() - 1
-    best = np.full_like(a, a.mean())  # level 0: the whole torus
-    for lev in range(1, J + 1):
+    what makes M[chi_R] >= 3^-n hold exactly on 3R).
+
+    A stack of functions goes through _hl_stack in one pass; row i of that
+    result is bit-identical to hl_maximal of function i."""
+    return GridFunction(f.n, _hl_stack(np.abs(f.samples).astype(float), f.n)
+                        .astype(np.complex128))
+
+
+def _hl_stack(a: np.ndarray, n: int) -> np.ndarray:
+    """The level loop of hl_maximal on the trailing n axes of a real array
+    a, shape S + (G,)*n: every leading axis in S is a stack axis, and each
+    row is maximized on its own, with the same arithmetic as alone."""
+    G = a.shape[-1]
+    axes = tuple(range(a.ndim - n, a.ndim))
+    # level 0: the whole torus
+    best = np.broadcast_to(a.mean(axis=axes, keepdims=True), a.shape).copy()
+    for lev in range(1, G.bit_length()):
         c = G >> lev  # cells per cube side
-        if c >= 2:
-            shifts = list(itertools.product([0, c // 2], repeat=n))
-        else:
-            shifts = [(0,) * n]
-        for sh in shifts:
-            rolled = np.roll(a, tuple(-s for s in sh), axis=tuple(range(n))) \
-                if any(sh) else a
-            B = _block_mean(rolled, c)
-            cand = _expand(B, c)
+        for sh in itertools.product([0, c // 2] if c >= 2 else [0], repeat=n):
+            rolled = np.roll(a, [-s for s in sh], axis=axes) if any(sh) else a
+            B = _block_mean(rolled, c, n)
+            cand = _expand(B, c, n)
             if any(sh):
-                cand = np.roll(cand, sh, axis=tuple(range(n)))
+                cand = np.roll(cand, sh, axis=axes)
             np.maximum(best, cand, out=best)
             if sh == (0,) * n and 3 * c <= G:
                 # side-3 cubes at level-aligned offsets: window mean of three
                 # consecutive blocks per axis, then max over the 3^n windows
                 # covering each block
-                W = B.copy()
-                for ax in range(n):
+                W = B
+                for ax in axes:
                     W = (W + np.roll(W, -1, axis=ax) + np.roll(W, -2, axis=ax)) / 3.0
-                V = W.copy()
-                for ax in range(n):
+                V = W
+                for ax in axes:
                     V = np.maximum(np.maximum(V, np.roll(V, 1, axis=ax)),
                                    np.roll(V, 2, axis=ax))
-                np.maximum(best, _expand(V, c), out=best)
-    return GridFunction(n, best.astype(np.complex128))
+                np.maximum(best, _expand(V, c, n), out=best)
+    return best
 
 
 def powered_maximal(f: GridFunction, eta: float) -> GridFunction:

@@ -174,18 +174,26 @@ def _csv_text(head: list, n: int, tagged: list) -> str:
 # ---------------------------------------------------------------------------
 # Morrey norm on grid functions
 
-def _morrey_of_array(a: np.ndarray, q: float, phi: GrowthFunction) -> float:
+def _morrey_of_array(a: np.ndarray, q: float, phi: GrowthFunction,
+                     n: int = None):
     """sup over dyadic cubes (levels 0..J) of phi(ell) (cube mean of a^q)^{1/q}
-    for a nonnegative field a on the grid."""
+    for a nonnegative field a on the grid.
+
+    The grid is the trailing n axes of a (default all of them, giving a
+    float); any leading axes form a stack, and the result is then an array
+    holding, per row, the float that row alone would give."""
+    n = n or a.ndim
     a = a ** q
-    G = a.shape[0]
-    J = G.bit_length() - 1
-    best = phi(1.0) * float(a.mean()) ** (1.0 / q)
-    for lev in range(1, J + 1):
-        c = G >> lev
-        means = _block_mean(a, c)
-        best = max(best, phi(2.0 ** (-lev)) * float(means.max()) ** (1.0 / q))
-    return best
+    G = a.shape[-1]
+    cells = tuple(range(a.ndim - n, a.ndim))
+    # per level: phi(ell) and the largest cube mean of every row
+    peaks = [(phi(1.0), a.mean(axis=cells))] + [
+        (phi(2.0 ** (-lev)), _block_mean(a, G >> lev, n).max(axis=cells))
+        for lev in range(1, G.bit_length())]
+    out = np.empty(a.shape[:a.ndim - n])
+    for row in np.ndindex(out.shape):
+        out[row] = max(w * float(peak[row]) ** (1.0 / q) for w, peak in peaks)
+    return out if out.ndim else float(out[()])
 
 
 def morrey_norm(f: GridFunction, q: float, phi: GrowthFunction) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .decomp import _deriv_sup
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
-from .gridfn import (FilterBank, GridFunction, _bump_axis, _outer,
-                     _peetre_scan, band, hl_maximal, kinf_grid, make_bank,
+from .gridfn import (FilterBank, GridFunction, _bump_axis, _check_grid,
+                     _hl_stack, _outer, _peetre_scan, band, kinf_grid, make_bank,
                      peetre_maximal, radial_window, random_bandlimited,
                      sobolev_norm, wavenumbers)
 from .norms import (CoeffField, _morrey_of_array, aggregate, morrey_norm,
@@ -165,33 +165,31 @@ def maximal_campaign(q: float, r: float, phi: GrowthFunction, trials: int,
     ok, _, _ = check_nakai(phi, dyadic_scales())
     if not ok:
         raise ValueError("phi fails the Nakai condition")
+    for G in resolutions:
+        _check_grid(G)
     rep = Report(name=f"maximal-q{q}-r{r}-{phi.family}", trials=trials,
                  extra={"scalar": {}, "sup": {}, "lr": {}})
     for G in resolutions:
-        c_scalar = c_sup = c_lr = 0.0
+        best = dict.fromkeys(rep.extra, 0.0)  # scalar, sup, lr
         for i in range(trials):
-            fs = [random_bandlimited(n, G, 24,
-                                     seed=[seed, i * MAXIMAL_STACK + t])
-                  for t in range(MAXIMAL_STACK)]
-            mats = [np.abs(hl_maximal(f).samples) for f in fs]
-            vals = [np.abs(f.samples) for f in fs]
-            ratio = (_morrey_of_array(mats[0], q, phi)
-                     / max(_morrey_of_array(vals[0], q, phi), 1e-300))
-            if ratio > c_scalar:
-                c_scalar = ratio
-                rep.witness = {"trial": i, "res": G, "ratio": ratio}
-            sup_m = np.maximum.reduce(mats)
-            sup_v = np.maximum.reduce(vals)
-            c_sup = max(c_sup, _morrey_of_array(sup_m, q, phi)
-                        / max(_morrey_of_array(sup_v, q, phi), 1e-300))
-            lr_m = np.sum(np.stack(mats) ** r, axis=0) ** (1.0 / r)
-            lr_v = np.sum(np.stack(vals) ** r, axis=0) ** (1.0 / r)
-            c_lr = max(c_lr, _morrey_of_array(lr_m, q, phi)
-                       / max(_morrey_of_array(lr_v, q, phi), 1e-300))
-        rep.extra["scalar"][G] = c_scalar
-        rep.extra["sup"][G] = c_sup
-        rep.extra["lr"][G] = c_lr
-        rep.constants[G] = max(c_scalar, c_sup, c_lr)
+            vals = np.abs(np.stack([
+                random_bandlimited(n, G, 24,
+                                   seed=[seed, i * MAXIMAL_STACK + t]).samples
+                for t in range(MAXIMAL_STACK)]))
+            mats = _hl_stack(vals, n)
+            # numerator, denominator of each form in the order of best
+            m = _morrey_of_array(np.stack([
+                mats[0], vals[0], mats.max(axis=0), vals.max(axis=0),
+                np.sum(mats ** r, axis=0) ** (1.0 / r),
+                np.sum(vals ** r, axis=0) ** (1.0 / r)]), q, phi, n).tolist()
+            ratios = {key: m[k] / max(m[k + 1], 1e-300)
+                      for key, k in zip(best, (0, 2, 4))}
+            if ratios["scalar"] > best["scalar"]:
+                rep.witness = {"trial": i, "res": G, "ratio": ratios["scalar"]}
+            best = {key: max(best[key], ratios[key]) for key in best}
+        for key, c in best.items():
+            rep.extra[key][G] = c
+        rep.constants[G] = max(best.values())
     return rep
 
 

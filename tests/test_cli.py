@@ -269,6 +269,14 @@ def test_norm_rejects_small_grid(capsys):
     assert "G=2" in result[2]
 
 
+@pytest.mark.parametrize("res", ["0", "1", "2", "3"])
+def test_maximal_campaign_rejects_small_grid(capsys, res):
+    result = run(capsys, "campaign", "--name", "maximal", "--trials", "1",
+                 "--resolutions", "16", res)
+    _assert_fails_closed(*result)
+    assert f"G={res}" in result[2]
+
+
 @pytest.mark.parametrize("argv,env_seed", [
     (["seqnorm", "--params", "power-p2-q1-s1-N-r2"], None),
     (["trace", "--params", "trace-A"], None),

@@ -81,7 +81,8 @@ VALUES = {
     "--r": JUNK + ["0.5", "1e-3", "1e-17"],
     "--depth": ["-1", "0", "1", "3", "x"],
     "--phi": ["power", "powerlog", "bogus"],
-    "--resolutions": ["16 32", "32", "4", "-1", "0", "16 x", "x"],
+    "--resolutions": ["16 32", "32", "4", "3", "2", "1", "-1", "0", "16 0",
+                      "16 x", "x"],
     "--file": ["suite_ok", "suite_phi", "suite_bad", "suite_junk", "missing"],
 }
 # a run of each command that exits 0; its options that set the cost of a

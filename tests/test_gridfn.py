@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -257,6 +258,52 @@ def test_hl_maximal_dominates():
     f = random_bandlimited(2, 16, 4, seed=6)
     M = hl_maximal(f).samples.real
     assert np.all(M >= np.abs(f.samples) - 1e-12)
+
+
+@pytest.mark.parametrize("n,G,digest", [
+    (1, 4, "83bd39e450f91ffe10cd4929a6a2a06bced27abc8eca82b3c28b294a391e832e"),
+    (1, 1024, "264ebfb839956c00c80bc9349e4340e40e12edcec7c1828e736f9f00d11a8a70"),
+    (2, 32, "9353123f2a2119542af2927cd00c8f68e022903f98cb2863b2a415962edcaaa0"),
+    (3, 8, "4ccf11b0046b871155dd9847201dc32c065eec9db075c7bb2d5cef1c23f718d5")])
+def test_hl_maximal_pinned(n, G, digest):
+    # SHA-256 of the samples, as the per-function level loop computed them
+    # before the stacked core replaced it
+    f = random_bandlimited(n, G, max(2, G // 8), seed=n)
+    assert hashlib.sha256(hl_maximal(f).samples.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,sizes", [(1, (4, 8, 64, 1024)),
+                                     (2, (4, 16, 64)), (3, (4, 8, 16))])
+def test_hl_stack_rows_match_hl_maximal(n, sizes):
+    # each row of the stacked core is bit-identical to hl_maximal alone,
+    # with one or two stack axes, on heavy-tailed and smooth inputs
+    rng = np.random.default_rng(n)
+    for G in sizes:
+        a = np.concatenate([
+            np.abs(np.stack([random_bandlimited(n, G, 2, seed=[G, t]).samples
+                             for t in range(3)])),
+            rng.lognormal(0.0, 2.0, (3,) + (G,) * n)
+            * (rng.random((3,) + (G,) * n) < 0.3)])
+        rows = np.stack([hl_maximal(GridFunction(n, x)).samples.real
+                         for x in a])
+        assert np.array_equal(gridfn._hl_stack(a, n), rows)
+        assert np.array_equal(
+            gridfn._hl_stack(a.reshape((2, 3) + a.shape[1:]), n),
+            rows.reshape((2, 3) + a.shape[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_helpers_act_per_row(n):
+    G, c = 16, 4
+    a = np.random.default_rng(4).standard_normal((2, 3) + (G,) * n)
+    means = gridfn._block_mean(a, c, n)
+    assert means.shape == (2, 3) + (G // c,) * n
+    for row in np.ndindex(2, 3):
+        assert np.array_equal(means[row], gridfn._block_mean(a[row], c))
+        assert np.array_equal(gridfn._expand(means, c, n)[row],
+                              gridfn._expand(means[row], c))
+        assert np.array_equal(gridfn._split_blocks(a, c, n)[row],
+                              gridfn._split_blocks(a[row], c))
 
 
 def test_powered_maximal():

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and only `gridfn._outer` builds an n-axis product grid.
+only `gridfn._outer` builds an n-axis product grid, and no arithmetic takes
+a fresh `.copy()` as an operand.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -68,3 +69,26 @@ def test_grid_products_only_in_gridfn():
     found = {p.name: outer_uses(p) for p in MODULES}
     assert len(found.pop("gridfn.py")) == 1  # the fold inside _outer
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def copy_operands(source):
+    """Lines of a binary operation with a `.copy()` call as an operand.
+
+    numpy computes such an expression in place in the copy once it holds at
+    least 256 KiB (temporary elision), and below that size into a new
+    array; with the operands swapped, as elision swaps them, a complex
+    product rounds differently, so the result would depend on the size."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp)
+            and any(isinstance(x, ast.Call) and isinstance(x.func, ast.Attribute)
+                    and x.func.attr == "copy" for x in (node.left, node.right))]
+
+
+def test_copy_operands_are_caught():
+    assert copy_operands("a = b * c.copy()\nd = e.copy() + 1\n"
+                         "f = g.copy()\nh = k(m.copy()) * 2\n") == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_arithmetic_on_fresh_copies(path):
+    assert copy_operands(path.read_text()) == []

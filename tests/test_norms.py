@@ -9,12 +9,27 @@ from morreykit.dyadic import DyadicCube, cube_mask
 from morreykit.growth import SpaceParams, power, power_of
 from morreykit.gridfn import (GridFunction, band, make_bank,
                               random_bandlimited)
-from morreykit.norms import (CoeffField, QuarkCoeffs, _cell_fields, aggregate,
-                             min_triangle_check, morrey_norm, quark_norm,
-                             seq_norm, space_norm)
+from morreykit.norms import (CoeffField, QuarkCoeffs, _cell_fields,
+                             _morrey_of_array, aggregate, min_triangle_check,
+                             morrey_norm, quark_norm, seq_norm, space_norm)
 from morreykit.verify import coeff_corpus
 
 INF = math.inf
+
+
+@pytest.mark.parametrize("n,G", [(1, 4), (1, 256), (2, 4), (2, 32), (3, 8)])
+def test_morrey_of_array_stack_rows(n, G):
+    # a stack gives, per row, the float that row alone gives
+    rng = np.random.default_rng(G)
+    a = rng.lognormal(0.0, 2.0, (2, 3) + (G,) * n)
+    phi = power(4.0, n)
+    for q in (0.5, 2.0):
+        alone = _morrey_of_array(a[1, 2], q, phi)
+        assert type(alone) is float
+        stacked = _morrey_of_array(a, q, phi, n)
+        assert stacked.shape == (2, 3)
+        assert [float(x) for x in stacked.ravel()] == \
+            [_morrey_of_array(x, q, phi) for x in a.reshape((6,) + a.shape[2:])]
 
 
 def test_morrey_norm_of_cube_indicator():

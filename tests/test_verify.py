@@ -90,6 +90,44 @@ def test_maximal_campaign_preconditions():
         maximal_campaign(2.0, 1.0, power(4.0), 1, resolutions=(32,))
 
 
+# maximal_campaign(2, 2, phi, 3, resolutions=[32, 64], seed=7), as float.hex,
+# from the per-function maximal operator the stacked pass replaced
+MAXIMAL_PINS = {
+    "power": {
+        "scalar": ("0x1.472ea7a826264p+0", "0x1.4b4728039ee26p+0"),
+        "sup": ("0x1.0d62745f50d07p+0", "0x1.15ab91ec8b11ep+0"),
+        "lr": ("0x1.3ea3551739709p+0", "0x1.437ef63d779b5p+0"),
+        "constants": ("0x1.472ea7a826264p+0", "0x1.4b4728039ee26p+0"),
+        "witness": (1, 64, "0x1.4b4728039ee26p+0")},
+    "powerlog": {
+        "scalar": ("0x1.2dc42ee428ee3p+0", "0x1.40ddfb6541b92p+0"),
+        "sup": ("0x1.0d62745f50d07p+0", "0x1.15ab91ec8b11fp+0"),
+        "lr": ("0x1.3ea3551739709p+0", "0x1.437ef63d779b6p+0"),
+        "constants": ("0x1.3ea3551739709p+0", "0x1.437ef63d779b6p+0"),
+        "witness": (2, 64, "0x1.40ddfb6541b92p+0")},
+}
+
+
+@pytest.mark.parametrize("family", sorted(MAXIMAL_PINS))
+def test_maximal_campaign_pinned(family):
+    phi = power(4.0) if family == "power" else powerlog(4.0, 1.0)
+    rep = maximal_campaign(2.0, 2.0, phi, 3, resolutions=[32, 64], seed=7)
+    pins = MAXIMAL_PINS[family]
+    hexed = lambda d: tuple(d[G].hex() for G in (32, 64))
+    for key in ("scalar", "sup", "lr"):
+        assert hexed(rep.extra[key]) == pins[key], key
+    assert hexed(rep.constants) == pins["constants"]
+    trial, res, ratio = pins["witness"]
+    assert rep.witness == {"trial": trial, "res": res,
+                           "ratio": float.fromhex(ratio)}
+
+
+@pytest.mark.parametrize("G", [0, 1, 2, 3, 48])
+def test_maximal_campaign_rejects_bad_grid(G):
+    with pytest.raises(ValueError, match=f"G={G}"):
+        maximal_campaign(2.0, 2.0, power(4.0), 1, resolutions=(16, G))
+
+
 def test_filter_invariance_band_inside_unit():
     params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
     G = 64
