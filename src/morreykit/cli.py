@@ -188,11 +188,12 @@ def _campaign_report(args):
     if name == "hardy":
         return verify.hardy_campaign(args.delta, args.r, args.trials, seed=seed)
     if name == "maximal":
-        phi = {"power": power(4.0), "powerlog": powerlog(4.0, 1.0)}.get(args.phi)
+        phi = {"power": power(4.0, args.dim),
+               "powerlog": powerlog(4.0, 1.0, args.dim)}.get(args.phi)
         if phi is None:
             raise ValueError(f"unknown phi {args.phi!r}: use power or powerlog")
         return verify.maximal_campaign(2.0, 2.0, phi, args.trials,
-                                       resolutions=args.resolutions, seed=seed)
+                                       args.resolutions, n=args.dim, seed=seed)
     if name in ("filter", "peetre"):
         params = parse_params(args.params, args.dim)
         G = args.resolutions[-1]
@@ -204,8 +205,8 @@ def _campaign_report(args):
         bump = make_bank(args.dim, G, "bump", homogeneous=params.homogeneous)
         return verify.filter_invariance_campaign(bank, bump, params, corpus)
     if name == "embedding":
-        return verify.embedding_campaign(2.0, 2.0, args.r, depth=args.depth,
-                                         trials=args.trials, seed=seed)
+        return verify.embedding_campaign(2.0, 2.0, args.r, args.depth,
+                                         args.trials, seed=seed, n=args.dim)
     if name == "counterexample":
         return verify.counterexample_growth(args.r, depths=range(2, 13))
     raise ValueError(f"unknown campaign {name!r}")

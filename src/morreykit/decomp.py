@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicCube, box_mask, cube_mask, dilate
-from .gridfn import (FilterBank, GridFunction, RychkovPair, band, smoothstep7,
+from .gridfn import (FilterBank, GridFunction, RychkovPair, bands, smoothstep7,
                      _along, _bump_axis, _join_blocks, _moments,
                      _multi_indices, _outer, _split_blocks, _times_monomial,
                      centered_axis, coord_axis, hl_maximal, kappa_profile,
                      radial_window, wavenumbers, TWO_PI)
-from .norms import CoeffField, QuarkCoeffs
+from .norms import CoeffField, QuarkCoeffs, _moduli
 
 TINY = 1e-300
 
@@ -398,12 +398,8 @@ def band_decay_profile(a: GridFunction, Q: DyadicCube, bank: FilterBank,
         chi = GridFunction(n, cube_mask(Q, G).astype(np.complex128))
         maximal_field = hl_maximal(chi).samples.real
     env = maximal_field ** (P / n)
-    out = {}
-    spec = a.spectrum()
-    for nu in bank.tau_levels():
-        bnu = np.abs(band(a, bank, nu, spec).samples)
-        out[nu] = float((bnu / env).max())
-    return out
+    return {nu: float((b / env).max())
+            for nu, b in _moduli(bands(a, bank, bank.tau_levels()))}
 
 
 def fit_decay_slopes(profile: dict, j: int) -> tuple[float, float]:
@@ -489,10 +485,8 @@ def _band_samples(f: GridFunction, bank: FilterBank, rho: int) -> dict:
     through the heap layout it left behind."""
     n, G = f.n, f.G
     J = G.bit_length() - 1
-    spec = f.spectrum()
     out = {}
-    for nu in bank.levels():
-        bnu = band(f, bank, nu, spec)
+    for nu, bnu in bands(f, bank):
         if bnu.linf() <= 1e-14 * max(f.linf(), TINY):
             continue
         nu_s = nu + SAMPLE_GAP

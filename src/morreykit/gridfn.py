@@ -322,12 +322,17 @@ def make_bank(n: int, G: int, kind: str = "partition",
     return bank
 
 
-def band(f: GridFunction, bank: FilterBank, j: int, spec=None) -> GridFunction:
-    """F^{-1}[window_j . F f]; spec, if given, is f.spectrum(), computed once
-    by callers that split one function into several bands."""
-    if spec is None:
-        spec = f.spectrum()
-    return GridFunction.from_spectrum(f.n, bank.window(j) * spec)
+def bands(f: GridFunction, bank: FilterBank, levels=None):
+    """Yield (j, F^{-1}[window_j . F f]) for the bank's levels, or for
+    levels in their order, one band at a time from one spectrum of f."""
+    spec = f.spectrum()
+    for j in bank.levels() if levels is None else levels:
+        yield j, GridFunction.from_spectrum(f.n, bank.window(j) * spec)
+
+
+def band(f: GridFunction, bank: FilterBank, j: int) -> GridFunction:
+    """The level-j band of f alone; several levels go through bands."""
+    return next(bands(f, bank, [j]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +432,13 @@ def torus_dist_sq(n: int, G: int) -> np.ndarray:
     return _outer(np.add, [d ** 2] * n)
 
 
-def peetre_maximal(f: GridFunction, bank: FilterBank, j: int, N: float) -> GridFunction:
-    """(psi_j f)_*(x) = max_y |band(f)(y)| / (1 + 2^j d(x,y))^N."""
+def peetre_maximal(b: GridFunction, j: int, N: float) -> GridFunction:
+    """(psi_j f)_*(x) = max_y |b(y)| / (1 + 2^j d(x,y))^N for the level-j
+    band b of f."""
     if N <= 0:
         raise ValueError("N must be positive")
-    g = np.abs(band(f, bank, j).samples)
-    return GridFunction(f.n, _peetre_scan(g, j, N).astype(np.complex128))
+    return GridFunction(b.n, _peetre_scan(np.abs(b.samples), j, N)
+                        .astype(np.complex128))
 
 
 # Cost model of the Peetre scan, in units of one element of the roll scan.

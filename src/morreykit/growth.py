@@ -21,6 +21,7 @@ MONO_TOL = 1e-12
 # a sup over the dyadic scale grid counts as finite when it exceeds the sup
 # over the trimmed grid by at most this factor
 TRIM_STABILITY = 1.25
+S_DEPTH = 40  # terms of the series that check_s_condition sums
 
 
 def dyadic_scales(jmin: int = -10, jmax: int = 10) -> list[float]:
@@ -371,14 +372,14 @@ def check_trace_summability(phi_star: GrowthFunction,
     return c_full <= c_trim * TRIM_STABILITY, c_full
 
 
-def check_s_condition(params: SpaceParams, depth: int = 40) -> bool:
+def check_s_condition(params: SpaceParams) -> bool:
     """True iff the partial sums of sum_j 1/(2^{js} phi(2^{-j})) are Cauchy
     on the grid: the tail increments must decay geometrically."""
     a = [1.0 / (2.0 ** (j * params.s) * params.phi(2.0 ** (-j)))
-         for j in range(1, depth + 1)]
-    k = depth // 4
-    tail_new = sum(a[depth - k:])
-    tail_old = sum(a[depth - 2 * k:depth - k])
+         for j in range(1, S_DEPTH + 1)]
+    k = S_DEPTH // 4
+    tail_new = sum(a[S_DEPTH - k:])
+    tail_old = sum(a[S_DEPTH - 2 * k:S_DEPTH - k])
     if tail_old == 0.0:
         return True
     return tail_new <= 0.9 * tail_old

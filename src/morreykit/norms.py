@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .growth import GrowthFunction, SpaceParams
-from .gridfn import FilterBank, GridFunction, band, _block_mean, _expand
+from .gridfn import FilterBank, GridFunction, bands, _block_mean, _expand
 
 INF = math.inf
 # largest level from_csv accepts: (2^j)^n <= 2^24 cells (256 MiB of complex)
@@ -154,21 +154,21 @@ class QuarkCoeffs:
 def _csv_text(head: list, n: int, tagged: list) -> str:
     """CSV with columns head + m1..mn + re, im: one row per nonzero
     coefficient of each (prefix, CoeffField) pair, the prefix leading the
-    row; homogeneous levels are written at m = 0."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(head + [f"m{i+1}" for i in range(n)] + ["re", "im"])
+    row; homogeneous levels are written at m = 0.  The bytes are those of
+    csv.writer: rows end in CRLF, and values are formatted as Python ints
+    and floats (tolist), since numpy 2 scalars print as np.float64(...)."""
+    lines = [",".join(head + [f"m{i+1}" for i in range(n)] + ["re", "im"])]
     for prefix, fld in tagged:
         for j in fld.level_list():
             v = fld.levels[j]
             if j < 0:
-                w.writerow([*prefix, j] + [0] * n + [v.real, v.imag])
-                continue
-            for m in np.ndindex(v.shape):
-                z = v[m]
-                if z != 0:
-                    w.writerow([*prefix, j] + list(m) + [z.real, z.imag])
-    return buf.getvalue()
+                cells, vals = [(0,) * n], [complex(v)]
+            else:
+                nonzero = v != 0
+                cells, vals = np.argwhere(nonzero).tolist(), v[nonzero].tolist()
+            row = ",".join([*prefix, str(j)]) + ",%d" * n + ",%s,%s"
+            lines += [row % (*m, z.real, z.imag) for m, z in zip(cells, vals)]
+    return "\r\n".join(lines) + "\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -207,58 +207,67 @@ def morrey_norm(f: GridFunction, q: float, phi: GrowthFunction) -> float:
 # ---------------------------------------------------------------------------
 # the N/E aggregation shared by function, sequence and starred norms
 
-def aggregate(level_fields, params: SpaceParams, theta=None) -> float:
+def aggregate(level_fields, params: SpaceParams) -> float:
     """Space norm of nonnegative level fields F_j, given as (j, F_j) pairs
     (dict.items() or a generator, so callers need not hold every level).
 
     'N': (sum_j 2^{jsr} ||F_j||^r)^{1/r}, the ell^r over levels of Morrey
     norms; 'E': || (sum_j 2^{jsr} F_j^r)^{1/r} ||, the Morrey norm of the
-    pointwise ell^r.  r = infinity uses sup semantics.  theta, if given, is
-    the low-pass field added as a plain Morrey term."""
+    pointwise ell^r.  r = infinity uses sup semantics."""
     q, r, s, phi = params.q, params.r, params.s, params.phi
     if params.variant == "N":
         terms = [2.0 ** (j * s) * _morrey_of_array(a, q, phi)
                  for j, a in level_fields]
         if r == INF:
-            high = max(terms) if terms else 0.0
+            return max(terms) if terms else 0.0
+        return float(np.sum(np.array(terms) ** r)) ** (1.0 / r)
+    agg = None
+    for j, a in level_fields:
+        w = 2.0 ** (j * s)
+        if r == INF:
+            cand = w * a
+            agg = cand if agg is None else np.maximum(agg, cand)
         else:
-            high = float(np.sum(np.array(terms) ** r)) ** (1.0 / r)
-    else:
-        agg = None
-        for j, a in level_fields:
-            w = 2.0 ** (j * s)
-            if r == INF:
-                cand = w * a
-                agg = cand if agg is None else np.maximum(agg, cand)
-            else:
-                cand = (w * a) ** r
-                agg = cand if agg is None else agg + cand
-        if agg is None:
-            high = 0.0
-        else:
-            if r != INF:
-                agg = agg ** (1.0 / r)
-            high = _morrey_of_array(agg, q, phi)
-    if theta is None:
-        return high
-    return _morrey_of_array(theta, q, phi) + high
+            cand = (w * a) ** r
+            agg = cand if agg is None else agg + cand
+    if agg is None:
+        return 0.0
+    if r != INF:
+        agg = agg ** (1.0 / r)
+    return _morrey_of_array(agg, q, phi)
 
 
 # ---------------------------------------------------------------------------
 # function-space norms
+
+def band_norm(fields, params: SpaceParams) -> float:
+    """Space norm from (j, |phi_j(D) f|) pairs in bank level order, read
+    once.  Unless params are homogeneous, level 0 is theta: a plain Morrey
+    term added to the aggregate of the tau levels after it."""
+    fields = iter(fields)
+    if params.homogeneous:
+        return aggregate(fields, params)
+    low = _morrey_of_array(next(fields)[1], params.q, params.phi)
+    return low + aggregate(fields, params)
+
+
+def _moduli(split):
+    """(j, |b|) per (j, band b); unlike a for loop, map holds no stale band."""
+    return map(lambda jb: (jb[0], np.abs(jb[1].samples)), split)
+
+
+def _check_bank(params: SpaceParams, bank: FilterBank) -> None:
+    if params.homogeneous != bank.homogeneous:
+        raise ValueError("bank homogeneity does not match params")
+
 
 def space_norm(f: GridFunction, params: SpaceParams, bank: FilterBank) -> float:
     """N-variant: ||theta(D)f|| + (sum_{j>=1} 2^{jsr} ||tau_j(D)f||^r)^{1/r}.
     E-variant: ||theta(D)f|| + Morrey norm of the pointwise ell^r aggregate.
     Homogeneous mode drops theta and sums j over the full floored range.
     r = infinity uses sup semantics."""
-    if params.homogeneous != bank.homogeneous:
-        raise ValueError("bank homogeneity does not match params")
-    spec = f.spectrum()
-    low = None if params.homogeneous else band(f, bank, 0, spec)
-    high = aggregate(((j, np.abs(band(f, bank, j, spec).samples))
-                      for j in bank.tau_levels()), params)
-    return high if low is None else morrey_norm(low, params.q, params.phi) + high
+    _check_bank(params, bank)
+    return band_norm(_moduli(bands(f, bank)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +313,11 @@ def min_triangle_check(f, g, norm_kind: str, params: SpaceParams,
     """Returns (||f+g||^w, ||f||^w + ||g||^w) with w = min(1,q) for the
     Morrey norm and w = min(1,q,r) for the space norms; the inequality
     lhs <= rhs (up to rounding) is the quasi-triangle property."""
-    q = params.q
-    if norm_kind == "morrey":
-        w = min(1.0, q)
-        nf = morrey_norm(f, q, params.phi)
-        ng = morrey_norm(g, q, params.phi)
-        nfg = morrey_norm(f + g, q, params.phi)
-    elif norm_kind == "space":
-        w = params.w
-        nf = space_norm(f, params, bank)
-        ng = space_norm(g, params, bank)
-        nfg = space_norm(f + g, params, bank)
-    elif norm_kind == "seq":
-        w = params.w
-        nf = seq_norm(f, params)
-        ng = seq_norm(g, params)
-        nfg = seq_norm(f + g, params)
-    else:
+    norm = {"morrey": lambda h: morrey_norm(h, params.q, params.phi),
+            "space": lambda h: space_norm(h, params, bank),
+            "seq": lambda h: seq_norm(h, params)}.get(norm_kind)
+    if norm is None:
         raise ValueError(norm_kind)
+    w = min(1.0, params.q) if norm_kind == "morrey" else params.w
+    nf, ng, nfg = norm(f), norm(g), norm(f + g)
     return nfg ** w, nf ** w + ng ** w

@@ -20,11 +20,11 @@ import numpy as np
 from .decomp import _deriv_sup
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
 from .gridfn import (FilterBank, GridFunction, _bump_axis, _check_grid,
-                     _hl_stack, _outer, _peetre_scan, band, kinf_grid, make_bank,
-                     peetre_maximal, radial_window, random_bandlimited,
-                     sobolev_norm, wavenumbers)
-from .norms import (CoeffField, _morrey_of_array, aggregate, morrey_norm,
-                    seq_norm, space_norm)
+                     _hl_stack, _outer, _peetre_scan, bands, kinf_grid,
+                     make_bank, peetre_maximal, radial_window,
+                     random_bandlimited, sobolev_norm, wavenumbers)
+from .norms import (CoeffField, _check_bank, _moduli, _morrey_of_array,
+                    aggregate, band_norm, morrey_norm, seq_norm, space_norm)
 
 INF = math.inf
 HARDY_LENGTH = 64  # entries of each Hardy trial sequence
@@ -235,18 +235,16 @@ def peetre_char_campaign(params: SpaceParams, N: float, corpus,
     >= 1 exactly by pointwise domination, the upper side is the constant."""
     if N <= peetre_threshold(params):
         raise ValueError(f"N must exceed {peetre_threshold(params)}")
+    _check_bank(params, bank)
     rep = Report(name=f"peetre-{params.variant}-N{N}")
     lo, hi = INF, 0.0
     for i, f in enumerate(corpus):
-        plain = space_norm(f, params, bank)
+        split = list(bands(f, bank))
+        plain = band_norm(_moduli(split), params)
         if plain == 0:
             continue
-        fields = {j: np.abs(peetre_maximal(f, bank, j, N).samples)
-                  for j in bank.tau_levels()}
-        theta = None
-        if not bank.homogeneous:
-            theta = np.abs(peetre_maximal(f, bank, 0, N).samples)
-        starred = aggregate(fields.items(), params, theta=theta)
+        starred = band_norm(_moduli((j, peetre_maximal(b, j, N))
+                                    for j, b in split), params)
         ratio = starred / plain
         if ratio < 1.0 - 1e-12:
             rep.failures.append({"trial": i, "ratio": ratio})
@@ -412,8 +410,9 @@ def counterexample_growth(r: float, depths, exponent: float = 1.0) -> Report:
         spec = spec + bump / tot  # unit integral: piece value 1 at x = 0
         if N in depths:
             f = GridFunction.from_spectrum(n, spec)
-            ratios[N] = (space_norm(f, lhs_params, bank)
-                         / space_norm(f, rhs_params, bank))
+            split = list(_moduli(bands(f, bank)))
+            ratios[N] = (band_norm(split, lhs_params)
+                         / band_norm(split, rhs_params))
     rep.constants = dict(ratios)
     cut = (min(ratios) + max(ratios) + 1) // 2
     tail = [N for N in sorted(ratios) if N >= cut]
@@ -437,9 +436,7 @@ def band_pointwise_campaign(corpus, bank: FilterBank, q: float,
     rep = Report(name="band-pointwise")
     hi = 0.0
     for i, f in enumerate(corpus):
-        spec = f.spectrum()
-        for j in bank.levels():
-            bj = band(f, bank, j, spec)
+        for j, bj in bands(f, bank):
             nb = morrey_norm(bj, q, phi)
             if nb == 0:
                 continue

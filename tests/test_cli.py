@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morreykit import cli
+from morreykit import cli, verify
 from morreykit.cli import (EXIT_EXACT, EXIT_OK, EXIT_STABILITY, EXIT_USAGE,
-                           main, parse_params, validate_params)
+                           _plain, main, parse_params, validate_params)
 from morreykit.growth import SpaceParams, power
 from morreykit.gridfn import GridFunction, make_bank, preset_function
 from morreykit.norms import CoeffField, space_norm
@@ -201,6 +201,22 @@ def test_campaign_command(capsys):
     assert json.loads(out)["passed"] is True
     code, _, err = run(capsys, "campaign", "--name", "unknown")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["--name", "maximal", "--trials", "1", "--resolutions", "8", "16"],
+     lambda: verify.maximal_campaign(2.0, 2.0, power(4.0, 2), 1, [8, 16],
+                                     n=2, seed=0)),
+    (["--name", "embedding", "--r", "0.5", "--depth", "3", "--trials", "2"],
+     lambda: verify.embedding_campaign(2.0, 2.0, 0.5, depth=3, trials=2,
+                                       seed=0, n=2)),
+])
+def test_campaign_reads_dim(capsys, argv, expect):
+    code, out, _ = run(capsys, "campaign", *argv, "--dim", "2")
+    assert code in (EXIT_OK, EXIT_STABILITY)
+    assert json.loads(out) == json.loads(json.dumps(_plain(expect().to_dict())))
+    _, out1, _ = run(capsys, "campaign", *argv, "--dim", "1")
+    assert out1 != out
 
 
 def test_suite_command(capsys, tmp_path):

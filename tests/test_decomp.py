@@ -264,6 +264,16 @@ def test_band_decay_profile_smoke():
     assert all(v >= 0 for v in prof.values())
 
 
+def test_band_decay_profile_pinned():
+    Q = DyadicCube(3, (2,))
+    a = make_atom(Q, AtomSpec(1, 0), 128, seed=9)
+    prof = band_decay_profile(a, Q, make_bank(1, 128), P=1.0)
+    assert {nu: v.hex() for nu, v in prof.items()} == {
+        1: "0x1.0ed4609bb1b88p-2", 2: "0x1.6b1a431d225cbp-3",
+        3: "0x1.0ba253820ca14p-4", 4: "0x1.06506e70c0acap-6",
+        5: "0x1.ab19a255527b4p-10"}
+
+
 def test_quark_partition_of_unity():
     gen = QuarkGen(n=1)
     assert gen.partition_residual() < 1e-12

@@ -320,10 +320,10 @@ def test_peetre_maximal_dominates_band():
     f = random_bandlimited(1, G, 12, seed=8)
     for j in (1, 3):
         b = np.abs(band(f, bank, j).samples)
-        P = peetre_maximal(f, bank, j, 4.0).samples.real
+        P = peetre_maximal(band(f, bank, j), j, 4.0).samples.real
         assert np.all(P >= b - 1e-12)
     with pytest.raises(ValueError):
-        peetre_maximal(f, bank, 1, 0.0)
+        peetre_maximal(band(f, bank, 1), 1, 0.0)
 
 
 def test_peetre_maximal_constant_band():
@@ -331,7 +331,7 @@ def test_peetre_maximal_constant_band():
     bank = make_bank(1, G)
     f = GridFunction(1, np.full(G, 1.0 + 0j))
     # theta == 1 at k = 0, so band 0 is the constant; max attained at y = x
-    P = peetre_maximal(f, bank, 0, 3.0).samples.real
+    P = peetre_maximal(band(f, bank, 0), 0, 3.0).samples.real
     assert np.allclose(P, 1.0)
 
 
@@ -355,8 +355,8 @@ def test_peetre_scan_matches_full_scan(n, G):
             g = np.abs(band(f, bank, j).samples)
             for N in (2.5, 4.0):
                 want = _full_peetre_scan(g, j, N)
-                assert np.array_equal(peetre_maximal(f, bank, j, N).samples,
-                                      want)
+                assert np.array_equal(
+                    peetre_maximal(band(f, bank, j), j, N).samples, want)
 
 
 def _peetre_char_output():

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-only `gridfn._outer` builds an n-axis product grid, and no arithmetic takes
-a fresh `.copy()` as an operand.
+only `gridfn._outer` builds an n-axis product grid, no arithmetic takes a
+fresh `.copy()` as an operand, and no loop calls `band`.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -92,3 +92,42 @@ def test_copy_operands_are_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_arithmetic_on_fresh_copies(path):
     assert copy_operands(path.read_text()) == []
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def band_calls_in_loops(source):
+    """Lines that call `band(` in the body of a for/while loop or anywhere
+    in a comprehension.  Code that splits several levels of one function
+    iterates `gridfn.bands`, which takes the spectrum once; `band` takes it
+    again on every call."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, LOOPS):
+            scopes = node.body
+        elif isinstance(node, COMPREHENSIONS):
+            scopes = [node]
+        else:
+            continue
+        for sub in (x for scope in scopes for x in ast.walk(scope)):
+            if isinstance(sub, ast.Call) and (
+                    getattr(sub.func, "id", None) == "band"
+                    or getattr(sub.func, "attr", None) == "band"):
+                lines.add(sub.lineno)
+    return sorted(lines)
+
+
+def test_band_calls_in_loops_are_caught():
+    assert band_calls_in_loops(
+        "for j in js:\n    b = band(f, bank, j)\n"
+        "c = [gridfn.band(f, bank, j) for j in js]\n"
+        "while x:\n    x = {j: band(f, bank, j) for j in x}\n"
+        "d = band(f, bank, 0)\n"
+        "for j, b in bands(f, bank):\n    e = bands(f, bank, [j])\n") == [2, 3, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_band_calls_in_loops(path):
+    assert band_calls_in_loops(path.read_text()) == []

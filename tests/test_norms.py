@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from morreykit.dyadic import DyadicCube, cube_mask
 from morreykit.growth import SpaceParams, power, power_of
-from morreykit.gridfn import (GridFunction, band, make_bank,
+from morreykit.gridfn import (GridFunction, band, bands, make_bank,
                               random_bandlimited)
 from morreykit.norms import (CoeffField, QuarkCoeffs, _cell_fields,
-                             _morrey_of_array, aggregate, min_triangle_check,
-                             morrey_norm, quark_norm, seq_norm, space_norm)
+                             _morrey_of_array, aggregate, band_norm,
+                             min_triangle_check, morrey_norm, quark_norm,
+                             seq_norm, space_norm)
 from morreykit.verify import coeff_corpus
 
 INF = math.inf
@@ -102,28 +103,28 @@ def test_space_norm_variants_positive():
 
 
 def test_aggregate_matches_space_and_seq_norm():
-    # one N/E core: raw band moduli (plus theta unless homogeneous) give
-    # space_norm, and the lattice cell fields give seq_norm, bit for bit
+    # one N/E core: raw band moduli in level order (theta first unless
+    # homogeneous) give space_norm through band_norm, and the lattice cell
+    # fields give seq_norm through aggregate, bit for bit
     G = 64
     f = random_bandlimited(1, G, 12, seed=4)
     lam = coeff_corpus(1, 5, 1, seed=4, floor=-2)[0]
     for hom in (False, True):
         bank = make_bank(1, G, homogeneous=hom)
-        fields = {j: np.abs(band(f, bank, j).samples)
-                  for j in bank.levels() if hom or j >= 1}
-        theta = None if hom else np.abs(band(f, bank, 0).samples)
+        fields = {j: np.abs(band(f, bank, j).samples) for j in bank.levels()}
         for variant in ("N", "E"):
             for r in (0.5, 2.0, INF):
                 params = SpaceParams(q=1.0, r=r, s=1.0, phi=power(2.0),
                                      variant=variant, homogeneous=hom, n=1)
-                agg = aggregate(fields.items(), params, theta=theta)
+                agg = band_norm(fields.items(), params)
                 assert agg == space_norm(f, params, bank)
                 cells = _cell_fields(lam, lam.max_level)
                 assert aggregate(cells.items(), params) == seq_norm(lam, params)
 
 
 def test_space_norm_matches_per_band_spectrum():
-    # space_norm takes f.spectrum() once; the reference takes it per band
+    # bands and space_norm take f.spectrum() once; the reference takes it
+    # per band
     for n, G in ((1, 64), (2, 32)):
         f = random_bandlimited(n, G, G // 4, seed=5)
         for kind in ("partition", "bump"):
@@ -134,6 +135,13 @@ def test_space_norm_matches_per_band_spectrum():
                     return GridFunction.from_spectrum(
                         n, bank.window(j) * f.spectrum())
 
+                for levels in (None, bank.tau_levels()):
+                    split = list(bands(f, bank, levels))
+                    assert [j for j, _ in split] == list(
+                        bank.levels() if levels is None else levels)
+                    for j, b in split:
+                        assert (b.samples.tobytes()
+                                == per_band(j).samples.tobytes())
                 fields = {j: np.abs(per_band(j).samples)
                           for j in bank.levels() if hom or j >= 1}
                 for variant in ("N", "E"):

@@ -157,6 +157,28 @@ def test_peetre_char_lower_bound_exact():
     assert rep.extra["min"] >= 1.0 - 1e-12
 
 
+# peetre_char_campaign on function_corpus(1, 256, 2, seed=11), as float.hex:
+# variant -> (constant, min, witness trial); E runs on a homogeneous bank
+PEETRE_PINS = {
+    "N": ("0x1.3757194a24f5cp+0", "0x1.3731d535494c9p+0", 0),
+    "E": ("0x1.24df7ba89231fp+0", "0x1.21db4d071dd31p+0", 1),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PEETRE_PINS))
+def test_peetre_char_campaign_pinned(variant):
+    hom = variant == "E"
+    params = SpaceParams(q=1.0, r=2.0 if variant == "N" else INF, s=1.0,
+                         phi=power(2.0), variant=variant, homogeneous=hom, n=1)
+    corpus = function_corpus(1, 256, 2, seed=11, zero_mean=hom)
+    rep = peetre_char_campaign(params, peetre_threshold(params) + 1.0, corpus,
+                               make_bank(1, 256, homogeneous=hom))
+    const, low, trial = PEETRE_PINS[variant]
+    assert rep.passed and rep.trials == 2
+    assert (rep.constants[256].hex(), rep.extra["min"].hex()) == (const, low)
+    assert rep.witness == {"trial": trial, "ratio": float.fromhex(const)}
+
+
 def test_multiplier_campaign():
     params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
     G = 64
@@ -204,6 +226,29 @@ def test_counterexample_precondition():
         counterexample_growth(2.0, range(2, 5))
 
 
+# counterexample_growth(0.5, range(2, 9), exponent), as float.hex: the
+# ratio per depth 2..8, then the slope fitted on depths 5..8
+COUNTEREXAMPLE_PINS = {
+    1.0: (("0x1.d20ae48fdf9d7p-2", "0x1.36aee498c4aefp+0",
+           "0x1.d18aa318fe645p+0", "0x1.2e41171e5c332p+1",
+           "0x1.7d668808258cep+1", "0x1.cad96568d91f0p+1",
+           "0x1.0a0a0a1539c2ep+2"), "0x1.3495baef746c1p+0"),
+    2.0: (("0x1.a835d0589b599p-2", "0x1.1acbc78a4effbp+0",
+           "0x1.a7c11209f56b6p+0", "0x1.08d44a4e52f64p+1",
+           "0x1.2763830b2e55fp+1", "0x1.3795ab3364626p+1",
+           "0x1.3f88a483a8ee6p+1"), "0x1.9a65f77c5d082p-2"),
+}
+
+
+@pytest.mark.parametrize("exponent", sorted(COUNTEREXAMPLE_PINS))
+def test_counterexample_growth_pinned(exponent):
+    rep = counterexample_growth(0.5, range(2, 9), exponent)
+    ratios, slope = COUNTEREXAMPLE_PINS[exponent]
+    assert tuple(rep.constants[N].hex() for N in range(2, 9)) == ratios
+    assert rep.extra["slope"].hex() == slope
+    assert rep.extra["fit_range"] == [5, 8]
+
+
 def test_band_pointwise_campaign():
     G = 64
     bank = make_bank(1, G)
@@ -211,6 +256,15 @@ def test_band_pointwise_campaign():
     rep = band_pointwise_campaign(corpus, bank, 1.0, power(2.0))
     assert rep.trials == 4
     assert rep.constants[G] >= 1.0 - 1e-12  # attained at the sup cube
+
+
+def test_band_pointwise_campaign_pinned():
+    G = 64
+    rep = band_pointwise_campaign(function_corpus(1, G, 3, seed=10),
+                                  make_bank(1, G), 1.0, power(2.0))
+    assert rep.constants[G].hex() == "0x1.0757ee3603dd5p+1"
+    assert rep.witness == {"trial": 2, "level": 0,
+                           "ratio": float.fromhex("0x1.0757ee3603dd5p+1")}
 
 
 def test_band_pointwise_constant_band():
