@@ -22,7 +22,7 @@ from . import decomp, growth, trace, verify
 from .growth import (GrowthFunction, SpaceParams, check_nakai, dyadic_scales,
                      power, powerlog)
 from .gridfn import GridFunction, make_bank, preset_function, rychkov_pair
-from .norms import CoeffField, seq_norm, space_norm
+from .norms import MAX_LEVEL_BITS, CoeffField, seq_norm, space_norm
 
 EXIT_OK, EXIT_USAGE, EXIT_EXACT, EXIT_STABILITY = 0, 1, 2, 3
 
@@ -107,8 +107,18 @@ def validate_params(params: SpaceParams, for_trace: bool = False) -> list:
 # ---------------------------------------------------------------------------
 # commands (main() has replaced a checked --params by its SpaceParams)
 
+def _check_cells(G: int, n: int) -> None:
+    """Refuse a G^n grid of more than 2^MAX_LEVEL_BITS cells before any
+    array of that size is allocated."""
+    if G > 1 and n > 0 and (n > MAX_LEVEL_BITS
+                            or G ** n > 1 << MAX_LEVEL_BITS):
+        raise ValueError(f"a grid of {G}^{n} cells exceeds"
+                         f" 2^{MAX_LEVEL_BITS}")
+
+
 def _load_function(args) -> GridFunction:
     if not args.input:
+        _check_cells(args.res, args.dim)
         return preset_function(args.fn, args.dim, args.res, seed=args.seed)
     with open(args.input, "rb") as fh:
         f = GridFunction.from_bytes(fh.read())
@@ -180,36 +190,70 @@ def cmd_extend(args):
             lambda: trace.extend_coeff(mu, problem).to_csv())
 
 
-def _campaign_report(args):
-    name, seed = args.name, args.seed
-    if args.trials < 1 or args.depth < 1:
-        raise ValueError(f"a campaign needs trials >= 1 and depth >= 1,"
-                         f" got {args.trials} and {args.depth}")
+# campaign -> the options it reads besides seed, with their defaults
+_GRIDS = {"dim": 1, "trials": 100, "resolutions": [128, 256]}
+CAMPAIGNS = {"hardy": {"delta": 0.5, "r": 2.0, "trials": 100},
+             "maximal": {"phi": "power", **_GRIDS},
+             "filter": {"params": "power-p2-q2-s1-N-r2", **_GRIDS},
+             "peetre": {"params": "power-p2-q2-s1-N-r2", **_GRIDS},
+             "embedding": {"dim": 1, "r": 0.5, "depth": 6, "trials": 100},
+             "counterexample": {"r": 0.5}}
+
+
+def _campaign_options(cfg: dict) -> dict:
+    """The one gate of campaign and suite: cfg (name, seed and the options
+    given) over its campaign's defaults, which must cover every option."""
+    takes = CAMPAIGNS.get(cfg.get("name"))
+    if takes is None:
+        raise ValueError(f"unknown campaign {cfg.get('name')!r}")
+    unread = sorted(cfg.keys() - {"name", "seed"} - takes.keys())
+    if unread:
+        raise ValueError(f"campaign {cfg['name']} reads only seed,"
+                         f" {', '.join(takes)}; not {', '.join(unread)}")
+    opts = {**takes, **cfg}
+    if min(opts.get("trials", 1), opts.get("depth", 1)) < 1:
+        raise ValueError("a campaign needs trials >= 1 and depth >= 1")
+    for G in opts.get("resolutions", ()):
+        _check_cells(G, opts["dim"])
+    if "depth" in opts:  # the finest coefficient level has 2^(depth dim) cells
+        _check_cells(2, opts["depth"] * opts["dim"])
+    return opts
+
+
+def _campaign_report(cfg: dict):
+    o = _campaign_options(cfg)
+    name, seed, n = o["name"], o["seed"], o.get("dim")
     if name == "hardy":
-        return verify.hardy_campaign(args.delta, args.r, args.trials, seed=seed)
+        return verify.hardy_campaign(o["delta"], o["r"], o["trials"], seed)
     if name == "maximal":
-        phi = {"power": power(4.0, args.dim),
-               "powerlog": powerlog(4.0, 1.0, args.dim)}.get(args.phi)
+        phi = {"power": power(4.0, n),
+               "powerlog": powerlog(4.0, 1.0, n)}.get(o["phi"])
         if phi is None:
-            raise ValueError(f"unknown phi {args.phi!r}: use power or powerlog")
-        return verify.maximal_campaign(2.0, 2.0, phi, args.trials,
-                                       args.resolutions, n=args.dim, seed=seed)
+            raise ValueError(f"unknown phi {o['phi']!r}: use power or powerlog")
+        return verify.maximal_campaign(2.0, 2.0, phi, o["trials"],
+                                       o["resolutions"], n=n, seed=seed)
     if name in ("filter", "peetre"):
-        params = parse_params(args.params, args.dim)
-        G = args.resolutions[-1]
-        corpus = verify.function_corpus(args.dim, G, args.trials, seed)
-        bank = make_bank(args.dim, G, homogeneous=params.homogeneous)
-        if name == "peetre":
-            N = verify.peetre_threshold(params) + 1.0
-            return verify.peetre_char_campaign(params, N, corpus, bank)
-        bump = make_bank(args.dim, G, "bump", homogeneous=params.homogeneous)
-        return verify.filter_invariance_campaign(bank, bump, params, corpus)
+        # the finest grid's report, with the constants and failures of all
+        params = parse_params(o["params"], n)
+        constants, failures = {}, []
+        for G in sorted(set(o["resolutions"])):
+            corpus = verify.function_corpus(n, G, o["trials"], seed)
+            bank = make_bank(n, G, homogeneous=params.homogeneous)
+            if name == "peetre":
+                N = verify.peetre_threshold(params) + 1.0
+                rep = verify.peetre_char_campaign(params, N, corpus, bank)
+            else:
+                bump = make_bank(n, G, "bump", homogeneous=params.homogeneous)
+                rep = verify.filter_invariance_campaign(bank, bump, params,
+                                                        corpus)
+            constants.update(rep.constants)
+            failures += [{"res": G, **f} for f in rep.failures]
+        rep.constants, rep.failures = constants, failures
+        return rep
     if name == "embedding":
-        return verify.embedding_campaign(2.0, 2.0, args.r, args.depth,
-                                         args.trials, seed=seed, n=args.dim)
-    if name == "counterexample":
-        return verify.counterexample_growth(args.r, depths=range(2, 13))
-    raise ValueError(f"unknown campaign {name!r}")
+        return verify.embedding_campaign(2.0, 2.0, o["r"], o["depth"],
+                                         o["trials"], seed=seed, n=n)
+    return verify.counterexample_growth(o["r"], depths=range(2, 13))
 
 
 def _exit_code(rep) -> int:
@@ -218,7 +262,8 @@ def _exit_code(rep) -> int:
 
 
 def cmd_campaign(args):
-    rep = _campaign_report(args)
+    rep = _campaign_report({k: v for k, v in vars(args).items()
+                            if k != "command"})
     return rep.to_dict(), _exit_code(rep), None
 
 
@@ -230,61 +275,47 @@ def _is_number(v) -> bool:
     return (_is_int(v) or isinstance(v, float)) and not math.isnan(v)
 
 
-# the keys of a suite entry, which are the fields _campaign_report reads
+# the JSON type of each suite key; CAMPAIGNS says which keys a campaign reads
+_STR, _INT = ("a string", lambda v: isinstance(v, str)), ("an integer", _is_int)
 SUITE_KEYS = {
-    "name": ("a string", lambda v: isinstance(v, str)),
-    "params": ("a string", lambda v: isinstance(v, str)),
-    "phi": ("a string", lambda v: isinstance(v, str)),
-    "seed": ("an integer", _is_int),
-    "dim": ("an integer", _is_int),
-    "depth": ("an integer", _is_int),
-    "trials": ("an integer", _is_int),
-    "delta": ("a number", _is_number),
+    "name": _STR, "params": _STR, "phi": _STR, "seed": _INT, "dim": _INT,
+    "depth": _INT, "trials": _INT, "delta": ("a number", _is_number),
     "r": ("a number", _is_number),
     "resolutions": ("a non-empty list of integers",
                     lambda v: isinstance(v, list) and v and all(map(_is_int, v))),
 }
 
 
-def _check_suite(configs) -> None:
-    """A suite file is a list of objects, each with a string name and only
-    the keys in SUITE_KEYS, each of its stated type."""
+def cmd_suite(args):
+    """A suite file is a list of objects whose keys have the types in
+    SUITE_KEYS; every entry, with --seed unless it sets its own, passes
+    the campaign gate before any entry runs."""
+    with open(args.file) as fh:
+        configs = json.load(fh)
     if not isinstance(configs, list) or \
             not all(isinstance(cfg, dict) for cfg in configs):
         raise ValueError("suite file must hold a JSON list of objects")
+    entries = []
     for i, cfg in enumerate(configs):
-        if "name" not in cfg:
-            raise ValueError(f"suite entry {i} has no 'name'")
-        for key, val in cfg.items():
-            if key not in SUITE_KEYS:
-                raise ValueError(f"suite entry {i}: unknown key {key!r}")
-            what, ok = SUITE_KEYS[key]
-            if not ok(val):
-                raise ValueError(f"suite entry {i}: {key!r} must be {what}")
-
-
-def cmd_suite(args):
-    with open(args.file) as fh:
-        configs = json.load(fh)
-    _check_suite(configs)
-    # an entry's unset fields take the campaign defaults, but 50 trials
-    base = vars(build_parser().parse_args(["campaign", "--name", "",
-                                           "--trials", "50"]))
-    worst = EXIT_OK
-    summary = []
-    for cfg in configs:
-        rep = _campaign_report(
-            argparse.Namespace(**{**base, "seed": args.seed, **cfg}))
-        code = _exit_code(rep)
-        worst = max(worst, code)
-        summary.append({"campaign": rep.name, "constants": rep.constants,
-                        "pass": code == EXIT_OK})
-    return summary, worst, None
+        try:
+            for key, val in cfg.items():
+                what, ok = SUITE_KEYS.get(key, ("", None))
+                if ok and not ok(val):
+                    raise ValueError(f"{key!r} must be {what}")
+            entries.append(_campaign_options({"seed": args.seed, **cfg}))
+        except ValueError as e:
+            raise ValueError(f"suite entry {i}: {e}") from None
+    reps = [_campaign_report(cfg) for cfg in entries]
+    codes = [_exit_code(rep) for rep in reps]
+    return ([{"campaign": rep.name, "constants": rep.constants,
+              "pass": code == EXIT_OK} for rep, code in zip(reps, codes)],
+            max(codes, default=EXIT_OK), None)
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+_UNSET = {"default": argparse.SUPPRESS}  # campaign options: see CAMPAIGNS
 # every option a command may take: flag name -> add_argument keywords
 OPTIONS = {
     "params": {"required": True},
@@ -300,12 +331,12 @@ OPTIONS = {
     "hom": {"action": "store_true"},
     "beta-cutoff": {"type": int, "default": 4},
     "name": {"required": True},
-    "delta": {"type": float, "default": 0.5},
-    "r": {"type": float, "default": 2.0},
-    "trials": {"type": int, "default": 100},
-    "depth": {"type": int, "default": 6},
-    "phi": {"default": "power"},
-    "resolutions": {"type": int, "nargs": "+", "default": [128, 256]},
+    "delta": {"type": float, **_UNSET},
+    "r": {"type": float, **_UNSET},
+    "trials": {"type": int, **_UNSET},
+    "depth": {"type": int, **_UNSET},
+    "phi": _UNSET,
+    "resolutions": {"type": int, "nargs": "+", **_UNSET},
     "file": {"required": True},
 }
 
@@ -332,7 +363,7 @@ COMMANDS = {
                       _DIM2),
     "campaign": Command(cmd_campaign, "", "name seed dim delta r trials"
                         " depth phi params resolutions",
-                        {"params": {"default": "power-p2-q2-s1-N-r2"}},
+                        {"dim": {"type": int, **_UNSET}, "params": _UNSET},
                         indent=2),
     "suite": Command(cmd_suite, "", "file seed", indent=2),
 }
@@ -396,8 +427,8 @@ def main(argv=None) -> int:
                 data = out()
                 with open(args.out, "w") as fh:
                     fh.write(data)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_USAGE
     try:
         print(text)

@@ -235,6 +235,14 @@ def tau_profile_bump(u):
     return cosstep((u - 0.9) / 0.55) * cosstep((2.95 - u) / 0.55)
 
 
+# bank kind -> (theta, tau) profiles: level 0 of an inhomogeneous bank is
+# theta, every other level j is tau(2^-j u); the partition's tau telescopes
+BANK_PROFILES = {
+    "partition": (theta_profile,
+                  lambda u: theta_profile(u) - theta_profile(2 * u)),
+    "bump": (theta_profile_bump, tau_profile_bump)}
+
+
 def kappa_profile(u):
     """chi_{Q(3)} <= kappa <= chi_{Q(3.01)} (sampling window)."""
     return smoothstep7((3.01 - np.asarray(u, dtype=float)) / 0.01)
@@ -279,13 +287,8 @@ class FilterBank:
         theta > 0 on Q(2), tau > 0 on Q(2)\\Q(1); partition residual."""
         u = kinf_grid(self.n, self.G)
         index = u.astype(np.intp)
-        if self.kind == "partition":
-            theta = radial_window(theta_profile, self.n, self.G, index)
-            tau = radial_window(lambda v: theta_profile(v) - theta_profile(2 * v),
-                                self.n, self.G, index)
-        else:
-            theta = radial_window(theta_profile_bump, self.n, self.G, index)
-            tau = radial_window(tau_profile_bump, self.n, self.G, index)
+        theta, tau = (radial_window(prof, self.n, self.G, index)
+                      for prof in BANK_PROFILES[self.kind])
         checks = {
             "tau_vanishes_at_0": bool(tau[(0,) * self.n] == 0.0),
             "theta_pos_on_Q2": bool(np.all(theta[u <= 2.0] > 0.0)),
@@ -305,19 +308,15 @@ class FilterBank:
 
 def make_bank(n: int, G: int, kind: str = "partition",
               homogeneous: bool = False) -> FilterBank:
-    if kind not in ("partition", "bump"):
+    if kind not in BANK_PROFILES:
         raise ValueError(f"unknown bank kind {kind}")
     _check_grid(G)
     bank = FilterBank(n=n, G=G, kind=kind, homogeneous=homogeneous)
     index = kinf_grid(n, G).astype(np.intp)
-    th = theta_profile
+    theta, tau = BANK_PROFILES[kind]
     for j in bank.levels():
-        if j == 0 and not homogeneous:
-            prof = th if kind == "partition" else theta_profile_bump
-        elif kind == "partition":
-            prof = lambda u, j=j: th(u / 2.0 ** j) - th(u / 2.0 ** (j - 1))
-        else:
-            prof = lambda u, j=j: tau_profile_bump(u / 2.0 ** j)
+        prof = (theta if j == 0 and not homogeneous
+                else lambda u, j=j: tau(u / 2.0 ** j))
         bank.windows[j] = radial_window(prof, n, G, index)
     return bank
 

@@ -58,6 +58,12 @@ class Report:
             return True
         return (hi - lo) / hi <= tol
 
+    def observe(self, key, ratio: float, **where) -> None:
+        """Raise constants[key] to ratio; a strict rise sets the witness."""
+        if ratio > self.constants[key]:
+            self.constants[key] = ratio
+            self.witness = {**where, "ratio": ratio}
+
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
 
@@ -130,8 +136,8 @@ def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0) -> Report
     idx = np.arange(HARDY_LENGTH)
     kernel = 2.0 ** (-delta * np.abs(idx[:, None] - idx[None, :]))
     rep = Report(name=f"hardy-d{delta}-r{r}", trials=trials,
+                 constants={HARDY_LENGTH: 0.0},
                  extra={"bound": bound, "delta": delta, "r": r})
-    best = 0.0
     for i in range(trials):
         rng = trial_rng(seed, i)
         a = ((rng.random(HARDY_LENGTH) < 0.3)
@@ -140,12 +146,9 @@ def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0) -> Report
         if na == 0:
             continue
         ratio = _lr_norm(kernel @ a, r) / na
-        if ratio > best:
-            best = ratio
-            rep.witness = {"trial": i, "seed": [seed, i], "ratio": ratio}
+        rep.observe(HARDY_LENGTH, ratio, trial=i, seed=[seed, i])
         if ratio > bound + 1e-9:
             rep.failures.append({"trial": i, "ratio": ratio, "bound": bound})
-    rep.constants[HARDY_LENGTH] = best
     return rep
 
 
@@ -201,21 +204,20 @@ def filter_invariance_campaign(bankA: FilterBank, bankB: FilterBank,
     """Band of space_norm(f; A) / space_norm(f; B) over the corpus."""
     if not bankA.admissible() or not bankB.admissible():
         raise ValueError("both banks must be admissible")
-    rep = Report(name=f"filter-invariance-{params.variant}-r{params.r}")
-    lo, hi = INF, 0.0
+    G = bankA.G
+    rep = Report(name=f"filter-invariance-{params.variant}-r{params.r}",
+                 constants={G: 0.0})
+    lo = INF
     for i, f in enumerate(corpus):
         nb = space_norm(f, params, bankB)
         if nb == 0:
             continue
         ratio = space_norm(f, params, bankA) / nb
-        if ratio > hi:
-            hi = ratio
-            rep.witness = {"trial": i, "ratio": ratio}
+        rep.observe(G, ratio, trial=i)
         lo = min(lo, ratio)
         rep.trials += 1
-    rep.constants[bankA.G] = hi
     rep.extra["min"] = lo if rep.trials else 0.0
-    rep.extra["max"] = hi
+    rep.extra["max"] = rep.constants[G]
     return rep
 
 
@@ -236,8 +238,9 @@ def peetre_char_campaign(params: SpaceParams, N: float, corpus,
     if N <= peetre_threshold(params):
         raise ValueError(f"N must exceed {peetre_threshold(params)}")
     _check_bank(params, bank)
-    rep = Report(name=f"peetre-{params.variant}-N{N}")
-    lo, hi = INF, 0.0
+    rep = Report(name=f"peetre-{params.variant}-N{N}",
+                 constants={bank.G: 0.0})
+    lo = INF
     for i, f in enumerate(corpus):
         split = list(bands(f, bank))
         plain = band_norm(_moduli(split), params)
@@ -248,12 +251,9 @@ def peetre_char_campaign(params: SpaceParams, N: float, corpus,
         ratio = starred / plain
         if ratio < 1.0 - 1e-12:
             rep.failures.append({"trial": i, "ratio": ratio})
-        if ratio > hi:
-            hi = ratio
-            rep.witness = {"trial": i, "ratio": ratio}
+        rep.observe(bank.G, ratio, trial=i)
         lo = min(lo, ratio)
         rep.trials += 1
-    rep.constants[bank.G] = hi
     rep.extra["min"] = lo if rep.trials else 0.0
     return rep
 
@@ -269,8 +269,8 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     n = params.n
     if nu <= n / min(1.0, params.q, params.r if params.r != INF else 1.0) + n / 2.0:
         raise ValueError("nu below the multiplier threshold")
-    rep = Report(name=f"multiplier-nu{nu}")
     G = bank.G
+    rep = Report(name=f"multiplier-nu{nu}", constants={G: 0.0})
     N = peetre_threshold(params) + 1.0
     rng = np.random.default_rng(seed)
     # smooth random profile on the frequency box, sampled where bands live
@@ -283,7 +283,6 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     sob = sobolev_norm(GridFunction(n, _outer(np.multiply, [Hprof(u)] * n)),
                        nu, spacing=16.0 / M)
     index = kinf_grid(n, G).astype(np.intp)
-    hi = 0.0
     for i, f in enumerate(corpus):
         spec = f.spectrum()
         fields = {}
@@ -299,11 +298,8 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
         if rhs == 0:
             continue
         ratio = aggregate(fields.items(), params) / rhs
-        if ratio > hi:
-            hi = ratio
-            rep.witness = {"trial": i, "ratio": ratio}
+        rep.observe(G, ratio, trial=i)
         rep.trials += 1
-    rep.constants[G] = hi
     rep.extra["sobolev"] = sob
     return rep
 
@@ -322,8 +318,7 @@ def pointwise_mult_campaign(k: int, params: SpaceParams, corpus_f, corpus_g,
     sigma = params.sigma_q if params.variant == "N" else params.sigma_qr
     if not (k > params.s > sigma):
         raise ValueError("needs k > s > sigma")
-    rep = Report(name=f"pointwise-mult-k{k}")
-    hi = 0.0
+    rep = Report(name=f"pointwise-mult-k{k}", constants={bank.G: 0.0})
     for i, (f, g) in enumerate(zip(corpus_f, corpus_g)):
         nf = space_norm(f, params, bank)
         ng = bc_norm(g, k)
@@ -331,11 +326,8 @@ def pointwise_mult_campaign(k: int, params: SpaceParams, corpus_f, corpus_g,
             continue
         prod = GridFunction(f.n, f.samples * g.samples)
         ratio = space_norm(prod, params, bank) / (ng * nf)
-        if ratio > hi:
-            hi = ratio
-            rep.witness = {"trial": i, "ratio": ratio}
+        rep.observe(bank.G, ratio, trial=i)
         rep.trials += 1
-    rep.constants[bank.G] = hi
     return rep
 
 
@@ -353,17 +345,13 @@ def embedding_campaign(p: float, q: float, r: float, depth: int,
                              variant="E", n=n)
     rhs_params = SpaceParams(q=q, r=INF, s=n / p, phi=power(p, n),
                              variant="E", n=n)
-    rep = Report(name=f"embedding-p{p}-q{q}-r{r}", trials=trials)
-    hi = 0.0
+    rep = Report(name=f"embedding-p{p}-q{q}-r{r}", trials=trials,
+                 constants={depth: 0.0})
     for i, lam in enumerate(coeff_corpus(n, depth, trials, seed)):
         rhs = seq_norm(lam, rhs_params)
         if rhs == 0:
             continue
-        ratio = seq_norm(lam, lhs_params) / rhs
-        if ratio > hi:
-            hi = ratio
-            rep.witness = {"trial": i, "ratio": ratio}
-    rep.constants[depth] = hi
+        rep.observe(depth, seq_norm(lam, lhs_params) / rhs, trial=i)
     return rep
 
 
@@ -433,17 +421,13 @@ def band_pointwise_campaign(corpus, bank: FilterBank, q: float,
                             phi: GrowthFunction) -> Report:
     """sup over x, j, corpus of phi(2^-j) |band_j f(x)| / ||band_j f||_M:
     the pointwise control of a band by its Morrey norm."""
-    rep = Report(name="band-pointwise")
-    hi = 0.0
+    rep = Report(name="band-pointwise", constants={bank.G: 0.0})
     for i, f in enumerate(corpus):
         for j, bj in bands(f, bank):
             nb = morrey_norm(bj, q, phi)
             if nb == 0:
                 continue
-            ratio = phi(min(1.0, 2.0 ** (-j))) * bj.linf() / nb
-            if ratio > hi:
-                hi = ratio
-                rep.witness = {"trial": i, "level": j, "ratio": ratio}
+            rep.observe(bank.G, phi(min(1.0, 2.0 ** (-j))) * bj.linf() / nb,
+                        trial=i, level=j)
         rep.trials += 1
-    rep.constants[bank.G] = hi
     return rep

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import shlex
 import sys
 import warnings
@@ -237,6 +238,128 @@ def _assert_fails_closed(code, out, err):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+# a valid value of each campaign option, as a suite entry gives it
+CAMPAIGN_VALUES = {"dim": 1, "delta": 0.5, "r": 2.0, "trials": 2, "depth": 3,
+                   "phi": "power", "params": "power-p2-q2-s1-N-r2",
+                   "resolutions": [16, 32]}
+UNREAD = [(name, opt) for name, reads in cli.CAMPAIGNS.items()
+          for opt in CAMPAIGN_VALUES if opt not in reads]
+
+
+def test_campaign_options_are_the_table():
+    # 54 settable (campaign, option) pairs, one option set for six
+    # campaigns, became 26: each campaign's own options and --seed
+    opts = cli.COMMANDS["campaign"].options.split()
+    assert sorted(opts) == sorted(["name", "seed", *CAMPAIGN_VALUES])
+    assert sum(len(reads) + 1 for reads in cli.CAMPAIGNS.values()) == 26
+    assert len(UNREAD) == 28
+
+
+@pytest.mark.parametrize("name,opt", UNREAD)
+def test_campaign_rejects_unread_option(capsys, tmp_path, name, opt):
+    value = CAMPAIGN_VALUES[opt]
+    result = run(capsys, "campaign", "--name", name, f"--{opt}",
+                 *map(str, value if isinstance(value, list) else [value]))
+    _assert_fails_closed(*result)
+    assert result[2].endswith(f"not {opt}")
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps([{"name": "hardy", "trials": 2},
+                               {"name": name, opt: value}]))
+    result = run(capsys, "suite", "--file", str(cfg))
+    _assert_fails_closed(*result)
+    assert result[2].startswith("error: suite entry 1:")
+
+
+@pytest.mark.parametrize("name", sorted(cli.CAMPAIGNS))
+def test_bare_campaign_runs(capsys, name):
+    # the defaults of every campaign are a valid configuration
+    code, out, err = run(capsys, "campaign", "--name", name)
+    assert code in (EXIT_OK, EXIT_STABILITY), err
+    assert json.loads(out)["constants"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--name", "hardy", "--trials", "2", "--dim", "7", "--phi", "bogus",
+     "--params", "junk", "--resolutions", "3", "--depth", "9"],
+    ["--name", "counterexample", "--dim", "3"],
+    ["--name", "maximal", "--delta", "9"]])
+def test_ignored_campaign_options_exit_1(capsys, argv):
+    _assert_fails_closed(*run(capsys, "campaign", *argv))
+
+
+@pytest.mark.parametrize("name", ["filter", "peetre"])
+def test_corpus_campaigns_run_every_resolution(capsys, name):
+    code, out, _ = run(capsys, "campaign", "--name", name, "--trials", "3",
+                       "--resolutions", "64", "32")
+    assert code in (EXIT_OK, EXIT_STABILITY)
+    got = json.loads(out)
+    assert list(got["constants"]) == ["32", "64"]
+    params = parse_params("power-p2-q2-s1-N-r2")
+    for G in (32, 64):
+        corpus = verify.function_corpus(1, G, 3, 0)
+        bank = make_bank(1, G)
+        if name == "peetre":
+            rep = verify.peetre_char_campaign(
+                params, verify.peetre_threshold(params) + 1.0, corpus, bank)
+        else:
+            rep = verify.filter_invariance_campaign(
+                bank, make_bank(1, G, "bump"), params, corpus)
+        assert got["constants"][str(G)] == rep.constants[G]
+    # the finest grid's witness and extras
+    assert got["witness"] == json.loads(json.dumps(_plain(rep.witness)))
+    assert got["extra"] == json.loads(json.dumps(_plain(rep.extra)))
+
+
+def test_corpus_campaign_keeps_failures_of_every_resolution(capsys,
+                                                            monkeypatch):
+    def failing(bankA, bankB, params, corpus):
+        return verify.Report(name="f", constants={bankA.G: 1.0},
+                             failures=[{"trial": bankA.G}])
+    monkeypatch.setattr(verify, "filter_invariance_campaign", failing)
+    code, out, _ = run(capsys, "campaign", "--name", "filter", "--trials",
+                       "1", "--resolutions", "32", "16")
+    assert code == EXIT_EXACT
+    assert json.loads(out)["failures"] == [{"res": 16, "trial": 16},
+                                           {"res": 32, "trial": 32}]
+
+
+def test_suite_entry_takes_campaign_defaults(capsys, tmp_path):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps([{"name": "hardy"}, {"name": "embedding"}]))
+    code, out, _ = run(capsys, "suite", "--file", str(cfg))
+    assert code == EXIT_OK
+    for entry, name in zip(json.loads(out), ["hardy", "embedding"]):
+        _, alone, _ = run(capsys, "campaign", "--name", name)
+        assert entry["constants"] == json.loads(alone)["constants"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--params", "power-p2-q1-s1-N-r2", "--dim", "4", "--res",
+     "4096"],
+    ["decompose", "--dim", "3", "--res", "512"],
+    ["campaign", "--name", "maximal", "--dim", "3", "--resolutions", "512"],
+    ["campaign", "--name", "peetre", "--dim", "2", "--resolutions", "16",
+     "8192"],
+    ["campaign", "--name", "embedding", "--dim", "3", "--depth", "9"]])
+def test_too_large_grids_fail_closed(capsys, argv):
+    # refused before any array of that size is allocated
+    result = run(capsys, *argv)
+    _assert_fails_closed(*result)
+    assert "cells exceeds 2^24" in result[2]
+
+
+def _raise_memory_error(args):
+    raise MemoryError
+
+
+def test_memory_error_fails_closed(capsys, monkeypatch):
+    monkeypatch.setitem(cli.COMMANDS, "norm", cli.COMMANDS["norm"]._replace(
+        handler=_raise_memory_error))
+    result = run(capsys, "norm", "--params", "power-p2-q1-s1-N-r2")
+    _assert_fails_closed(*result)
+    assert result[2] == "error: MemoryError"
+
+
 @pytest.mark.parametrize("row", ["1,5,0,1.0,0.0", "1,-1,0,1.0,0.0",
                                  "1,0,0,nan,0.0", "1,0,0,1.0",
                                  "30,0,0,1.0,0.0", "40,0,0,1.0,0.0"])
@@ -416,6 +539,26 @@ def test_readme_dry_run_examples(capsys):
     assert lines
     for line in lines:
         assert run(capsys, *shlex.split(line)[1:])[0] == EXIT_OK, line
+
+
+def _fmt(value):
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def test_readme_campaign_table():
+    """README's per-campaign table lists each campaign's options and
+    defaults as cli.CAMPAIGNS holds them."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| campaign | options (default) |\n|---|---|\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines():
+        name, opts = line.strip("|").split("|")
+        rows[name.strip().strip("`")] = dict(
+            re.findall(r"`--([\w-]+)` \(([^)]*)\)", opts))
+    assert rows == {name: {k: _fmt(v) for k, v in reads.items()}
+                    for name, reads in cli.CAMPAIGNS.items()}
 
 
 def test_env_seed_override(capsys, monkeypatch):

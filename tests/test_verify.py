@@ -37,6 +37,19 @@ def test_report_json():
     assert d["passed"] is True
 
 
+def test_report_observe_keeps_first_witness_of_the_sup():
+    rep = Report(name="x", constants={64: 0.0})
+    rep.observe(64, 1.5, trial=0)
+    rep.observe(64, 1.5, trial=1)  # a tie keeps the first witness
+    rep.observe(64, 0.5, trial=2)
+    assert rep.constants == {64: 1.5}
+    assert rep.witness == {"trial": 0, "ratio": 1.5}
+    rep.observe(64, 2.0, trial=3, level=1)
+    rep.observe(64, math.nan, trial=4)  # a NaN never raises the sup
+    assert rep.constants == {64: 2.0}
+    assert rep.witness == {"trial": 3, "level": 1, "ratio": 2.0}
+
+
 def test_trial_rng_deterministic_and_independent():
     a = trial_rng(5, 0).standard_normal(4)
     b = trial_rng(5, 0).standard_normal(4)
