@@ -369,7 +369,10 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parse_args
+    keeps no state in it."""
     ap = argparse.ArgumentParser(prog="morreykit")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():

@@ -268,6 +268,9 @@ class FilterBank:
     kind: str  # "partition" | "bump"
     homogeneous: bool = False
     windows: dict = field(default_factory=dict)
+    # level -> indices of the wavenumbers k with |k| <= R_j, the largest
+    # |k|_inf shell where the window is nonzero; None if it is zero
+    live: dict = field(default_factory=dict)
     kappa = staticmethod(kappa_profile)
 
     def levels(self) -> range:
@@ -313,20 +316,48 @@ def make_bank(n: int, G: int, kind: str = "partition",
     _check_grid(G)
     bank = FilterBank(n=n, G=G, kind=kind, homogeneous=homogeneous)
     index = kinf_grid(n, G).astype(np.intp)
+    shells = np.arange(G // 2 + 1, dtype=float)
     theta, tau = BANK_PROFILES[kind]
-    for j in bank.levels():
-        prof = (theta if j == 0 and not homogeneous
-                else lambda u, j=j: tau(u / 2.0 ** j))
-        bank.windows[j] = radial_window(prof, n, G, index)
+    # one tau call for all tau levels j: their rows are tau(u / 2^j)
+    scales = np.array([2.0 ** j for j in bank.tau_levels()])
+    rows = tau(shells / scales[:, None])
+    profiles = list(rows) if homogeneous else [theta(shells), *rows]
+    k = np.abs(wavenumbers(G))
+    for j, prof in zip(bank.levels(), profiles):
+        bank.windows[j] = prof[index]
+        shell = np.flatnonzero(prof)
+        bank.live[j] = np.flatnonzero(k <= shell[-1]) if shell.size else None
     return bank
 
 
 def bands(f: GridFunction, bank: FilterBank, levels=None):
     """Yield (j, F^{-1}[window_j . F f]) for the bank's levels, or for
-    levels in their order, one band at a time from one spectrum of f."""
-    spec = f.spectrum()
+    levels in their order, one band at a time from one spectrum of f.
+
+    A nonzero window gives the bytes of from_spectrum(n, window_j *
+    f.spectrum()): spectrum()'s 1/G^n and from_spectrum's G^n are powers of
+    two and cancel, and only transforms of all-zero lines are skipped
+    (pocketfft transforms each line alone, and x + 0 = x).  Axis n-1, then
+    each leading axis in ifftn's order, runs only on the lines whose earlier
+    axes are live (bank.live).  A zero window gives +0.0 samples with no
+    transform, where ifftn would give signed zeros."""
+    n, G = f.n, f.G
+    spec = np.fft.fftn(f.samples)
     for j in bank.levels() if levels is None else levels:
-        yield j, GridFunction.from_spectrum(f.n, bank.window(j) * spec)
+        window, live = bank.window(j), bank.live[j]
+        if live is None:
+            yield j, GridFunction(n, np.zeros_like(spec))
+            continue
+        sel = np.ix_(*[live] * (n - 1)) if live.size < G else ()
+        out = window[sel] * spec[sel]
+        for ax in reversed(range(n)):
+            if out.shape[ax] < G:  # zero-fill the dead wavenumbers of ax
+                full = np.zeros(out.shape[:ax] + (G,) + out.shape[ax + 1:],
+                                dtype=np.complex128)
+                full[(slice(None),) * ax + (live,)] = out
+                out = full
+            out = np.fft.ifft(out, axis=ax)
+        yield j, GridFunction(n, out)
 
 
 def band(f: GridFunction, bank: FilterBank, j: int) -> GridFunction:

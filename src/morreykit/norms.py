@@ -273,18 +273,16 @@ def space_norm(f: GridFunction, params: SpaceParams, bank: FilterBank) -> float:
 # ---------------------------------------------------------------------------
 # sequence-space norms (exact piecewise-constant arithmetic)
 
-def _cell_fields(lam: CoeffField, cell_level: int) -> dict:
-    """|lambda_j| expanded to the cell lattice at level cell_level."""
-    n = lam.n
+def _cell_fields(lam: CoeffField, cell_level: int):
+    """(j, |lambda_j| expanded to the cell lattice at level cell_level) in
+    level order, one level at a time."""
     side = 1 << cell_level
-    out = {}
     for j in lam.level_list():
         v = lam.levels[j]
         if j < 0:
-            out[j] = np.full((side,) * n, abs(v))
+            yield j, np.full((side,) * lam.n, abs(v))
         else:
-            out[j] = _expand(np.abs(v), 1 << (cell_level - j))
-    return out
+            yield j, _expand(np.abs(v), 1 << (cell_level - j))
 
 
 def seq_norm(lam: CoeffField, params: SpaceParams) -> float:
@@ -292,7 +290,7 @@ def seq_norm(lam: CoeffField, params: SpaceParams) -> float:
 
     'N' (n-type): (sum_j 2^{jsr} || sum_m lambda_jm chi_Q ||^r)^{1/r}
     'E' (e-type): || (sum_j 2^{jsr} (sum_m |lambda_jm| chi_Q)^r)^{1/r} ||"""
-    return aggregate(_cell_fields(lam, lam.max_level).items(), params)
+    return aggregate(_cell_fields(lam, lam.max_level), params)
 
 
 def quark_norm(qlam: QuarkCoeffs, params: SpaceParams, rho: float = None) -> float:

@@ -117,7 +117,7 @@ def _trace_cell_fields(lam: CoeffField, problem: TraceProblem):
     """|trace coefficients| per level, expanded to the finest (n-1)-lattice."""
     tl = trace_coeff(lam, problem)  # _cell_fields takes the moduli
     cl = tl.max_level
-    return _cell_fields(tl, cl), cl
+    return dict(_cell_fields(tl, cl)), cl
 
 
 def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:

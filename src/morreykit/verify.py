@@ -3,8 +3,9 @@
 Boundedness claims are not decidable from finitely many trials, so every
 campaign reports the empirical sup of lhs/rhs over a seeded corpus; the
 computable surrogate asserted downstream is that this constant is stable
-(within 25%) between the two largest configured depths/resolutions.  Exact
-identities are the exception: those record hard failures.
+(within 25%) between the two largest configured depths/resolutions, or,
+for a growth report, that its fitted slope is within 25% of the expected
+one.  Exact identities are the exception: those record hard failures.
 
 All corpora are deterministic: trial i of master seed S uses the RNG
 default_rng([S, i]) so trials are independent and order-free.
@@ -48,7 +49,12 @@ class Report:
         return not self.failures
 
     def stable(self, tol: float = 0.25) -> bool:
-        """The two largest depths' constants differ by less than tol."""
+        """The two largest depths' constants differ by less than tol.  A
+        report with a fitted growth slope is judged by it instead: it is
+        within tol of the expected slope, relative to that slope."""
+        if "slope" in self.extra:
+            expected = self.extra["expected"]
+            return abs(self.extra["slope"] - expected) <= tol * abs(expected)
         keys = sorted(self.constants)
         if len(keys) < 2:
             return True
@@ -84,10 +90,10 @@ def function_corpus(n: int, G: int, count: int, seed: int, kmax: int = 24,
 
 
 def coeff_corpus(n: int, depth: int, count: int, seed: int,
-                 floor: int = 0) -> list:
+                 floor: int = 0):
     """Sparse coefficient fields: Bernoulli(0.2) support, log-normal
-    magnitudes (heavy tails stress sup-type constants)."""
-    out = []
+    magnitudes (heavy tails stress sup-type constants).  A generator, one
+    field per trial, so a campaign holds one trial at a time."""
     for i in range(count):
         rng = trial_rng(seed, i)
         levels = {}
@@ -98,8 +104,7 @@ def coeff_corpus(n: int, depth: int, count: int, seed: int,
             shape = (1 << j,) * n
             mask = rng.random(shape) < 0.2
             levels[j] = mask * rng.lognormal(0.0, 1.0, shape)
-        out.append(CoeffField(n, levels))
-    return out
+        yield CoeffField(n, levels)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,28 @@ def test_bare_campaign_runs(capsys, name):
     assert json.loads(out)["constants"]
 
 
+@pytest.mark.parametrize("r", [0.5, 0.25, 0.2, 0.1])
+def test_counterexample_judged_by_slope(capsys, r):
+    # constants that grow like N^(1/r - 1) drift by more than 25% between
+    # depths 11 and 12 for small r; the fitted slope is what is judged
+    code, out, err = run(capsys, "campaign", "--name", "counterexample",
+                         "--r", str(r))
+    assert code == EXIT_OK, err
+    extra = json.loads(out)["extra"]
+    assert extra["expected"] == 1.0 / r - 1.0
+
+
+def test_exit_code_of_a_slope_off_by_more_than_25_percent():
+    rep = verify.Report(name="growth", constants={11: 1.0, 12: 1.0},
+                        extra={"slope": 5.1, "expected": 4.0})
+    assert cli._exit_code(rep) == EXIT_STABILITY
+    rep.extra["slope"] = 2.9
+    assert cli._exit_code(rep) == EXIT_STABILITY
+    rep.extra["slope"] = 4.9  # within 25%, whatever the constants' drift
+    rep.constants[12] = 100.0
+    assert cli._exit_code(rep) == EXIT_OK
+
+
 @pytest.mark.parametrize("argv", [
     ["--name", "hardy", "--trials", "2", "--dim", "7", "--phi", "bogus",
      "--params", "junk", "--resolutions", "3", "--depth", "9"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from morreykit.dyadic import DyadicCube, cube_mask
 from morreykit.growth import SpaceParams, power, power_of
 from morreykit.gridfn import (GridFunction, band, bands, make_bank,
-                              random_bandlimited)
+                              preset_function, random_bandlimited)
 from morreykit.norms import (CoeffField, QuarkCoeffs, _cell_fields,
                              _morrey_of_array, aggregate, band_norm,
                              min_triangle_check, morrey_norm, quark_norm,
@@ -108,7 +108,7 @@ def test_aggregate_matches_space_and_seq_norm():
     # fields give seq_norm through aggregate, bit for bit
     G = 64
     f = random_bandlimited(1, G, 12, seed=4)
-    lam = coeff_corpus(1, 5, 1, seed=4, floor=-2)[0]
+    lam = next(coeff_corpus(1, 5, 1, seed=4, floor=-2))
     for hom in (False, True):
         bank = make_bank(1, G, homogeneous=hom)
         fields = {j: np.abs(band(f, bank, j).samples) for j in bank.levels()}
@@ -119,41 +119,51 @@ def test_aggregate_matches_space_and_seq_norm():
                 agg = band_norm(fields.items(), params)
                 assert agg == space_norm(f, params, bank)
                 cells = _cell_fields(lam, lam.max_level)
-                assert aggregate(cells.items(), params) == seq_norm(lam, params)
+                assert aggregate(cells, params) == seq_norm(lam, params)
 
 
 def test_space_norm_matches_per_band_spectrum():
-    # bands and space_norm take f.spectrum() once; the reference takes it
-    # per band
-    for n, G in ((1, 64), (2, 32)):
-        f = random_bandlimited(n, G, G // 4, seed=5)
-        for kind in ("partition", "bump"):
-            for hom in (False, True):
-                bank = make_bank(n, G, kind, homogeneous=hom)
+    # bands and space_norm take one unscaled spectrum and transform only the
+    # live lines; the reference takes f.spectrum() per band and ifftn's the
+    # whole grid.  Every level with a nonzero window keeps its bytes; a zero
+    # window gives +0.0 zeros, where the reference holds the signed zeros of
+    # ifftn(0 * spectrum)
+    for n, G in ((1, 64), (2, 32), (2, 256), (3, 16)):
+        for f in (random_bandlimited(n, G, G // 4, seed=5),
+                  preset_function("gaussian", n, G)):
+            for kind in ("partition", "bump"):
+                for hom in (False, True):
+                    _check_split(f, make_bank(n, G, kind, homogeneous=hom))
 
-                def per_band(j):
-                    return GridFunction.from_spectrum(
-                        n, bank.window(j) * f.spectrum())
 
-                for levels in (None, bank.tau_levels()):
-                    split = list(bands(f, bank, levels))
-                    assert [j for j, _ in split] == list(
-                        bank.levels() if levels is None else levels)
-                    for j, b in split:
-                        assert (b.samples.tobytes()
-                                == per_band(j).samples.tobytes())
-                fields = {j: np.abs(per_band(j).samples)
-                          for j in bank.levels() if hom or j >= 1}
-                for variant in ("N", "E"):
-                    for r in (0.5, 2.0, INF):
-                        params = SpaceParams(q=1.0, r=r, s=0.5,
-                                             phi=power(2.0, n), variant=variant,
-                                             homogeneous=hom, n=n)
-                        want = aggregate(fields.items(), params)
-                        if not hom:
-                            want = morrey_norm(per_band(0), 1.0,
-                                               params.phi) + want
-                        assert space_norm(f, params, bank) == want
+def _check_split(f, bank):
+    n, hom = f.n, bank.homogeneous
+
+    def per_band(j):
+        return GridFunction.from_spectrum(n, bank.window(j) * f.spectrum())
+
+    for levels in (None, bank.tau_levels()):
+        split = list(bands(f, bank, levels))
+        assert [j for j, _ in split] == list(
+            bank.levels() if levels is None else levels)
+        for j, b in split:
+            want = per_band(j).samples
+            if bank.windows[j].any():
+                assert b.samples.tobytes() == want.tobytes()
+            else:
+                assert bank.live[j] is None
+                assert b.samples.tobytes() == np.zeros_like(want).tobytes()
+                assert np.array_equal(b.samples, want)
+    fields = {j: np.abs(per_band(j).samples)
+              for j in bank.levels() if hom or j >= 1}
+    for variant in ("N", "E"):
+        for r in (0.5, 2.0, INF):
+            params = SpaceParams(q=1.0, r=r, s=0.5, phi=power(2.0, n),
+                                 variant=variant, homogeneous=hom, n=n)
+            want = aggregate(fields.items(), params)
+            if not hom:
+                want = morrey_norm(per_band(0), 1.0, params.phi) + want
+            assert space_norm(f, params, bank) == want
 
 
 def test_coeff_field_shape_validation():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,20 @@ def test_coeff_corpus_shapes():
     for lam in fields:
         assert lam.level_list() == [-2, -1, 0, 1, 2, 3]
         assert lam.levels[3].shape == (8, 8)
+
+
+def test_coeff_corpus_is_one_trial_at_a_time():
+    # the embedding campaign holds one trial's field (and one expanded
+    # level) at a time, so its peak does not grow with the trial count
+    def peak(trials):
+        tracemalloc.start()
+        embedding_campaign(2, 2, 0.5, depth=6, trials=trials, n=2)
+        top = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return top
+
+    peak(1)  # first-call allocations outside the campaign's own
+    assert peak(40) < 1.5 * peak(2)
 
 
 def test_hardy_bound_one_hot_oracle():
