@@ -378,11 +378,39 @@ def _split_blocks(a: np.ndarray, c: int, n: int = None) -> np.ndarray:
         [*range(k), *range(k, k + 2 * n, 2), *range(k + 1, k + 2 * n, 2)])
 
 
+def _block_sum(a: np.ndarray, c: int, n: int = None) -> np.ndarray:
+    """Sum over c^n cells per block of the trailing n axes (default all) of
+    a C-ordered nonnegative a: the sums of _split_blocks(a, c, n).mean(),
+    bit for bit, in numpy's order.  One block is one pairwise run; else each
+    run of c cells on the last axis is summed in index order (numpy's
+    pairwise sum is sequential below 8 terms) or by np.add.reduce, and the
+    c^(n-1) runs of a block are added in flat row-major order (nesting per
+    axis differs in 3-D)."""
+    n = n or a.ndim
+    k, G = a.ndim - n, a.shape[-1]
+    if c == 1:
+        return a
+    if c == G:
+        return np.add.reduce(a.reshape(a.shape[:k] + (-1,)), axis=-1).reshape(
+            a.shape[:k] + (1,) * n)
+    # S + (G/c, c)*n, permuted to (c,)*(n-1) + S + (G/c,)*n + (c,)
+    runs = a.reshape(a.shape[:k] + (G // c, c) * n).transpose(
+        [*range(k + 1, k + 2 * n - 2, 2), *range(k),
+         *range(k, k + 2 * n, 2), k + 2 * n - 1])
+    rows = np.empty(runs.shape[:-1])
+    if c < 8:
+        np.add(runs[..., 0], runs[..., 1], out=rows)
+        for i in range(2, c):
+            rows += runs[..., i]
+    else:
+        np.add.reduce(runs, axis=-1, out=rows)
+    return np.add.reduce(rows.reshape((-1,) + rows.shape[n - 1:]), axis=0)
+
+
 def _block_mean(a: np.ndarray, c: int, n: int = None) -> np.ndarray:
     """Mean over c^n cells per block of the trailing n axes (default all)
-    of a, each of them divisible by c."""
-    n = n or a.ndim
-    return _split_blocks(a, c, n).mean(axis=tuple(range(a.ndim, a.ndim + n)))
+    of a C-ordered nonnegative a, each of them divisible by c."""
+    return _block_sum(a, c, n) / c ** (n or a.ndim)
 
 
 def _join_blocks(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .growth import GrowthFunction, SpaceParams
-from .gridfn import FilterBank, GridFunction, bands, _block_mean, _expand
+from .gridfn import FilterBank, GridFunction, bands, _block_sum, _expand
 
 INF = math.inf
 # largest level from_csv accepts: (2^j)^n <= 2^24 cells (256 MiB of complex)
@@ -186,10 +186,11 @@ def _morrey_of_array(a: np.ndarray, q: float, phi: GrowthFunction,
     a = a ** q
     G = a.shape[-1]
     cells = tuple(range(a.ndim - n, a.ndim))
-    # per level: phi(ell) and the largest cube mean of every row
-    peaks = [(phi(1.0), a.mean(axis=cells))] + [
-        (phi(2.0 ** (-lev)), _block_mean(a, G >> lev, n).max(axis=cells))
-        for lev in range(1, G.bit_length())]
+    # per level: phi(ell) and the largest cube mean of every row, the
+    # largest sum over c^n: x -> fl(x / 2^k) is monotone, so bit for bit
+    peaks = [(phi(2.0 ** (-lev)),
+              _block_sum(a, G >> lev, n).max(axis=cells) / (G >> lev) ** n)
+             for lev in range(G.bit_length())]
     out = np.empty(a.shape[:a.ndim - n])
     for row in np.ndindex(out.shape):
         out[row] = max(w * float(peak[row]) ** (1.0 / q) for w, peak in peaks)

@@ -148,7 +148,7 @@ def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
                 acc += (2.0 ** (j * s) * fields[j]) ** q
         # homogeneous scalar levels below j0 are excluded by j >= j_{Q'}
         c = side >> j0
-        means = _block_mean(acc, c) if c > 1 else acc
+        means = _block_mean(acc, c)
         val = phi(2.0 ** (-j0)) * float(means.max()) ** (1.0 / q)
         best = max(best, val)
     return best / denom

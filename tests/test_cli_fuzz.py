@@ -8,6 +8,10 @@ stays below 3 (each patch stack of a 3-D decomposition holds (4G)^3
 values), so that each call stays cheap; everything else may be missing,
 junk or left without a value.  Each campaign has its own base run, since
 a campaign option that the named campaign does not read exits 1.
+
+Those draws rarely build a campaign report, so a second property draws
+only valid values of each campaign's own options and asserts that every
+campaign prints one (exit 0 or 3).
 """
 
 import contextlib
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from morreykit.cli import main
+from morreykit.cli import CAMPAIGNS, main
 from morreykit.gridfn import random_bandlimited
 from morreykit.norms import CoeffField
 
@@ -171,3 +175,48 @@ def test_cli_fuzz_fails_closed(files, drawn):
     assert "Traceback" not in err.getvalue(), argv
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_reject)
+
+
+# valid values of each campaign's own options; those that set the cost of a
+# run (BOUNDED, and --depth) stay small
+GOOD_PARAMS = ["power-p2-q2-s1-N-r2", "power-p2-q1-s1-E-rinf",
+               "loginv-e1-q1-s0-E-r0.5", "powerlog-e1-p2-q1-s1-N-r2",
+               "power-p2-q1-s1-N-r2-hom", "power-p4-q2-s0.5-E-rinf-hom"]
+GRIDS = {"--dim": ["1", "2"], "--trials": ["1", "2"]}
+GOOD = {
+    "hardy": {"--delta": ["0.5", "1", "2"], "--r": ["0.5", "1", "2", "inf"],
+              "--trials": ["1", "2"]},
+    "maximal": {"--phi": ["power", "powerlog"], **GRIDS,
+                "--resolutions": ["4", "8 16", "16 32"]},
+    "filter": {"--params": GOOD_PARAMS, **GRIDS,
+               "--resolutions": ["16", "16 32"]},
+    "peetre": {"--params": GOOD_PARAMS, **GRIDS,
+               "--resolutions": ["16", "16 32"]},
+    "embedding": {"--dim": ["1", "2"], "--r": ["0.25", "0.5", "1.5"],
+                  "--depth": ["1", "3", "4"], "--trials": ["1", "2"]},
+    "counterexample": {"--r": ["0.25", "0.5", "0.9"]},
+}
+
+
+def test_good_values_cover_every_campaign_option():
+    assert {name: sorted(opts) for name, opts in GOOD.items()} == {
+        name: sorted(f"--{key}" for key in takes)
+        for name, takes in CAMPAIGNS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GOOD))
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_campaign_with_valid_options_prints_report(name, data):
+    argv = ["campaign", "--name", name]
+    for flag, vals in {"--seed": ["0", "1", "7", "123"], **GOOD[name]}.items():
+        # an option left out takes the campaign default, which is costly
+        # for the options that set the size of a run
+        if flag in BOUNDED | {"--depth"} or data.draw(st.booleans()):
+            argv += [flag] + data.draw(st.sampled_from(vals)).split(" ")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3), (argv, err.getvalue())
+    report = json.loads(out.getvalue(), parse_constant=_reject)
+    assert report["passed"] and report["constants"], argv

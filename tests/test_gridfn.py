@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -304,6 +305,32 @@ def test_block_helpers_act_per_row(n):
                               gridfn._expand(means[row], c))
         assert np.array_equal(gridfn._split_blocks(a, c, n)[row],
                               gridfn._split_blocks(a[row], c))
+
+
+@pytest.mark.parametrize("n,sizes", [(1, (2, 4, 8, 64, 4096)),
+                                     (2, (2, 4, 8, 16, 64)),
+                                     (3, (2, 4, 8, 16))])
+def test_block_sum_is_numpy_mean_order(n, sizes):
+    # the written-out block sums are the sums numpy takes inside the mean of
+    # the block view, byte for byte, for every c, with no, one or two stack
+    # axes, on dense, subnormal, overflowing, sparse and all-zero fields
+    rng = np.random.default_rng(n)
+    for G in sizes:
+        for stack in ((), (3,), (2, 3)):
+            shape = stack + (G,) * n
+            fields = [rng.lognormal(0.0, 2.0, shape),
+                      rng.random(shape) * 1e-310,
+                      rng.random(shape) * 1.7e308,
+                      rng.lognormal(0.0, 2.0, shape) * (rng.random(shape) < 0.1),
+                      np.zeros(shape)]
+            for a, lev in itertools.product(fields, range(G.bit_length())):
+                c = G >> lev
+                with np.errstate(over="ignore"):
+                    old = gridfn._split_blocks(a, c, n).mean(
+                        axis=tuple(range(a.ndim, a.ndim + n)))
+                    new = gridfn._block_mean(a, c, n)
+                assert new.shape == old.shape
+                assert new.tobytes() == old.tobytes(), (G, stack, c)
 
 
 def test_powered_maximal():

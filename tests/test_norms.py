@@ -67,6 +67,48 @@ def test_morrey_homogeneity():
         assert n3 == pytest.approx(3.0 * n1, rel=1e-12)
 
 
+# float.hex of the Morrey sup on fixed inputs, as the per-level
+# _split_blocks(...).mean() computed it before the block sums were written out
+MORREY_PINS = {
+    (1, 4096): ("0x1.8b7cb18fd4ecfp+4", "0x1.aacb2605fd83cp+4",
+                "0x1.f99b476c7b2c6p+4"),
+    (2, 256): ("0x1.497576e0e1b83p+5", "0x1.63400eaf72ccdp+5",
+               "0x1.a4ccc2d92c854p+5"),
+    (3, 16): ("0x1.6c21980847170p+2", "0x1.87bd413fdddd4p+2",
+              "0x1.ce2332c7663d7p+2"),
+}
+
+
+@pytest.mark.parametrize("n,G", sorted(MORREY_PINS))
+def test_morrey_norm_pinned(n, G):
+    f = random_bandlimited(n, G, G // 8, seed=[G, n])
+    assert tuple(morrey_norm(f, q, power(2.5, n)).hex()
+                 for q in (0.5, 1.0, 2.5)) == MORREY_PINS[n, G]
+
+
+# (n, G, bank kind, q, variant, r, homogeneous) -> float.hex of space_norm
+SPACE_PINS = {
+    (2, 256, "partition", 1.0, "N", 2.0, False): "0x1.ea72718956ea7p+10",
+    (2, 256, "partition", 0.75, "E", 0.5, False): "0x1.2054659185efcp+13",
+    (2, 256, "bump", 2.5, "N", INF, False): "0x1.0d084bc4d8016p+11",
+    (2, 256, "bump", 1.0, "E", 2.0, False): "0x1.0c3de91747bb1p+11",
+    (2, 256, "partition", 1.0, "E", 2.0, True): "0x1.ff1d9990b9ce9p+10",
+    (3, 16, "partition", 0.75, "N", 0.5, False): "0x1.04c4ba343f99ap+5",
+    (3, 16, "bump", 1.0, "E", INF, False): "0x1.0e8679ae9ffdbp+5",
+    (3, 16, "partition", 2.5, "N", 2.0, True): "0x1.f338aba340d93p+4",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPACE_PINS, key=repr))
+def test_space_norm_pinned(case):
+    n, G, kind, q, variant, r, hom = case
+    f = random_bandlimited(n, G, G // 4, seed=[n, G], zero_mean=hom)
+    params = SpaceParams(q=q, r=r, s=1.0, phi=power(max(q, 2.0), n),
+                         variant=variant, homogeneous=hom, n=n)
+    bank = make_bank(n, G, kind, homogeneous=hom)
+    assert space_norm(f, params, bank).hex() == SPACE_PINS[case]
+
+
 def test_space_norm_zero():
     G = 32
     bank = make_bank(1, G)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from morreykit.cli import TRACE_PRESETS
 from morreykit.growth import SpaceParams, power
 from morreykit.gridfn import random_bandlimited, rychkov_pair
 from morreykit.norms import CoeffField
 from morreykit.trace import (TraceProblem, extend_coeff, extension_bound,
                              trace_bound_I, trace_bound_II, trace_coeff,
                              trace_function, _touching_slices)
+from morreykit.verify import coeff_corpus
 
 
 def _problem(n=2, q=1.0, r=2.0, s=1.5, variant="N"):
@@ -63,6 +65,23 @@ def test_trace_coeff_zero_and_dim_check():
         trace_coeff(CoeffField(3, {}), prob)
     with pytest.raises(ValueError):
         extend_coeff(CoeffField(2, {}), prob)
+
+
+# (n, preset) -> float.hex of trace_bound_I on a seeded sparse field, as the
+# per-level _split_blocks(...).mean() computed it; presets B and D are
+# below their trace threshold in n = 3
+TRACE_I_PINS = {
+    (2, "A"): "0x1.459e2076e9172p-4", (2, "B"): "0x1.0eda9c00d58f5p-5",
+    (2, "C"): "0x1.c252a0933234fp-5", (2, "D"): "0x1.19ce0a37eecf0p-3",
+    (3, "A"): "0x1.357866af36ec5p-2", (3, "C"): "0x1.acf1fa7849924p-3",
+}
+
+
+@pytest.mark.parametrize("n,name", sorted(TRACE_I_PINS))
+def test_trace_bound_I_pinned(n, name):
+    lam = next(coeff_corpus(n, 6 if n == 2 else 4, 1, seed=9))
+    prob = TraceProblem(TRACE_PRESETS[name](n))
+    assert trace_bound_I(lam, prob).hex() == TRACE_I_PINS[n, name]
 
 
 def test_trace_extend_round_trip_exact():
