@@ -29,7 +29,7 @@ from .gridfn import (FilterBank, GridFunction, RychkovPair, bands, smoothstep7,
                      _along, _bump_axis, _join_blocks, _moments,
                      _multi_indices, _outer, _split_blocks, _times_monomial,
                      centered_axis, coord_axis, hl_maximal, kappa_profile,
-                     radial_window, wavenumbers, TWO_PI)
+                     level_side, radial_window, wavenumbers, TWO_PI)
 from .norms import CoeffField, QuarkCoeffs, _moduli
 
 TINY = 1e-300
@@ -221,7 +221,7 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair):
             gamma = GridFunction.from_spectrum(
                 n, GridFunction(n, U).spectrum() * pair.phi_spec[j]).samples
             lam = max(TINY, _deriv_sup(gamma, j, K))
-            lam_levels[j] = lam if j < 0 else np.full((1,) * n, lam)
+            lam_levels[j] = np.full((1,) * n, lam)
             patches[j] = gamma / lam
             continue
         if pair.phi_half_cells[j] > G >> j:
@@ -247,12 +247,12 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     size = 4 * c
     axes = tuple(range(n, 2 * n))
     # blocks of U per cube, zero-extended into the 4c patch at offset c
-    ext = np.zeros((1 << j,) * n + (size,) * n, dtype=np.complex128)
+    ext = np.zeros((level_side(j),) * n + (size,) * n, dtype=np.complex128)
     ext[(...,) + (slice(c, 2 * c),) * n] = _split_blocks(U, c)
     np.fft.fftn(ext, axes=axes, out=ext)
     buf = np.empty_like(ext)
     hn = G ** (-n)  # quadrature weight of the sample-space convolution
-    lam = np.full((1 << j,) * n, TINY)
+    lam = np.full((level_side(j),) * n, TINY)
     for alpha in _multi_indices(n, K):
         # full-grid kernel of d^alpha phi_j (alpha = 0: phi_j itself,
         # exactly compact) via spectral differentiation
@@ -287,7 +287,7 @@ def synthesize(lam: CoeffField, patches: dict, G: int) -> GridFunction:
         if j <= 0:
             out += np.reshape(v, ()) * patches[j]
             continue
-        side, c = 1 << j, G >> j
+        side, c = level_side(j), G >> j
         nb = patches[j].shape[n] // c
         # axes (m.., b_1, cell_1, ..., b_n, cell_n) -> (b.., m.., cell..)
         blocks = patches[j].reshape((side,) * n + (nb, c) * n).transpose(

@@ -1,10 +1,10 @@
 """Dyadic cubes on the periodic unit box [0,1)^n.
 
-A cube is the pair (j, m): side 2^-j, lower corner m * 2^-j.  In periodic
-mode the index is taken mod 2^j for j >= 0.  Homogeneous mode allows j < 0
-down to gridfn.HOM_FLOOR; such a "cube" covers the torus (possibly many
-times over) and is represented as the full torus with its scale kept as
-metadata, since only the phi(ell) prefactor sees scales > 1.
+A cube is the pair (j, m): side 2^-j, lower corner m * 2^-j, with the
+index taken mod gridfn.level_side(j).  Homogeneous mode allows j < 0 down
+to gridfn.HOM_FLOOR; such a level has one cube, m = 0, that covers the
+torus (possibly many times over): it is the full torus with its scale
+kept as metadata, since only the phi(ell) prefactor sees scales > 1.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import _outer
+from .gridfn import _outer, level_side
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,8 @@ class DyadicCube:
     m: tuple  # integer index vector, length n
 
     def __post_init__(self):
-        if self.j >= 0:
-            mm = tuple(int(k) % (1 << self.j) for k in self.m)
-        else:
-            mm = tuple(0 for _ in self.m)
-        object.__setattr__(self, "m", mm)
+        object.__setattr__(
+            self, "m", tuple(int(k) % level_side(self.j) for k in self.m))
 
     @property
     def n(self) -> int:
@@ -49,9 +46,8 @@ class DyadicCube:
         return tuple((k + 0.5) * self.side for k in self.m)
 
     def contains_point(self, x) -> bool:
-        """Point membership with periodic wrap (for j >= 0)."""
-        if self.j < 0:
-            return True
+        """Point membership with periodic wrap; a j < 0 cube holds every
+        point, as x mod 1 lies in [0, 1) and so below one side."""
         for xi, mi in zip(x, self.m):
             t = (xi % 1.0) / self.side
             if not (mi <= t < mi + 1):
@@ -87,11 +83,9 @@ def box_mask(center, half, G: int) -> np.ndarray:
 
 def cube_mask(Q: DyadicCube, G: int) -> np.ndarray:
     """Exact grid indicator of the cube itself (requires G >= 2^j)."""
-    if Q.j < 0:
-        return np.ones((G,) * Q.n, dtype=bool)
-    if (1 << Q.j) > G:
+    if level_side(Q.j) > G:
         raise ValueError("cube finer than the grid")
-    w = G >> Q.j
+    w = G // level_side(Q.j)
     axes = []
     for mi in Q.m:
         a = np.zeros(G, dtype=bool)

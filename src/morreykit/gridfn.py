@@ -257,6 +257,12 @@ def band_levels(G: int, homogeneous: bool) -> range:
     return range(HOM_FLOOR if homogeneous else 0, G.bit_length() - 2)
 
 
+def level_side(j: int) -> int:
+    """Level-j cubes per axis: 2^j, and 1 on a homogeneous level j < 0,
+    whose one cube covers the torus."""
+    return 1 << max(j, 0)
+
+
 @dataclass
 class FilterBank:
     """Frequency windows tau_j(xi) = tau(2^-j xi) plus a low-pass theta.

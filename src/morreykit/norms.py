@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .growth import GrowthFunction, SpaceParams
-from .gridfn import FilterBank, GridFunction, bands, _block_sum, _expand
+from .gridfn import (FilterBank, GridFunction, bands, _block_sum, _expand,
+                     level_side)
 
 INF = math.inf
 # largest level from_csv accepts: (2^j)^n <= 2^24 cells (256 MiB of complex)
@@ -30,23 +31,23 @@ MAX_LEVEL_BITS = 24
 class CoeffField:
     """Doubly indexed coefficients lambda_{jm}, dense per level.
 
-    Level j >= 0 holds an array of shape (2^j,)*n; homogeneous levels j < 0
-    hold a single complex value (the whole-torus pseudo-cube)."""
+    Level j holds a complex array of shape (level_side(j),)*n: (2^j,)*n,
+    and one cell, the whole-torus pseudo-cube, on a homogeneous level
+    j < 0.  A scalar is accepted for a one-cell level."""
     n: int
-    levels: dict = field(default_factory=dict)  # j -> ndarray or complex
+    levels: dict = field(default_factory=dict)  # j -> ndarray
 
     def __post_init__(self):
         clean = {}
         for j, v in self.levels.items():
             j = int(j)
-            if j < 0:
-                clean[j] = complex(np.asarray(v).ravel()[0])
-            else:
-                arr = np.asarray(v, dtype=np.complex128)
-                want = (1 << j,) * self.n
-                if arr.shape != want:
-                    raise ValueError(f"level {j} array must have shape {want}")
-                clean[j] = arr
+            arr = np.asarray(v, dtype=np.complex128)
+            if arr.ndim == 0:
+                arr = arr.reshape((1,) * self.n)
+            want = (level_side(j),) * self.n
+            if arr.shape != want:
+                raise ValueError(f"level {j} array must have shape {want}")
+            clean[j] = arr
         self.levels = clean
 
     def level_list(self):
@@ -54,15 +55,14 @@ class CoeffField:
 
     @property
     def max_level(self) -> int:
-        pos = [j for j in self.levels if j >= 0]
-        return max(pos) if pos else 0
+        """The finest level, and 0 if every level is homogeneous."""
+        return max([0, *self.levels])
 
     def get(self, j: int, m: tuple) -> complex:
         if j not in self.levels:
             return 0.0
-        if j < 0:
-            return self.levels[j]
-        return complex(self.levels[j][tuple(int(k) % (1 << j) for k in m)])
+        side = level_side(j)
+        return complex(self.levels[j][tuple(int(k) % side for k in m)])
 
     def scaled(self, c) -> "CoeffField":
         return CoeffField(self.n, {j: v * c for j, v in self.levels.items()})
@@ -112,22 +112,19 @@ class CoeffField:
                 raise bad(f"not a number in {row}") from None
             if not cmath.isfinite(z):
                 raise bad("non-finite coefficient")
-            if j < 0:
-                if any(m):
-                    raise bad(f"homogeneous level {j} needs m = 0, got {m}")
-                levels[j] = levels.get(j, 0.0) + z
-                continue
+            if j < 0 and any(m):
+                raise bad(f"homogeneous level {j} needs m = 0, got {m}")
             if j * n > MAX_LEVEL_BITS:
                 raise bad(f"level {j} would hold 2^{j * n} cells, more than"
                           f" 2^{MAX_LEVEL_BITS}")
             if j not in levels:
-                levels[j] = np.zeros((1 << j,) * n, dtype=np.complex128)
+                levels[j] = np.zeros((level_side(j),) * n, dtype=np.complex128)
             if min(m) < 0:
                 raise bad(f"negative index m={m} at level {j}")
             try:
-                levels[j][m] += z  # numpy's bounds check catches m >= 2^j
+                levels[j][m] += z  # numpy checks m < level_side(j)
             except IndexError:
-                raise bad(f"index m={m} outside [0, {1 << j})"
+                raise bad(f"index m={m} outside [0, {level_side(j)})"
                           f" at level {j}") from None
         return CoeffField(n, levels)
 
@@ -154,18 +151,15 @@ class QuarkCoeffs:
 def _csv_text(head: list, n: int, tagged: list) -> str:
     """CSV with columns head + m1..mn + re, im: one row per nonzero
     coefficient of each (prefix, CoeffField) pair, the prefix leading the
-    row; homogeneous levels are written at m = 0.  The bytes are those of
+    row, a homogeneous level's one cell at m = 0.  The bytes are those of
     csv.writer: rows end in CRLF, and values are formatted as Python ints
     and floats (tolist), since numpy 2 scalars print as np.float64(...)."""
     lines = [",".join(head + [f"m{i+1}" for i in range(n)] + ["re", "im"])]
     for prefix, fld in tagged:
         for j in fld.level_list():
             v = fld.levels[j]
-            if j < 0:
-                cells, vals = [(0,) * n], [complex(v)]
-            else:
-                nonzero = v != 0
-                cells, vals = np.argwhere(nonzero).tolist(), v[nonzero].tolist()
+            nonzero = v != 0
+            cells, vals = np.argwhere(nonzero).tolist(), v[nonzero].tolist()
             row = ",".join([*prefix, str(j)]) + ",%d" * n + ",%s,%s"
             lines += [row % (*m, z.real, z.imag) for m, z in zip(cells, vals)]
     return "\r\n".join(lines) + "\r\n"
@@ -277,13 +271,9 @@ def space_norm(f: GridFunction, params: SpaceParams, bank: FilterBank) -> float:
 def _cell_fields(lam: CoeffField, cell_level: int):
     """(j, |lambda_j| expanded to the cell lattice at level cell_level) in
     level order, one level at a time."""
-    side = 1 << cell_level
     for j in lam.level_list():
-        v = lam.levels[j]
-        if j < 0:
-            yield j, np.full((side,) * lam.n, abs(v))
-        else:
-            yield j, _expand(np.abs(v), 1 << (cell_level - j))
+        yield j, _expand(np.abs(lam.levels[j]),
+                         level_side(cell_level) // level_side(j))
 
 
 def seq_norm(lam: CoeffField, params: SpaceParams) -> float:

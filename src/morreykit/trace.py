@@ -15,7 +15,8 @@ import numpy as np
 
 from .growth import (SpaceParams, check_trace_summability, dyadic_scales,
                      trace_transform)
-from .gridfn import GridFunction, RychkovPair, _block_mean, _expand
+from .gridfn import (GridFunction, RychkovPair, _block_mean, _expand,
+                     level_side)
 from .norms import CoeffField, _cell_fields, seq_norm
 
 INF = math.inf
@@ -57,9 +58,7 @@ class TraceProblem:
 
 def _touching_slices(j: int):
     """Last-index values of level-j cubes whose closure meets {x_n = 0}."""
-    if j <= 0:
-        return (0,)
-    return tuple(sorted({0, (1 << j) - 1}))
+    return tuple(sorted({0, level_side(j) - 1}))
 
 
 def trace_coeff(lam: CoeffField, problem: TraceProblem) -> CoeffField:
@@ -71,9 +70,6 @@ def trace_coeff(lam: CoeffField, problem: TraceProblem) -> CoeffField:
     out = {}
     for j in lam.level_list():
         v = lam.levels[j]
-        if j < 0:
-            out[j] = v
-            continue
         acc = None
         for mn in _touching_slices(j):
             sl = v[..., mn]
@@ -89,13 +85,8 @@ def extend_coeff(mu: CoeffField, problem: TraceProblem) -> CoeffField:
         raise ValueError("field dimension does not match the trace lattice")
     out = {}
     for j in mu.level_list():
-        v = mu.levels[j]
-        if j < 0:
-            out[j] = v
-            continue
-        side = 1 << j
-        arr = np.zeros((side,) * n, dtype=np.complex128)
-        arr[..., 0] = v
+        arr = np.zeros((level_side(j),) * n, dtype=np.complex128)
+        arr[..., 0] = mu.levels[j]
         out[j] = arr
     return CoeffField(n, out)
 
@@ -136,17 +127,15 @@ def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
     denom = _finite_norm(lam, problem.params)
     if denom == 0:
         return 0.0
-    side = 1 << cl
+    side = level_side(cl)
     nn = star.n
     # cumulative-from-above level sums of 2^{j s q} S_j^q on the cell lattice
-    levels = sorted(j for j in fields if j >= 0)
     best = 0.0
     for j0 in range(0, cl + 1):
         acc = np.zeros((side,) * nn)
-        for j in levels:
+        for j, S in fields.items():
             if j >= j0:
-                acc += (2.0 ** (j * s) * fields[j]) ** q
-        # homogeneous scalar levels below j0 are excluded by j >= j_{Q'}
+                acc += (2.0 ** (j * s) * S) ** q
         c = side >> j0
         means = _block_mean(acc, c)
         val = phi(2.0 ** (-j0)) * float(means.max()) ** (1.0 / q)
@@ -170,11 +159,8 @@ def trace_bound_II(lam: CoeffField, problem: TraceProblem) -> float:
     if denom == 0:
         return 0.0
     nn = star.n
-    src_levels = [j for j in lam.level_list() if j >= 0]
-    if not src_levels:
-        return 0.0
-    cl = max(src_levels)
-    side = 1 << cl
+    cl = lam.max_level
+    side = level_side(cl)
     # chain sums on the finest hyperplane lattice: at cell y, the ancestor
     # coefficient at level j is lam[j][(y >> (cl - j), 0)]
     acc = np.zeros((side,) * nn)

@@ -22,7 +22,7 @@ from .decomp import _deriv_sup
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
 from .gridfn import (FilterBank, GridFunction, _bump_axis, _check_grid,
                      _hl_stack, _outer, _peetre_scan, bands, kinf_grid,
-                     make_bank, peetre_maximal, radial_window,
+                     level_side, make_bank, peetre_maximal, radial_window,
                      random_bandlimited, sobolev_norm, wavenumbers)
 from .norms import (CoeffField, _check_bank, _moduli, _morrey_of_array,
                     aggregate, band_norm, morrey_norm, seq_norm, space_norm)
@@ -98,10 +98,7 @@ def coeff_corpus(n: int, depth: int, count: int, seed: int,
         rng = trial_rng(seed, i)
         levels = {}
         for j in range(floor, depth + 1):
-            if j < 0:
-                levels[j] = rng.lognormal(0.0, 1.0) * (rng.random() < 0.2)
-                continue
-            shape = (1 << j,) * n
+            shape = (level_side(j),) * n
             mask = rng.random(shape) < 0.2
             levels[j] = mask * rng.lognormal(0.0, 1.0, shape)
         yield CoeffField(n, levels)
@@ -291,15 +288,12 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     for i, f in enumerate(corpus):
         spec = f.spectrum()
         fields = {}
-        plain_fields = {}
         for j in bank.tau_levels():
-            wind = bank.window(j)
             mult = radial_window(lambda u: Hprof(u / 2.0 ** j), n, G, index)
-            g = GridFunction.from_spectrum(n, spec * wind * mult)
+            g = GridFunction.from_spectrum(n, spec * bank.window(j) * mult)
             fields[j] = _peetre_scan(np.abs(g.samples), j, N)
-            plain_fields[j] = np.abs(
-                GridFunction.from_spectrum(n, spec * wind).samples)
-        rhs = sob * aggregate(plain_fields.items(), params)
+        rhs = sob * aggregate(_moduli(bands(f, bank, bank.tau_levels())),
+                              params)
         if rhs == 0:
             continue
         ratio = aggregate(fields.items(), params) / rhs

@@ -212,7 +212,8 @@ def test_coeff_field_shape_validation():
     with pytest.raises(ValueError):
         CoeffField(1, {2: np.zeros(3)})
     fld = CoeffField(1, {-1: np.array([2.0]), 1: np.zeros(2)})
-    assert fld.levels[-1] == 2.0 + 0j  # scalar homogeneous level
+    # a homogeneous level is a one-cell array
+    assert fld.levels[-1].shape == (1,) and fld.levels[-1][0] == 2.0 + 0j
 
 
 def test_coeff_field_get_wraps():
