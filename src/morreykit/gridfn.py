@@ -79,16 +79,14 @@ def _check_grid(G: int) -> None:
         raise ValueError(f"grid size G={G} must be a power of two >= 4")
 
 
-def radial_window(profile, n: int, G: int, index=None) -> np.ndarray:
+def radial_window(profile, n: int, G: int) -> np.ndarray:
     """profile(|k|_inf) on the n-dimensional frequency grid (FFT order).
 
     |k|_inf takes only the G/2+1 values 0..G/2, so the profile is evaluated
-    once per shell and gathered through the integer |k|_inf grid; pass
-    index = kinf_grid(n, G).astype(np.intp) to share it between windows.
-    An elementwise profile gives the same bits as on the full grid."""
+    once per shell and gathered through the integer |k|_inf grid.  An
+    elementwise profile gives the same bits as on the full grid."""
     _check_grid(G)
-    if index is None:
-        index = kinf_grid(n, G).astype(np.intp)
+    index = kinf_grid(n, G).astype(np.intp)
     return profile(np.arange(G // 2 + 1, dtype=float))[index]
 
 
@@ -268,16 +266,14 @@ class FilterBank:
     """Frequency windows tau_j(xi) = tau(2^-j xi) plus a low-pass theta.
 
     Level 0 is theta in inhomogeneous mode; homogeneous banks carry only
-    tau levels from HOM_FLOOR up (theta dropped, constants invisible)."""
+    tau levels from HOM_FLOOR up (theta dropped, constants invisible).  A
+    window depends on xi only through |xi|_inf, so each level is stored as
+    its profile on the shells |k|_inf = 0..G/2."""
     n: int
     G: int
     kind: str  # "partition" | "bump"
     homogeneous: bool = False
-    windows: dict = field(default_factory=dict)
-    # level -> indices of the wavenumbers k with |k| <= R_j, the largest
-    # |k|_inf shell where the window is nonzero; None if it is zero
-    live: dict = field(default_factory=dict)
-    kappa = staticmethod(kappa_profile)
+    profiles: dict = field(default_factory=dict)  # level -> G/2+1 shells
 
     def levels(self) -> range:
         return band_levels(self.G, self.homogeneous)
@@ -286,30 +282,29 @@ class FilterBank:
         """The tau levels: every level but theta's."""
         return self.levels()[0 if self.homogeneous else 1:]
 
-    def window(self, j: int) -> np.ndarray:
-        if j not in self.windows:
+    def profile(self, j: int) -> np.ndarray:
+        if j not in self.profiles:
             raise ValueError(f"level {j} outside bank range")
-        return self.windows[j]
+        return self.profiles[j]
+
+    def window(self, j: int) -> np.ndarray:
+        """Level j's window on the full n-dimensional frequency grid."""
+        return self.profile(j)[kinf_grid(self.n, self.G).astype(np.intp)]
 
     def admissible(self) -> dict:
-        """Checks on the integer frequency grid: 0 not in supp(tau),
-        theta > 0 on Q(2), tau > 0 on Q(2)\\Q(1); partition residual."""
-        u = kinf_grid(self.n, self.G)
-        index = u.astype(np.intp)
-        theta, tau = (radial_window(prof, self.n, self.G, index)
-                      for prof in BANK_PROFILES[self.kind])
+        """Checks on the |k|_inf shells, each of which occurs on the grid:
+        0 not in supp(tau), theta > 0 on Q(2), tau > 0 on Q(2)\\Q(1);
+        partition residual (off the origin when homogeneous)."""
+        u = np.arange(self.G // 2 + 1, dtype=float)
+        theta, tau = (prof(u) for prof in BANK_PROFILES[self.kind])
         checks = {
-            "tau_vanishes_at_0": bool(tau[(0,) * self.n] == 0.0),
+            "tau_vanishes_at_0": bool(tau[0] == 0.0),
             "theta_pos_on_Q2": bool(np.all(theta[u <= 2.0] > 0.0)),
             "tau_pos_on_Q2_minus_Q1": bool(np.all(tau[(u > 1.0) & (u <= 2.0)] > 0.0)),
         }
         if self.kind == "partition":
-            total = sum(self.windows[j] for j in self.levels())
-            if self.homogeneous:
-                mask = u > 0
-                resid = float(np.max(np.abs(total[mask] - 1.0)))
-            else:
-                resid = float(np.max(np.abs(total - 1.0)))
+            total = sum(self.profiles[j] for j in self.levels())
+            resid = float(np.max(np.abs(total[int(self.homogeneous):] - 1.0)))
             checks["partition_residual"] = resid
             checks["partition"] = resid < 1e-12
         return checks
@@ -321,18 +316,13 @@ def make_bank(n: int, G: int, kind: str = "partition",
         raise ValueError(f"unknown bank kind {kind}")
     _check_grid(G)
     bank = FilterBank(n=n, G=G, kind=kind, homogeneous=homogeneous)
-    index = kinf_grid(n, G).astype(np.intp)
     shells = np.arange(G // 2 + 1, dtype=float)
     theta, tau = BANK_PROFILES[kind]
     # one tau call for all tau levels j: their rows are tau(u / 2^j)
     scales = np.array([2.0 ** j for j in bank.tau_levels()])
     rows = tau(shells / scales[:, None])
-    profiles = list(rows) if homogeneous else [theta(shells), *rows]
-    k = np.abs(wavenumbers(G))
-    for j, prof in zip(bank.levels(), profiles):
-        bank.windows[j] = prof[index]
-        shell = np.flatnonzero(prof)
-        bank.live[j] = np.flatnonzero(k <= shell[-1]) if shell.size else None
+    profiles = rows if homogeneous else [theta(shells), *rows]
+    bank.profiles = dict(zip(bank.levels(), profiles))
     return bank
 
 
@@ -343,19 +333,24 @@ def bands(f: GridFunction, bank: FilterBank, levels=None):
     A nonzero window gives the bytes of from_spectrum(n, window_j *
     f.spectrum()): spectrum()'s 1/G^n and from_spectrum's G^n are powers of
     two and cancel, and only transforms of all-zero lines are skipped
-    (pocketfft transforms each line alone, and x + 0 = x).  Axis n-1, then
+    (pocketfft transforms each line alone, and x + 0 = x).  Window j is zero
+    beyond R_j, the last shell where its profile is nonzero: axis n-1, then
     each leading axis in ifftn's order, runs only on the lines whose earlier
-    axes are live (bank.live).  A zero window gives +0.0 samples with no
+    axes have |k| <= R_j (are live), and the window is gathered from the
+    profile on those lines alone.  A zero window gives +0.0 samples with no
     transform, where ifftn would give signed zeros."""
     n, G = f.n, f.G
+    k = np.abs(wavenumbers(G)).astype(np.intp)
     spec = np.fft.fftn(f.samples)
     for j in bank.levels() if levels is None else levels:
-        window, live = bank.window(j), bank.live[j]
-        if live is None:
+        prof = bank.profile(j)
+        shell = np.flatnonzero(prof)
+        if not shell.size:
             yield j, GridFunction(n, np.zeros_like(spec))
             continue
+        live = np.flatnonzero(k <= shell[-1])
         sel = np.ix_(*[live] * (n - 1)) if live.size < G else ()
-        out = window[sel] * spec[sel]
+        out = prof[_outer(np.maximum, [k[live]] * (n - 1) + [k])] * spec[sel]
         for ax in reversed(range(n)):
             if out.shape[ax] < G:  # zero-fill the dead wavenumbers of ax
                 full = np.zeros(out.shape[:ax] + (G,) + out.shape[ax + 1:],
@@ -651,8 +646,7 @@ def sample_expand(f: GridFunction, kappa, nu: int) -> GridFunction:
     k = wavenumbers(G).astype(int)
     idx = np.ix_(*[k % S for _ in range(n)]) if n > 1 else (k % S,)
     A_full = A[idx]
-    window = radial_window(lambda v: kappa(TWO_PI * v / 2.0 ** nu), n, G,
-                           u.astype(np.intp))
+    window = radial_window(lambda v: kappa(TWO_PI * v / 2.0 ** nu), n, G)
     return GridFunction.from_spectrum(n, window * A_full)
 
 

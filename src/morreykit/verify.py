@@ -21,8 +21,8 @@ import numpy as np
 from .decomp import _deriv_sup
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
 from .gridfn import (FilterBank, GridFunction, _bump_axis, _check_grid,
-                     _hl_stack, _outer, _peetre_scan, bands, kinf_grid,
-                     level_side, make_bank, peetre_maximal, radial_window,
+                     _hl_stack, _outer, _peetre_scan, bands, level_side,
+                     make_bank, peetre_maximal, radial_window,
                      random_bandlimited, sobolev_norm, wavenumbers)
 from .norms import (CoeffField, _check_bank, _moduli, _morrey_of_array,
                     aggregate, band_norm, morrey_norm, seq_norm, space_norm)
@@ -204,7 +204,8 @@ def maximal_campaign(q: float, r: float, phi: GrowthFunction, trials: int,
 def filter_invariance_campaign(bankA: FilterBank, bankB: FilterBank,
                                params: SpaceParams, corpus) -> Report:
     """Band of space_norm(f; A) / space_norm(f; B) over the corpus."""
-    if not bankA.admissible() or not bankB.admissible():
+    if any(v is False for bank in (bankA, bankB)
+           for v in bank.admissible().values()):
         raise ValueError("both banks must be admissible")
     G = bankA.G
     rep = Report(name=f"filter-invariance-{params.variant}-r{params.r}",
@@ -284,12 +285,11 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     u = np.linspace(-8.0, 8.0, M, endpoint=False)
     sob = sobolev_norm(GridFunction(n, _outer(np.multiply, [Hprof(u)] * n)),
                        nu, spacing=16.0 / M)
-    index = kinf_grid(n, G).astype(np.intp)
     for i, f in enumerate(corpus):
         spec = f.spectrum()
         fields = {}
         for j in bank.tau_levels():
-            mult = radial_window(lambda u: Hprof(u / 2.0 ** j), n, G, index)
+            mult = radial_window(lambda u: Hprof(u / 2.0 ** j), n, G)
             g = GridFunction.from_spectrum(n, spec * bank.window(j) * mult)
             fields[j] = _peetre_scan(np.abs(g.samples), j, N)
         rhs = sob * aggregate(_moduli(bands(f, bank, bank.tau_levels())),

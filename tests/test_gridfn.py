@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,7 +131,8 @@ def test_outer_matches_meshgrid(ufunc):
         assert np.array_equal(gridfn._outer(ufunc, axes), want)
 
 
-SHELL_GRIDS = [(1, 64), (1, 4096), (2, 32), (2, 256), (3, 16)]
+SHELL_GRIDS = [(1, 4), (1, 64), (1, 4096), (2, 4), (2, 8), (2, 32), (2, 256),
+               (3, 16)]
 
 
 def _full_grid_windows(n, G, kind, hom, floor=-4):
@@ -178,13 +180,13 @@ def _full_grid_admissible(n, G, kind, hom):
 def test_bank_windows_match_full_grid(n, G, kind, hom):
     bank = make_bank(n, G, kind, homogeneous=hom)
     want = _full_grid_windows(n, G, kind, hom)
-    assert list(bank.windows) == list(want)
+    assert list(bank.profiles) == list(want)
     for j, w in want.items():
-        assert bank.windows[j].tobytes() == w.tobytes()
+        assert bank.window(j).tobytes() == w.tobytes()
     assert bank.admissible() == _full_grid_admissible(n, G, kind, hom)
 
 
-def _full_grid_radial(profile, n, G, index=None):
+def _full_grid_radial(profile, n, G):
     return profile(kinf_grid(n, G))
 
 
@@ -220,6 +222,17 @@ def test_radial_windows_match_full_grid(monkeypatch, module, output):
         assert np.array_equal(got, want)
     else:
         assert got == want
+
+
+def test_bank_holds_shell_profiles_only():
+    # O(levels * G) floats: the full-grid windows at (2, 1024) held 72 MB,
+    # and admissible() works on the shells too
+    make_bank(2, 1024).admissible()  # first-call allocations outside ours
+    tracemalloc.start()
+    make_bank(2, 1024).admissible()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("G", [0, 1, 2, 3, 12, 48])

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morreykit.dyadic import DyadicCube, cube_mask
-from morreykit.growth import SpaceParams, power, power_of
+from morreykit.growth import (FAMILIES, GrowthFunction, SpaceParams, loginv,
+                              power, power_of, powerlog, table)
 from morreykit.gridfn import (GridFunction, band, bands, make_bank,
                               preset_function, random_bandlimited)
 from morreykit.norms import (CoeffField, QuarkCoeffs, _cell_fields,
@@ -190,10 +191,9 @@ def _check_split(f, bank):
             bank.levels() if levels is None else levels)
         for j, b in split:
             want = per_band(j).samples
-            if bank.windows[j].any():
+            if bank.profiles[j].any():
                 assert b.samples.tobytes() == want.tobytes()
             else:
-                assert bank.live[j] is None
                 assert b.samples.tobytes() == np.zeros_like(want).tobytes()
                 assert np.array_equal(b.samples, want)
     fields = {j: np.abs(per_band(j).samples)
@@ -206,6 +206,60 @@ def _check_split(f, bank):
             if not hom:
                 want = morrey_norm(per_band(0), 1.0, params.phi) + want
             assert space_norm(f, params, bank) == want
+
+
+@st.composite
+def _space_cases(draw):
+    """(f, params, bank) over n in {1, 2}, G = 16..128, both bank kinds,
+    homogeneous or not, and phi drawn from every growth family."""
+    n = draw(st.sampled_from([1, 2]))
+    G = draw(st.sampled_from([16, 32, 64, 128]))
+    hom = draw(st.booleans())
+    p = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    e = draw(st.sampled_from([-1.0, 0.5, 1.5]))
+    phis = {
+        "power": power(p, n),
+        "powerlog": powerlog(p, e, n),
+        "loginv": loginv(e, n),
+        # every cube side 2^-lev, lev = 0..7, is a table scale
+        "table": table({-lev: 2.0 ** (-lev * n / p) * (1 + lev) ** e
+                        for lev in range(8)}, n),
+        "powershift": GrowthFunction("powershift", n, base=power(p, n),
+                                     shift=-e),
+        "powerof": power_of(power(p, n), e),
+    }
+    assert sorted(phis) == sorted(FAMILIES)
+    params = SpaceParams(q=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                         r=draw(st.sampled_from([0.5, 2.0, INF])),
+                         s=draw(st.sampled_from([-0.5, 0.0, 1.5])),
+                         phi=phis[draw(st.sampled_from(sorted(FAMILIES)))],
+                         variant=draw(st.sampled_from(["N", "E"])),
+                         homogeneous=hom, n=n)
+    kmax = draw(st.sampled_from([2, G // 4, G // 2]))
+    f = random_bandlimited(n, G, kmax, seed=draw(st.integers(0, 2 ** 16)),
+                           zero_mean=hom)
+    bank = make_bank(n, G, draw(st.sampled_from(["partition", "bump"])), hom)
+    return f, params, bank
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_space_cases(), st.sampled_from([-1.0, 1j, -1j]))
+def test_space_norm_unit_modulus_invariance(case, c):
+    # |c f| = |f| sample by sample: the FFT of c f is c times that of f
+    # up to the signs of zeros, and every band modulus is the same float
+    f, params, bank = case
+    assert space_norm(c * f, params, bank) == space_norm(f, params, bank)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_space_cases(), st.sampled_from([2.0, 0.5]),
+       st.sampled_from([1.0, -1.0, 1j, -1j]))
+def test_space_norm_power_of_two_homogeneity(case, c, unit):
+    # the band moduli scale exactly, but a^q and the ell^r root round
+    # differently once scaled: equal only to within an ulp or so
+    f, params, bank = case
+    want = c * space_norm(f, params, bank)
+    assert abs(space_norm(c * unit * f, params, bank) - want) <= 1e-14 * want
 
 
 def test_coeff_field_shape_validation():

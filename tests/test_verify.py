@@ -166,6 +166,19 @@ def test_filter_invariance_band_inside_unit():
     assert 0 < rep.extra["min"] <= rep.constants[G]
 
 
+def test_filter_invariance_rejects_inadmissible_bank():
+    # level 1 at half weight breaks the partition of unity (residual 0.5)
+    params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
+    G = 64
+    bad = make_bank(1, G)
+    bad.profiles[1] = bad.profiles[1] * 0.5
+    assert bad.admissible()["partition"] is False
+    for banks in ((bad, make_bank(1, G, "bump")), (make_bank(1, G), bad)):
+        with pytest.raises(ValueError, match="admissible"):
+            filter_invariance_campaign(*banks, params,
+                                       function_corpus(1, G, 2, seed=3))
+
+
 def test_peetre_threshold_and_precondition():
     pN = SpaceParams(q=0.5, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
     assert peetre_threshold(pN) == pytest.approx(1 / 0.5 + 1)
