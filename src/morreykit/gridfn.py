@@ -318,11 +318,26 @@ def make_bank(n: int, G: int, kind: str = "partition",
     bank = FilterBank(n=n, G=G, kind=kind, homogeneous=homogeneous)
     shells = np.arange(G // 2 + 1, dtype=float)
     theta, tau = BANK_PROFILES[kind]
-    # one tau call for all tau levels j: their rows are tau(u / 2^j)
-    scales = np.array([2.0 ** j for j in bank.tau_levels()])
-    rows = tau(shells / scales[:, None])
-    profiles = rows if homogeneous else [theta(shells), *rows]
-    bank.profiles = dict(zip(bank.levels(), profiles))
+    levels = bank.levels()
+    if kind == "partition":
+        # tau(u / 2^j) = theta(u / 2^j) - theta(u / 2^(j-1)) exactly, since
+        # 2 (u / 2^j) = u / 2^(j-1): one theta row per scale 2^i, telescoped.
+        # theta is constant (clipped) outside 2 < u / 2^i < 3: there the row
+        # takes theta's own end values.
+        v = shells / np.array([2.0 ** i for i in range(
+            levels[0] - homogeneous, levels[-1] + 1)])[:, None]
+        rows = np.where(v <= 2.0, theta(2.0), theta(3.0))
+        mid = (v > 2.0) & (v < 3.0)
+        rows[mid] = theta(v[mid])
+        profiles = list(rows[1:] - rows[:-1])
+        if not homogeneous:
+            profiles.insert(0, rows[0])
+    else:
+        # one tau call for all tau levels j: their rows are tau(u / 2^j)
+        scales = np.array([2.0 ** j for j in bank.tau_levels()])
+        rows = tau(shells / scales[:, None])
+        profiles = rows if homogeneous else [theta(shells), *rows]
+    bank.profiles = dict(zip(levels, profiles))
     return bank
 
 
@@ -494,20 +509,36 @@ def torus_dist_sq(n: int, G: int) -> np.ndarray:
 def peetre_maximal(b: GridFunction, j: int, N: float) -> GridFunction:
     """(psi_j f)_*(x) = max_y |b(y)| / (1 + 2^j d(x,y))^N for the level-j
     band b of f."""
-    if N <= 0:
-        raise ValueError("N must be positive")
+    if not N > 0:
+        raise ValueError(f"N must be positive, got {N}")
     return GridFunction(b.n, _peetre_scan(np.abs(b.samples), j, N)
                         .astype(np.complex128))
 
 
 # Cost model of the Peetre scan, in units of one element of the roll scan.
-# Measured on a 2-core x86 host (numpy 2.4): one offset of the roll scan
-# costs G^n elements plus about 8192 of per-call overhead, and one product of
-# the block phase (gathered from the weight table, multiplied, reduced)
-# costs about 3, its survivor estimate's overcount included.
-_ROLL_OVERHEAD = 8192
+# Fit on a shared 2-core x86 host (Python 3.11, numpy 2.4): one offset of the
+# roll scan costs G^n elements plus about 20000 of per-offset overhead (20 us),
+# and the block phase costs 0.7 to 15 per product of its estimate, which counts
+# the pairs live before the first round prunes most of them.  The scan time of
+# two campaign cycles was flat for _GATHER_COST in 1..3 and _ROLL_OVERHEAD in
+# 8192..24576; 3 sends fewer spread fields at (2, 64), whose small blocks
+# gather slowly, to the block phase than 2, and 4 (with an overhead of 8192)
+# turned down the block phase at (3, 32), 4.7 s against 2.3 s over its band
+# levels.
+# The constants only pick the path, never the output.
+_ROLL_OVERHEAD = 16384
 _GATHER_COST = 3
-_CHUNK = 4  # source blocks per gather; the bound is re-checked between chunks
+# per batch of target blocks: bound-table entries, and products per gather
+_TABLE_CAP = 1 << 16
+
+
+def _block_side(n: int, G: int) -> int:
+    """Cells per axis of a block of the Peetre scan's block phase: 2^(6 // n)
+    (b^(2n) = 4096 products per block pair), halved on small grids until
+    b^(2n) <= G^n / 4.  b = 1, on G <= 8 in 1-D and G = 4 in 2-D and 3-D,
+    means no block phase."""
+    J = G.bit_length() - 1
+    return 1 << min(6 // n, (n * J - 2) // (2 * n))
 
 
 def _peetre_scan(g: np.ndarray, j: int, N: float) -> np.ndarray:
@@ -518,22 +549,26 @@ def _peetre_scan(g: np.ndarray, j: int, N: float) -> np.ndarray:
     offset, and stops once w(z) max g <= min out: no remaining offset can
     raise any value.  On localized g that bound stays loose (min out sits far
     from the bump), so the scan may finish in phase 2 instead, by blocks of
-    b = 2^(6 // n) cells per axis (b^(2n) = 4096 products per block pair for
-    n <= 3):
+    b = _block_side(n, G) cells per axis:
 
     * M[Y] is the max of g on source block Y.  Wmax[D] is the max of w over
       the offsets x - y with x in block X, y in block Y, X - Y = D: the block
       max of w, maxed over the 2^n block shifts by {0, 1}.
-    * Target block X skips source block Y when Wmax[X - Y] M[Y] <= min of
-      out on X.  Survivors are evaluated densely by gather, in descending
-      bound order, _CHUNK at a time, re-checking the bound before each chunk.
+    * Target block X skips source block Y when its bound B[X, Y] =
+      Wmax[X - Y] M[Y] <= min of out on X.  Targets go in batches of at most
+      _TABLE_CAP bound-table entries and _TABLE_CAP products per gather.
+      Round 0 evaluates each target's best source; the live sources left
+      are sorted by descending bound per target, and round r evaluates the
+      r-th source of every target whose r-th bound still beats min out on
+      it, all of them in one gather.  Bounds fall and out only rises, so a
+      target is done at its first failing rank.
 
     The cost switch: phase 1 runs as many offsets as the cheapest block
     phase costs (one source block per target block), then phase 2 is taken
-    only when its estimate, _GATHER_COST * (surviving pairs) * b^(2n),
-    beats the roll scan's remaining work, (offsets with w(z) max g > min out)
-    * (G^n + _ROLL_OVERHEAD).  Grids with fewer than two blocks per axis
-    never switch.  The choice moves only the time, never the output.
+    only when its estimate, _GATHER_COST * (live pairs) * b^(2n), beats the
+    roll scan's remaining work, (offsets with w(z) max g > min out)
+    * (G^n + _ROLL_OVERHEAD).  Grids with b = 1 never switch.  The choice
+    moves only the time, never the output.
 
     Exactness: both phases form each product as the same float multiply
     w[z] * g[y] and take an exact max.  A skipped product has w[z] <= Wmax
@@ -546,11 +581,11 @@ def _peetre_scan(g: np.ndarray, j: int, N: float) -> np.ndarray:
     gmax = g.max()
     out = np.zeros_like(g)
     axes = tuple(range(n))
-    b = 1 << (6 // n)
+    b = _block_side(n, G)
     roll_cost = G ** n + _ROLL_OVERHEAD
     # the cheapest block phase: one source block per target block
     floor = _GATHER_COST * G ** n * b ** n
-    switch = floor // roll_cost if G % b == 0 and G >= 2 * b else order.size
+    switch = floor // roll_cost if b > 1 else order.size
     for k, idx in enumerate(order):
         wz = flat_w[idx]
         if wz * gmax <= out.min():
@@ -571,22 +606,27 @@ def _block_scan(w: np.ndarray, g: np.ndarray, out: np.ndarray, b: int,
     blocks, if the estimated cost is below budget; return whether it ran."""
     n = g.ndim
     nb = g.shape[0] // b
-    cells = tuple(range(n, 2 * n))
-    gb, ob = _split_blocks(g, b), _split_blocks(out, b)
-    M = gb.max(axis=cells)
-    Wmax = _split_blocks(w, b).max(axis=cells)
+    nt = nb ** n
+    # one row of b^n cells per block, blocks in C order (copies for n > 1)
+    gb = _split_blocks(g, b).reshape(nt, -1)
+    ob = _split_blocks(out, b).reshape(nt, -1)
+    M = gb.max(axis=1)
+    Wmax = _split_blocks(w, b).max(axis=tuple(range(n, 2 * n)))
     for ax in range(n):
         Wmax = np.maximum(Wmax, np.roll(Wmax, 1, axis=ax))
-    # Wmax[(X - Y) mod nb] over all Y is a window of the flipped, tiled table
-    tiled = np.tile(np.flip(Wmax), (2,) * n)
+    # Wmax[(X - Y) mod nb] over all Y is a window of the flipped, tiled
+    # table, starting at nb - 1 - X per axis
+    rows_of = sliding_window_view(np.tile(np.flip(Wmax), (2,) * n), (nb,) * n)
+    X = np.unravel_index(np.arange(nt), (nb,) * n)
+    step = max(1, _TABLE_CAP // max(nt, b ** (2 * n)))
+    batches = [slice(t, min(t + step, nt)) for t in range(0, nt, step)]
 
-    def bounds(X):
-        window = tuple(slice(nb - 1 - x, 2 * nb - 1 - x) for x in X)
-        return (tiled[window] * M).ravel()
+    def bounds(t):
+        """B[X, Y] = Wmax[X - Y] M[Y] for the targets X of batch t."""
+        return rows_of[tuple(nb - 1 - x[t] for x in X)].reshape(-1, nt) * M
 
-    targets = list(np.ndindex(M.shape))
-    lo = ob.min(axis=cells)
-    live = sum(np.count_nonzero(bounds(X) > lo[X]) for X in targets)
+    lo = ob.min(axis=1)
+    live = sum(np.count_nonzero(bounds(t) > lo[t, None]) for t in batches)
     if _GATHER_COST * live * b ** (2 * n) >= budget:
         return False
     # w at offset (Y - X) b + v - u, read as rows of a sliding window: the
@@ -594,28 +634,57 @@ def _block_scan(w: np.ndarray, g: np.ndarray, out: np.ndarray, b: int,
     windows = sliding_window_view(np.pad(w, [(b, 0)] * n, mode="wrap"),
                                   (b,) * n)
     top = b - np.arange(b)
-    sources = (0,) + tuple(range(n + 1, 2 * n + 1))  # chunk and v axes
-    for X in targets:
-        oX = ob[X]
-        bound = bounds(X)
-        cand = np.flatnonzero(bound > oX.min())
-        cand = cand[np.argsort(bound[cand])[::-1]]
-        for s in range(0, cand.size, _CHUNK):
-            chunk = cand[s:s + _CHUNK]
-            chunk = chunk[bound[chunk] > oX.min()]
-            if chunk.size == 0:
+    sources = tuple(range(n + 1, 2 * n + 1))  # the v axes
+
+    def evaluate(x, y):
+        """Raise out on the distinct target blocks x by every product from
+        the source blocks y, one pair per target; return the new min of out
+        on each."""
+        Xa, Ya = np.unravel_index(x, (nb,) * n), np.unravel_index(y, (nb,) * n)
+        idx = []
+        for ax in range(n):
+            shape = [x.size] + [1] * n
+            shape[1 + ax] = b
+            idx.append((((Ya[ax] - Xa[ax]) % nb)[:, None] * b + top)
+                       .reshape(shape))
+        # T[i, u, v] = w(x - y), x = X_i b + u, y = Y_i b + v
+        T = windows[tuple(idx)]
+        T *= gb[y].reshape((x.size,) + (1,) * n + (b,) * n)
+        new = np.maximum(ob[x], T.max(axis=sources).reshape(x.size, -1))
+        ob[x] = new  # distinct targets: the scatter has no conflicts
+        return new.min(axis=1)
+
+    for t in batches:
+        B = bounds(t)
+        i = np.arange(B.shape[0])  # target t.start + i
+        # round 0: each target's best source, which lifts min out on most
+        # targets far enough to leave few live pairs
+        best = B.argmax(axis=1)
+        keep = B[i, best] > lo[t]
+        evaluate(t.start + i[keep], best[keep])
+        B[i, best] = 0.0
+        low = ob[t].min(axis=1)
+        # the live pairs left, each target's sources by descending bound; the
+        # spent best source, bound 0.0, ends every row, since it never beats
+        # min out
+        cand = B > low[:, None]
+        cand[i, best] = True
+        row, src = np.nonzero(cand)
+        bound = B[row, src]
+        order = np.lexsort((-bound, row))
+        src, bound = src[order], bound[order]
+        first = np.searchsorted(row, i)
+        # round r: every target whose r-th bound still beats min out on it
+        # takes its r-th source.  Bounds fall and out only rises, so a target
+        # is done at its first failing rank.
+        act = i
+        for r in itertools.count():
+            keep = bound[first[act] + r] > low
+            act, low = act[keep], low[keep]
+            if not act.size:
                 break
-            Y = np.unravel_index(chunk, M.shape)
-            rows = []
-            for ax in range(n):
-                shape = [chunk.size] + [1] * n
-                shape[1 + ax] = b
-                rows.append((((Y[ax] - X[ax]) % nb)[:, None] * b + top)
-                            .reshape(shape))
-            # T[i, u, v] = w(x - y), x = X b + u, y = Y_i b + v
-            T = windows[tuple(rows)]
-            T *= gb[Y].reshape((chunk.size,) + (1,) * n + (b,) * n)
-            np.maximum(oX, T.max(axis=sources), out=oX)
+            low = evaluate(t.start + act, src[first[act] + r])
+    _split_blocks(out, b)[...] = ob.reshape((nb,) * n + (b,) * n)
     return True
 
 

@@ -238,8 +238,8 @@ def peetre_char_campaign(params: SpaceParams, N: float, corpus,
                          bank: FilterBank) -> Report:
     """Starred norm (Peetre maximal per level) over plain norm per trial;
     >= 1 exactly by pointwise domination, the upper side is the constant."""
-    if N <= peetre_threshold(params):
-        raise ValueError(f"N must exceed {peetre_threshold(params)}")
+    if not N > peetre_threshold(params):
+        raise ValueError(f"N must exceed {peetre_threshold(params)}, got {N}")
     _check_bank(params, bank)
     rep = Report(name=f"peetre-{params.variant}-N{N}",
                  constants={bank.G: 0.0})
@@ -270,8 +270,8 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     2^{js} H_(j)(D) tau_j(D) f against the dilation-invariant Sobolev norm
     of the profile times the plain norm."""
     n = params.n
-    if nu <= n / min(1.0, params.q, params.r if params.r != INF else 1.0) + n / 2.0:
-        raise ValueError("nu below the multiplier threshold")
+    if not nu > n / min(1.0, params.q, params.r if params.r != INF else 1.0) + n / 2.0:
+        raise ValueError(f"nu must exceed the multiplier threshold, got {nu}")
     G = bank.G
     rep = Report(name=f"multiplier-nu{nu}", constants={G: 0.0})
     N = peetre_threshold(params) + 1.0

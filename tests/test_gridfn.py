@@ -362,8 +362,9 @@ def test_peetre_maximal_dominates_band():
         b = np.abs(band(f, bank, j).samples)
         P = peetre_maximal(band(f, bank, j), j, 4.0).samples.real
         assert np.all(P >= b - 1e-12)
-    with pytest.raises(ValueError):
-        peetre_maximal(band(f, bank, 1), 1, 0.0)
+    for N in (0.0, math.nan):  # a NaN order once gave all-NaN samples
+        with pytest.raises(ValueError, match="N must be positive"):
+            peetre_maximal(band(f, bank, 1), 1, N)
 
 
 def test_peetre_maximal_constant_band():
@@ -431,30 +432,45 @@ def _spread_field(n, G, seed):
                                      seed=[16, seed]).samples)
 
 
-# (n, G, field, j, N) per path of _peetre_scan.  The block side is 64 in 1-D,
-# 8 in 2-D and 4 in 3-D, so G = 4 and 8 never reach the block phase.
+# (n, G, field, j, N) per path of _peetre_scan, which
+# test_peetre_scan_takes_labelled_path asserts.  The block side is 64 in 1-D,
+# 8 in 2-D and 4 in 3-D on large grids and shrinks on small ones
+# (gridfn._block_side): (1, 4096) has 32, (1, 1024) 16, (2, 64) 4, (3, 16) 2,
+# and b = 1 (no block phase) on G <= 8 in 1-D and G = 4 in 2-D and 3-D.  So a
+# block grid has at least four blocks per axis, never G = 2b; the edge cases
+# are the smallest grids with a block phase, (1, 16), (2, 8) and (3, 8).  The
+# bound tables of (1, 4096) and (3, 16) span several batches.  Spread fields
+# at moderate N take the block phase; the other paths need steeper weights.
 _SCAN_PATHS = {
-    "phase1-exit": [(1, 1024, _spread_field, 8, 3.0),
-                    (2, 64, _spread_field, 4, 5.0)],
-    "switch-global-no-estimate": [(1, 1024, _spread_field, 6, 3.0),
-                                  (2, 64, _spread_field, 3, 5.0)],
-    "switch-global-estimated": [(1, 1024, _spread_field, 5, 3.0),
-                                (2, 64, _spread_field, 1, 5.0),
-                                (2, 32, _spread_field, 2, 5.0)],
+    "phase1-exit": [(1, 1024, _spread_field, 8, 32.0),
+                    (1, 4096, _spread_field, 10, 8.0),
+                    (2, 64, _spread_field, 4, 40.0)],
+    "switch-global-no-estimate": [(1, 1024, _spread_field, 6, 56.0),
+                                  (1, 4096, _spread_field, 8, 4.0),
+                                  (2, 64, _spread_field, 3, 19.0)],
+    "switch-global-estimated": [(1, 1024, _spread_field, 5, 64.0),
+                                (1, 4096, _spread_field, 6, 6.0),
+                                (2, 64, _spread_field, 1, 48.0),
+                                (2, 32, _spread_field, 2, 26.0)],
     "block": [(1, 1024, _localized_field, 0, 3.0),
               (1, 1024, _localized_field, 3, 3.0),
               (1, 1024, _localized_field, 8, 3.0),
               (1, 1024, _spread_field, 0, 3.0),
+              (1, 4096, _spread_field, 5, 3.0),
               (1, 128, _localized_field, 3, 3.0),
+              (1, 16, _localized_field, 0, 3.0),
               (2, 64, _localized_field, 0, 5.0),
               (2, 64, _localized_field, 4, 5.0),
               (2, 64, _spread_field, 0, 5.0),
               (2, 16, _localized_field, 3, 5.0),
-              (3, 16, _localized_field, 0, 7.0)],
+              (2, 8, _spread_field, 0, 5.0),
+              (3, 16, _localized_field, 0, 7.0),
+              (3, 16, _spread_field, 1, 7.0),
+              (3, 8, _localized_field, 0, 7.0)],
     "tiny-grid": [(1, 4, _localized_field, 0, 3.0),
                   (1, 8, _spread_field, 2, 3.0),
                   (2, 4, _localized_field, 1, 5.0),
-                  (2, 8, _spread_field, 0, 5.0)],
+                  (3, 4, _localized_field, 0, 7.0)],
 }
 
 
@@ -468,6 +484,88 @@ def test_peetre_scan_paths_match_full_scan(path, case):
     g = field(n, G, seed=3)
     assert np.array_equal(gridfn._peetre_scan(g, j, N),
                           _full_peetre_scan(g, j, N))
+
+
+@pytest.mark.parametrize("n,G", [(1, 256), (2, 32), (3, 16)])
+def test_block_scan_alone_matches_full_scan(n, G):
+    # the block phase is exact on its own, from out = 0 (no phase-1 offset)
+    # and from an out that is already the max (no pair is live)
+    g = _spread_field(n, G, seed=3)
+    want = _full_peetre_scan(g, 2, 5.0)
+    w = (1.0 + 4.0 * np.sqrt(gridfn.torus_dist_sq(n, G))) ** -5.0
+    for out in (np.zeros_like(g), want.copy()):
+        assert gridfn._block_scan(w, g, out, gridfn._block_side(n, G), np.inf)
+        assert out.tobytes() == want.tobytes()
+
+
+def _scan_path(g, j, N, monkeypatch):
+    """The path _peetre_scan takes on g, read off the return values of
+    _block_scan and the number of phase-1 offsets (its rolls of g)."""
+    n, G = g.ndim, g.shape[0]
+    ran, rolls = [], [0]
+    block_scan, roll = gridfn._block_scan, np.roll
+
+    def counted_roll(*args, **kwargs):
+        rolls[0] += 1
+        return roll(*args, **kwargs)
+
+    def spied_block_scan(*args):
+        before = rolls[0]  # _block_scan's own rolls are not offsets
+        ran.append(block_scan(*args))
+        rolls[0] = before
+        return ran[-1]
+
+    monkeypatch.setattr(np, "roll", counted_roll)
+    monkeypatch.setattr(gridfn, "_block_scan", spied_block_scan)
+    gridfn._peetre_scan(g, j, N)
+    monkeypatch.undo()
+    b = gridfn._block_side(n, G)
+    if b == 1:
+        assert ran == []
+        return "tiny-grid"
+    if ran:
+        return "block" if ran == [True] else "switch-global-estimated"
+    # the switch offset: as many offsets as the cheapest block phase costs
+    switch = (gridfn._GATHER_COST * G ** n * b ** n
+              // (G ** n + gridfn._ROLL_OVERHEAD))
+    return "switch-global-no-estimate" if rolls[0] > switch else "phase1-exit"
+
+
+@pytest.mark.parametrize("path,case", [
+    (path, case) for path, cases in _SCAN_PATHS.items() for case in cases],
+    ids=lambda v: v if isinstance(v, str)
+    else f"{v[0]}x{v[1]}-{v[2].__name__.split('_')[1]}-j{v[3]}")
+def test_peetre_scan_takes_labelled_path(path, case, monkeypatch):
+    n, G, field, j, N = case
+    assert _scan_path(field(n, G, seed=3), j, N, monkeypatch) == path
+
+
+def test_scan_paths_cover_block_edges():
+    # a bound table too large for one batch, and for each n the smallest
+    # grid with a block phase next to the largest without one
+    block = {case[:2] for case in _SCAN_PATHS["block"]}
+    tiny = {case[:2] for case in _SCAN_PATHS["tiny-grid"]}
+    assert any((G // gridfn._block_side(n, G)) ** (2 * n) > gridfn._TABLE_CAP
+               for n, G in block)
+    for n in (1, 2, 3):
+        G = next(G for G in (4, 8, 16, 32) if gridfn._block_side(n, G) > 1)
+        assert (n, G) in block and (n, G // 2) in tiny
+
+
+@pytest.mark.parametrize("n,G,j,N", [(2, 256, 3, 5.0), (1, 1 << 16, 6, 3.0)])
+def test_peetre_scan_working_set(n, G, j, N):
+    # phase 1 peaks at about 5 fields of G^n floats (w and its temporaries,
+    # the offset order, out); the block phase adds its copies of g and out
+    # in block order, and per batch a bound table, its live pairs and one
+    # gather of at most _TABLE_CAP entries each.  A full table of all
+    # (G/b)^(2n) = 2^20 block pairs would hold 8 MB alone.
+    g = _localized_field(n, G, seed=3)
+    gridfn._peetre_scan(g, j, N)  # first-call allocations outside ours
+    tracemalloc.start()
+    gridfn._peetre_scan(g, j, N)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * (8 * G ** n) + 2 * 8 * gridfn._TABLE_CAP
 
 
 def test_sample_expand_exact():

@@ -184,8 +184,11 @@ def test_peetre_threshold_and_precondition():
     assert peetre_threshold(pN) == pytest.approx(1 / 0.5 + 1)
     pE = pN.with_(variant="E", r=0.25)
     assert peetre_threshold(pE) == pytest.approx(1 / 0.25 + 1)
-    with pytest.raises(ValueError):
-        peetre_char_campaign(pN, peetre_threshold(pN), [], make_bank(1, 32))
+    # NaN fails every comparison: it once passed, with constant 0.0
+    for N in (peetre_threshold(pN), math.nan):
+        with pytest.raises(ValueError, match="N must exceed"):
+            peetre_char_campaign(pN, N, function_corpus(1, 32, 2, seed=4),
+                                 make_bank(1, 32))
 
 
 def test_peetre_char_lower_bound_exact():
@@ -224,8 +227,10 @@ def test_multiplier_campaign():
     params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
     G = 64
     bank = make_bank(1, G)
-    with pytest.raises(ValueError):
-        multiplier_campaign(params, [], bank, nu=1.0)
+    for nu in (1.0, math.nan):  # NaN once passed, with constant 0.0
+        with pytest.raises(ValueError, match="multiplier threshold"):
+            multiplier_campaign(params, function_corpus(1, G, 2, seed=4),
+                                bank, nu=nu)
     rep = multiplier_campaign(params, function_corpus(1, G, 4, seed=6),
                               bank, nu=2.0, seed=0)
     assert rep.trials == 4
