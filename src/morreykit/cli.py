@@ -116,15 +116,33 @@ def _check_cells(G: int, n: int) -> None:
                          f" 2^{MAX_LEVEL_BITS}")
 
 
-def _load_function(args) -> GridFunction:
+WORK_BUDGET = 1 << 31  # bytes a command's estimated working set may take
+
+
+def _check_work(nbytes: int) -> None:
+    """Refuse a run whose working set is estimated above WORK_BUDGET."""
+    if nbytes > WORK_BUDGET:
+        raise ValueError(f"the working set, estimated at {nbytes / 2 ** 30:.2f}"
+                         f" GiB, exceeds the {WORK_BUDGET / 2 ** 30:g} GiB"
+                         " budget")
+
+
+def _load_function(args, work=None) -> GridFunction:
+    """The --input blob or the --fn preset.  work(n, G), if given, is the
+    command's working set in bytes: checked before the preset is built, and
+    by a blob's own G."""
     if not args.input:
         _check_cells(args.res, args.dim)
+        if work:
+            _check_work(work(args.dim, args.res))
         return preset_function(args.fn, args.dim, args.res, seed=args.seed)
     with open(args.input, "rb") as fh:
         f = GridFunction.from_bytes(fh.read())
     if f.n != args.dim:
         raise ValueError(f"--input holds an n={f.n} function,"
                          f" not --dim {args.dim}")
+    if work:
+        _check_work(work(f.n, f.G))
     return f
 
 
@@ -149,7 +167,8 @@ def cmd_seqnorm(args):
 
 
 def cmd_decompose(args):
-    f = _load_function(args)
+    f = _load_function(args, lambda n, G: decomp.decompose_bytes(
+        n, G, args.L, args.hom))
     if args.hom and abs(f.samples.mean()) > 1e-8 * f.l2():
         raise ValueError("--hom needs a zero-mean input: no level of the"
                          " homogeneous pair carries the mean")

@@ -14,6 +14,12 @@ a_jm = gamma_jm / lam_jm:
   starting one cube side before the cube, at cell (m c - c) mod G: its
   full support 3Q, or at j = 1 the whole torus once.
 * j <= 0: the atom on the full grid, as one cube covers the torus.
+
+A level j >= 1 is analysed in slabs of cubes of about 1 MiB of patches,
+with a forward FFT that skips the all-zero patch lines and one power-of-two
+scale, so besides the atoms it returns it holds one slab at a time; the
+bits are those of the whole-level transform.  decompose_bytes bounds what
+a decompose run holds, and the CLI checks it before the analysis.
 """
 
 from __future__ import annotations
@@ -25,14 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicCube, box_mask, cube_mask, dilate
-from .gridfn import (FilterBank, GridFunction, RychkovPair, bands, smoothstep7,
-                     _along, _bump_axis, _join_blocks, _moments,
-                     _multi_indices, _outer, _split_blocks, _times_monomial,
-                     centered_axis, coord_axis, hl_maximal, kappa_profile,
-                     level_side, radial_window, wavenumbers, TWO_PI)
+from .gridfn import (FilterBank, GridFunction, RychkovPair, band_levels,
+                     bands, smoothstep7, _along, _bump_axis, _join_blocks,
+                     _moments, _multi_indices, _outer, _split_blocks,
+                     _times_monomial, centered_axis, coord_axis, hl_maximal,
+                     kappa_profile, level_side, radial_window, wavenumbers,
+                     TWO_PI, _check_grid)
 from .norms import CoeffField, QuarkCoeffs, _moduli
 
 TINY = 1e-300
+_SLAB_BYTES = 1 << 20  # patches per slab of _level_analysis
+_WORK_GRIDS = 8  # G^n grids decompose holds besides atoms, pair and slab
 
 
 # ---------------------------------------------------------------------------
@@ -231,42 +240,91 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair):
     return CoeffField(n, lam_levels), patches
 
 
+def _slabs(side: int, n: int, per: int) -> list:
+    """Index tuples that cover a (side,)*n array of cubes in C order, at
+    most per >= 1 cubes each: one index on the leading axes, a run on the
+    next, and the trailing axes whole."""
+    t = 0  # trailing axes a slab takes whole
+    while t < n - 1 and side ** (t + 1) <= per:
+        t += 1
+    run = per // side ** t
+    return [tuple(slice(h, h + 1) for h in head) + (slice(s, s + run),)
+            for head in itertools.product(range(side), repeat=n - 1 - t)
+            for s in range(0, side, run)]
+
+
 def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
-    """lam and normalized atoms of level j >= 1, one derivative at a time.
+    """lam and normalized atoms of level j >= 1, in slabs of cubes.
 
     gamma_m = phi_j * (chi_{Q_m} U) is a circular convolution on a 4c
     patch (origin = cube corner minus one cube side), exact while the
     kernel half-width stays at most c cells; its support is then the first
-    3c cells.  Each d^alpha phi_j, |alpha| <= K, is convolved into one
-    reused buffer and folded into lam; only the alpha = 0 stack is kept,
-    cut to min(3c, G) cells per patch axis (at j = 1 the 2G patch is
-    G-periodic)."""
+    3c cells.  The cubes go through in slabs of at most _SLAB_BYTES of
+    patches (or one patch), so a level holds one slab, not all 4^n G^n
+    cells.  The forward FFT runs one patch axis at a time in fftn's order,
+    last first, over the lines whose earlier patch axes lie in [c, 2c):
+    the other lines are zero, and each line is transformed on its own, so
+    the bytes are fftn's.  Each d^alpha phi_j, |alpha| <= K, is convolved
+    into one reused buffer by an unscaled inverse FFT and folded into lam;
+    only the alpha = 0 patches are kept, cut to min(3c, G) cells per axis
+    (at j = 1 the 2G patch is G-periodic).  The quadrature weight G^-n and
+    ifftn's (4c)^-n are one power-of-two factor, applied to the max and the
+    kept patches: exact while nothing is subnormal or overflows."""
     n = U.ndim
     G = U.shape[0]
     c = G >> j
     size = 4 * c
+    side = level_side(j)
     axes = tuple(range(n, 2 * n))
-    # blocks of U per cube, zero-extended into the 4c patch at offset c
-    ext = np.zeros((level_side(j),) * n + (size,) * n, dtype=np.complex128)
-    ext[(...,) + (slice(c, 2 * c),) * n] = _split_blocks(U, c)
-    np.fft.fftn(ext, axes=axes, out=ext)
-    buf = np.empty_like(ext)
-    hn = G ** (-n)  # quadrature weight of the sample-space convolution
-    lam = np.full((level_side(j),) * n, TINY)
-    for alpha in _multi_indices(n, K):
-        # full-grid kernel of d^alpha phi_j (alpha = 0: phi_j itself,
-        # exactly compact) via spectral differentiation
-        kernel = np.fft.ifftn(_differentiate(phi_spec, alpha) * G ** n)
-        kern_hat = np.fft.fftn(_patch_kernel(kernel, size))
-        np.multiply(ext, kern_hat[(None,) * n], out=buf)
-        np.fft.ifftn(buf, axes=axes, out=buf)
-        buf *= hn
-        lam = np.maximum(
-            lam, 2.0 ** (-j * sum(alpha)) * np.abs(buf).max(axis=axes))
-        if not any(alpha):
-            atoms = buf[(...,) + (slice(0, min(3 * c, G)),) * n].copy()
-    atoms /= lam[(...,) + (None,) * n]
+    scale = float(G * size) ** -n
+    # spectra of the d^alpha phi_j kernels (alpha = 0 first: phi_j itself,
+    # exactly compact), from full-grid kernels by spectral differentiation
+    kernels = [(2.0 ** (-j * sum(alpha)) * scale, np.fft.fftn(_patch_kernel(
+        np.fft.ifftn(_differentiate(phi_spec, alpha) * G ** n), size)))
+        for alpha in _multi_indices(n, K)]
+    lam = np.empty((side,) * n)
+    atoms = np.empty((side,) * n + (min(3 * c, G),) * n,
+                     dtype=np.complex128)
+    blocks = _split_blocks(U, c)
+    inner = (slice(c, 2 * c),) * n
+    kept = (...,) + (slice(0, min(3 * c, G)),) * n
+    for sl in _slabs(side, n, max(1, _SLAB_BYTES // (16 * size ** n))):
+        # blocks of U per cube, zero-extended into the 4c patch at offset c
+        ext = np.zeros(lam[sl].shape + (size,) * n, dtype=np.complex128)
+        ext[(...,) + inner] = blocks[sl]
+        for ax in reversed(range(n)):
+            live = ext[(...,) + inner[:ax] + (slice(None),) * (n - ax)]
+            np.fft.fft(live, axis=n + ax, out=live)
+        buf = np.empty_like(ext)
+        lam_sl = np.full(ext.shape[:n], TINY)
+        for i, (weight, kern_hat) in enumerate(kernels):
+            np.multiply(ext, kern_hat, out=buf)
+            np.fft.ifftn(buf, axes=axes, norm="forward", out=buf)
+            lam_sl = np.maximum(lam_sl, weight * np.abs(buf).max(axis=axes))
+            if i == 0:
+                np.multiply(buf[kept], scale, out=atoms[sl])
+        lam[sl] = lam_sl
+        atoms[sl] /= lam_sl[(...,) + (None,) * n]
     return lam, atoms
+
+
+def decompose_bytes(n: int, G: int, L: int, homogeneous: bool = False) -> int:
+    """Upper bound on the bytes decompose holds at once for a G^n grid with
+    rychkov_pair(L): every level's atoms, the pair's phi/psi spectra, the
+    level-1 kernel spectra of _level_analysis, one slab (patches, their
+    product buffer and its moduli) and _WORK_GRIDS grids for f, its
+    spectrum, a band and the transients of analysis and synthesis."""
+    _check_grid(G)
+    grid = 16 * G ** n
+    levels = band_levels(G, homogeneous)
+    patch = max([16 * (4 * (G >> j)) ** n for j in levels if j >= 1],
+                default=0)
+    atoms = sum(grid if j <= 0 else 16 * (level_side(j) * min(3 * (G >> j),
+                                                              G)) ** n
+                for j in levels)
+    kernels = math.comb(n + max(1, L), n) * patch
+    return (atoms + 2 * len(levels) * grid + kernels
+            + 3 * max(_SLAB_BYTES, patch) + _WORK_GRIDS * grid)
 
 
 def synthesize(lam: CoeffField, patches: dict, G: int) -> GridFunction:

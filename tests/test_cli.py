@@ -5,13 +5,14 @@ import math
 import re
 import shlex
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from morreykit import cli, verify
+from morreykit import cli, decomp, verify
 from morreykit.cli import (EXIT_EXACT, EXIT_OK, EXIT_STABILITY, EXIT_USAGE,
                            _plain, main, parse_params, validate_params)
 from morreykit.growth import SpaceParams, power
@@ -368,6 +369,43 @@ def test_too_large_grids_fail_closed(capsys, argv):
     result = run(capsys, *argv)
     _assert_fails_closed(*result)
     assert "cells exceeds 2^24" in result[2]
+
+
+@pytest.mark.parametrize("L", [0, 1, 2])
+@pytest.mark.parametrize("hom", [False, True])
+@pytest.mark.parametrize("n,G", [(1, 16384), (2, 128), (3, 16)])
+def test_decompose_peak_within_estimate(capsys, tmp_path, n, G, L, hom):
+    # the working set the budget checks bounds what a whole run holds
+    argv = ["decompose", "--dim", str(n), "--res", str(G), "--L", str(L),
+            "--out", str(tmp_path / "lam.csv")]
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--hom", "--fn", "mode"] * hom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert peak <= decomp.decompose_bytes(n, G, L, hom)
+
+
+def test_decompose_over_budget_fails_closed(capsys):
+    # 2^24 cells pass the grid guard; the 32.5 GiB estimate is refused
+    # before anything is allocated
+    result = run(capsys, "decompose", "--dim", "1", "--res", str(1 << 24))
+    _assert_fails_closed(*result)
+    assert "working set, estimated at 32.50 GiB" in result[2]
+
+
+def test_decompose_budget_reads_input_grid(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "f.bin"
+    path.write_bytes(preset_function("gaussian", 1, 64).to_bytes())
+    monkeypatch.setattr(cli, "WORK_BUDGET", decomp.decompose_bytes(1, 64, 1))
+    # a blob is checked by its own G, not by the default --res 256
+    assert run(capsys, "decompose", "--input", str(path))[0] == EXIT_OK
+    _assert_fails_closed(*run(capsys, "decompose", "--res", "256"))
+    monkeypatch.setattr(cli, "WORK_BUDGET", cli.WORK_BUDGET - 1)
+    _assert_fails_closed(*run(capsys, "decompose", "--input", str(path)))
 
 
 def _raise_memory_error(args):

@@ -6,14 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from morreykit import decomp
 from morreykit.dyadic import DyadicCube, cube_mask
-from morreykit.decomp import (AtomSpec, MoleculeSpec, QuarkGen,
-                              atomic_analyze, band_decay_profile,
-                              fit_decay_slopes, make_atom, make_molecule,
-                              quark_analyze, quark_synthesize, synthesize,
-                              validate_atom, validate_molecule)
+from morreykit.decomp import (TINY, AtomSpec, MoleculeSpec, QuarkGen,
+                              _differentiate, _patch_kernel, atomic_analyze,
+                              band_decay_profile, fit_decay_slopes, make_atom,
+                              make_molecule, quark_analyze, quark_synthesize,
+                              synthesize, validate_atom, validate_molecule)
 from morreykit.growth import SpaceParams, power
-from morreykit.gridfn import (GridFunction, make_bank, random_bandlimited,
+from morreykit.gridfn import (GridFunction, _multi_indices, _split_blocks,
+                              level_side, make_bank, random_bandlimited,
                               rychkov_pair)
 from morreykit.norms import CoeffField, quark_norm
 
@@ -183,6 +185,90 @@ def test_atomic_analyze_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def test_atomic_analyze_working_set():
+    # the slabs bound what a level holds besides its atoms: analysing all
+    # cubes of a level at once peaked at 94 MB against 50 MB of atoms
+    pair = rychkov_pair(1, n=2, G=256)
+    f = random_bandlimited(2, 256, 32, seed=4)
+    tracemalloc.start()
+    try:
+        _, patches = atomic_analyze(f, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * sum(a.nbytes for a in patches.values())
+
+
+def _level_analysis_unslabbed(U, phi_spec, j, K):
+    """_level_analysis before slabs: every cube's 4c patch at once, fftn
+    over all lines, and ifftn's own 1/(4c)^n followed by G^-n."""
+    n = U.ndim
+    G = U.shape[0]
+    c = G >> j
+    size = 4 * c
+    axes = tuple(range(n, 2 * n))
+    ext = np.zeros((level_side(j),) * n + (size,) * n, dtype=np.complex128)
+    ext[(...,) + (slice(c, 2 * c),) * n] = _split_blocks(U, c)
+    np.fft.fftn(ext, axes=axes, out=ext)
+    buf = np.empty_like(ext)
+    hn = G ** (-n)
+    lam = np.full((level_side(j),) * n, TINY)
+    for alpha in _multi_indices(n, K):
+        kernel = np.fft.ifftn(_differentiate(phi_spec, alpha) * G ** n)
+        kern_hat = np.fft.fftn(_patch_kernel(kernel, size))
+        np.multiply(ext, kern_hat[(None,) * n], out=buf)
+        np.fft.ifftn(buf, axes=axes, out=buf)
+        buf *= hn
+        lam = np.maximum(
+            lam, 2.0 ** (-j * sum(alpha)) * np.abs(buf).max(axis=axes))
+        if not any(alpha):
+            atoms = buf[(...,) + (slice(0, min(3 * c, G)),) * n].copy()
+    atoms /= lam[(...,) + (None,) * n]
+    return lam, atoms
+
+
+def _analysis_bytes(f, pair):
+    lam, patches = atomic_analyze(f, pair)
+    return ([(j, lam.levels[j].tobytes()) for j in lam.level_list()],
+            [(j, patches[j].tobytes()) for j in sorted(patches)])
+
+
+def _localized(n, G, seed):
+    """Uniform [1, 2) samples on one block of G/8 cells per axis, zero
+    elsewhere."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((G,) * n, dtype=np.complex128)
+    start = rng.integers(0, G - G // 8, n)
+    a[tuple(slice(s, s + G // 8) for s in start)] = rng.uniform(
+        1.0, 2.0, (G // 8,) * n)
+    return GridFunction(n, a)
+
+
+@pytest.mark.parametrize("kind", ["spread", "localized", "zero", "hom"])
+@pytest.mark.parametrize("L", [0, 1, 2])
+@pytest.mark.parametrize("n,G", [(1, 128), (2, 32), (3, 16)])
+def test_level_analysis_matches_unslabbed(monkeypatch, n, G, L, kind):
+    """Slabs, the pruned forward FFT and the one power-of-two scale give
+    the bytes of the whole-level analysis, lam and atoms alike.  The scale
+    is exact only while nothing is subnormal, so every input keeps its
+    samples in the normal range (or zero).  Slab caps of one cube, of a
+    ragged run (3000 bytes) and of 4 KiB split every level, whose patches
+    hold 16 (4G)^n bytes at every j."""
+    pair = rychkov_pair(L, n=n, G=G, homogeneous=kind == "hom")
+    f = {"spread": lambda: random_bandlimited(n, G, G // 8, seed=[15, n, L]),
+         "hom": lambda: random_bandlimited(n, G, G // 4, seed=[16, n, L],
+                                           zero_mean=True),
+         "localized": lambda: _localized(n, G, [17, n, L]),
+         "zero": lambda: GridFunction(n, np.zeros((G,) * n))}[kind]()
+    with monkeypatch.context() as m:
+        m.setattr(decomp, "_level_analysis", _level_analysis_unslabbed)
+        want = _analysis_bytes(f, pair)
+    for cap in (1, 3000, 4096):
+        assert 16 * (4 * G) ** n > cap
+        monkeypatch.setattr(decomp, "_SLAB_BYTES", cap)
+        assert _analysis_bytes(f, pair) == want, cap
 
 
 def test_homogeneous_lam_pinned():

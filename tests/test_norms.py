@@ -208,15 +208,8 @@ def _check_split(f, bank):
             assert space_norm(f, params, bank) == want
 
 
-@st.composite
-def _space_cases(draw):
-    """(f, params, bank) over n in {1, 2}, G = 16..128, both bank kinds,
-    homogeneous or not, and phi drawn from every growth family."""
-    n = draw(st.sampled_from([1, 2]))
-    G = draw(st.sampled_from([16, 32, 64, 128]))
-    hom = draw(st.booleans())
-    p = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
-    e = draw(st.sampled_from([-1.0, 0.5, 1.5]))
+def _phi_of_every_family(p, e, n):
+    """{family: phi} for every growth family, built from p and e."""
     phis = {
         "power": power(p, n),
         "powerlog": powerlog(p, e, n),
@@ -229,6 +222,21 @@ def _space_cases(draw):
         "powerof": power_of(power(p, n), e),
     }
     assert sorted(phis) == sorted(FAMILIES)
+    return phis
+
+
+_P = st.sampled_from([0.5, 1.0, 2.0, 4.0])
+_E = st.sampled_from([-1.0, 0.5, 1.5])
+
+
+@st.composite
+def _space_cases(draw):
+    """(f, params, bank) over n in {1, 2}, G = 16..128, both bank kinds,
+    homogeneous or not, and phi drawn from every growth family."""
+    n = draw(st.sampled_from([1, 2]))
+    G = draw(st.sampled_from([16, 32, 64, 128]))
+    hom = draw(st.booleans())
+    phis = _phi_of_every_family(draw(_P), draw(_E), n)
     params = SpaceParams(q=draw(st.sampled_from([0.5, 1.0, 2.0])),
                          r=draw(st.sampled_from([0.5, 2.0, INF])),
                          s=draw(st.sampled_from([-0.5, 0.0, 1.5])),
@@ -260,6 +268,41 @@ def test_space_norm_power_of_two_homogeneity(case, c, unit):
     f, params, bank = case
     want = c * space_norm(f, params, bank)
     assert abs(space_norm(c * unit * f, params, bank) - want) <= 1e-14 * want
+
+
+@st.composite
+def _morrey_cases(draw):
+    """(f, q, phi) over n in {1, 2}, G = 16..128 and phi drawn from every
+    growth family."""
+    n = draw(st.sampled_from([1, 2]))
+    G = draw(st.sampled_from([16, 32, 64, 128]))
+    phis = _phi_of_every_family(draw(_P), draw(_E), n)
+    f = random_bandlimited(n, G, draw(st.sampled_from([2, G // 4, G // 2])),
+                           seed=draw(st.integers(0, 2 ** 16)))
+    return (f, draw(st.sampled_from([0.5, 1.0, 2.0])),
+            phis[draw(st.sampled_from(sorted(FAMILIES)))])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_morrey_cases(), st.sampled_from([-1.0, 1j, -1j]))
+def test_morrey_norm_unit_modulus_invariance(case, c):
+    # |c f| = |f| sample by sample, so every cube sum is the same float
+    f, q, phi = case
+    assert morrey_norm(c * f, q, phi) == morrey_norm(f, q, phi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_morrey_cases(), st.data())
+def test_morrey_norm_half_period_shift(case, data):
+    # a shift by G/2 on some axes maps every cube of a level j >= 1 onto
+    # one of the same level, but level 0 sums the whole grid in another
+    # order: the norms agree to an ulp or so, not bit for bit
+    f, q, phi = case
+    shift = data.draw(st.lists(st.sampled_from([0, f.G // 2]), min_size=f.n,
+                               max_size=f.n).filter(any))
+    g = GridFunction(f.n, np.roll(f.samples, shift, axis=tuple(range(f.n))))
+    want = morrey_norm(f, q, phi)
+    assert abs(morrey_norm(g, q, phi) - want) <= 1e-14 * want
 
 
 def test_coeff_field_shape_validation():
