@@ -184,7 +184,7 @@ def cmd_decompose(args):
 
 def cmd_quark(args):
     f = _load_function(args)
-    gen = decomp.QuarkGen(n=args.dim)
+    gen = decomp.QuarkGen()
     bank = make_bank(args.dim, f.G)
     qlam = decomp.quark_analyze(f, gen, bank, args.beta_cutoff)
     rec = decomp.quark_synthesize(qlam, gen, f.G)

@@ -20,6 +20,10 @@ with a forward FFT that skips the all-zero patch lines and one power-of-two
 scale, so besides the atoms it returns it holds one slab at a time; the
 bits are those of the whole-level transform.  decompose_bytes bounds what
 a decompose run holds, and the CLI checks it before the analysis.
+
+Quarks are atoms: quark (beta qu)_{nu m} is one kernel on the 3Q patch,
+QuarkGen.quark_patch, translated to cube m, so quark_synthesize is one
+synthesize per beta with a one-patch stack that serves every cube.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -331,9 +336,10 @@ def synthesize(lam: CoeffField, patches: dict, G: int) -> GridFunction:
     """f = sum_j sum_m lam_jm a_jm, by increasing j.
 
     Each level is an overlap-add: every patch axis splits into blocks of
-    c cells, three (min(3c, G) = 3c) for j >= 2 and two (G) for j = 1, and
-    block b lands on cube m + b - 1 (mod 2^j), so a level is 3^n (j >= 2)
-    or 2^n (j = 1) shifted block adds."""
+    c cells, three for a 3c patch and two for a G patch at j = 1, and
+    block b lands on cube m + b - 1 (mod 2^j), so a level is 3^n or 2^n
+    shifted block adds.  A stack of one patch, shape (1,)*n + patch,
+    serves every cube of its level (quark synthesis)."""
     n = lam.n
     out = np.zeros((G,) * n, dtype=np.complex128)
     for j in lam.level_list():
@@ -345,13 +351,14 @@ def synthesize(lam: CoeffField, patches: dict, G: int) -> GridFunction:
         if j <= 0:
             out += np.reshape(v, ()) * patches[j]
             continue
-        side, c = level_side(j), G >> j
+        c = G >> j
+        cubes = patches[j].shape[:n]
         nb = patches[j].shape[n] // c
         # axes (m.., b_1, cell_1, ..., b_n, cell_n) -> (b.., m.., cell..)
-        blocks = patches[j].reshape((side,) * n + (nb, c) * n).transpose(
+        blocks = patches[j].reshape(cubes + (nb, c) * n).transpose(
             [*range(n, 3 * n, 2), *range(n), *range(n + 1, 3 * n, 2)])
         weight = v[(...,) + (None,) * n]
-        acc = np.zeros((side,) * n + (c,) * n, dtype=np.complex128)
+        acc = np.zeros(v.shape + (c,) * n, dtype=np.complex128)
         for b in itertools.product(range(nb), repeat=n):
             acc += np.roll(weight * blocks[b], [bi - 1 for bi in b],
                            axis=tuple(range(n)))
@@ -486,9 +493,8 @@ class QuarkGen:
     psi1(x) = s(x + 1/2) - s(x - 1/2) with s a unit-width smooth step, so
     sum_m psi1(x - m) telescopes to 1 exactly.  supp psi1 = (-1, 1), hence
     R = 0, rho = [R + 1] = 1, and supp of every quark is 3Q_{nu m}."""
-    n: int = 1
-    R: float = 0.0
-    rho: int = 1
+    R: ClassVar[float] = 0.0
+    rho: ClassVar[int] = 1
 
     @property
     def support_dilate(self) -> float:
@@ -505,31 +511,12 @@ class QuarkGen:
         total = sum(self.psi1(x - m) for m in range(-2, 3))
         return float(np.max(np.abs(total - 1.0)))
 
-    def quark_axis(self, beta_i: int, t):
-        return np.asarray(t, dtype=float) ** beta_i * self.psi1(t)
-
-    def quark_field(self, beta, nu_q: int, lam_level: np.ndarray, G: int) -> np.ndarray:
-        """sum_l lam_l (beta qu)_{nu_q, l} sampled on the G-grid via the comb
-        convolution (requires 2^nu_q | G)."""
-        n = self.n
-        S = 1 << nu_q
-        if G % S:
-            raise ValueError("quark level finer than the grid")
-        step = G // S
-        x = centered_axis(G)
-        # kernel W(u) = prod (2^nu_q u_i)^beta_i psi1(2^nu_q u_i), periodized
-        ker_ax = []
-        for b in beta:
-            t = 2.0 ** nu_q * x
-            ax = np.zeros(G)
-            for sft in range(-1, 2):
-                ax += self.quark_axis(b, t + sft * 2.0 ** nu_q)
-            ker_ax.append(ax)
-        ker = _outer(np.multiply, ker_ax)
-        comb = np.zeros((G,) * n, dtype=np.complex128)
-        comb[(slice(None, None, step),) * n] = lam_level
-        # ker is already in wrap layout: centered_axis puts u = 0 at index 0
-        return np.fft.ifftn(np.fft.fftn(comb) * np.fft.fftn(ker))
+    def quark_patch(self, beta, c: int) -> np.ndarray:
+        """(beta qu) of a level with c cells per cube side, on its 3Q patch
+        in synthesize's layout: prod_i t_i^beta_i psi1(t_i) with
+        t = (p - c) / c at patch cell p < 3c, the cube corner at t = 0."""
+        t = (np.arange(3 * c) - c) / c
+        return _outer(np.multiply, [t ** b * self.psi1(t) for b in beta])
 
 
 SAMPLE_GAP = 3  # band nu is sampled on the 2^(nu+SAMPLE_GAP) lattice
@@ -577,18 +564,18 @@ def quark_analyze(f: GridFunction, gen: QuarkGen, bank: FilterBank,
         nu_s = nu + SAMPLE_GAP
         S = 1 << nu_s
         lam_norms[nu] = float(np.abs(Lam).max())
-        Sf = S * (1 << gen.rho)
-        # kernel derivative samples on the Sf lattice (independent of G)
-        window = radial_window(lambda u: kappa_profile(TWO_PI * u / S), n, Sf)
-        b_spacing = 1.0 / Sf
+        Sf = S << gen.rho
+        # spectrum of the sampling kernel on the Sf lattice (independent of
+        # G): the window with the kernel's 1/S^n weight and ifftn's Sf^n
+        window = radial_window(lambda u: kappa_profile(TWO_PI * u / S), n,
+                               Sf).astype(np.complex128) * (Sf // S) ** n
+        # lam^beta(l) = scale * sum_m Lam(m) d^beta g(l - 2^rho m)
+        comb = np.zeros((Sf,) * n, dtype=np.complex128)
+        comb[(slice(None, None, 1 << gen.rho),) * n] = Lam
+        comb_hat = np.fft.fftn(comb)
         for beta in fields:
-            wspec = _differentiate(window.astype(np.complex128), beta)
-            Dg = np.fft.ifftn(wspec * Sf ** n) / S ** n  # kernel has 1/S^n weight
-            # lam^beta(l) = scale * sum_m Lam(m) Dg(l - 2^rho m)
-            comb = np.zeros((Sf,) * n, dtype=np.complex128)
-            comb[(slice(None, None, 1 << gen.rho),) * n] = Lam
-            conv = np.fft.ifftn(np.fft.fftn(comb) * np.fft.fftn(Dg))
-            log_scale = sum(beta) * math.log(b_spacing) \
+            conv = np.fft.ifftn(comb_hat * _differentiate(window, beta))
+            log_scale = -sum(beta) * math.log(Sf) \
                 - sum(math.lgamma(bb + 1) for bb in beta)
             fields[beta][nu_s + gen.rho] = conv * math.exp(log_scale)
     qfields = {}
@@ -602,11 +589,18 @@ def quark_analyze(f: GridFunction, gen: QuarkGen, bank: FilterBank,
 
 
 def quark_synthesize(qlam: QuarkCoeffs, gen: QuarkGen, G: int) -> GridFunction:
-    """sum_beta sum_nu sum_m lam^beta_{nu m} (beta qu)_{nu m}, beta-major."""
+    """sum_beta sum_nu sum_m lam^beta_{nu m} (beta qu)_{nu m}, beta-major:
+    per beta one atomic synthesis, every cube of level nu taking the one
+    patch gen.quark_patch(beta, G / 2^nu).  Levels run over 1..log2 G."""
     n = qlam.n
+    J = G.bit_length() - 1
     out = np.zeros((G,) * n, dtype=np.complex128)
     for beta in qlam.betas():
         fld = qlam.fields[beta]
-        for nu_q in fld.level_list():
-            out += gen.quark_field(beta, nu_q, fld.levels[nu_q], G)
+        bad = [nu for nu in fld.level_list() if not 1 <= nu <= J]
+        if bad:
+            raise ValueError(f"quark level {bad[0]} outside 1..{J} on G={G}")
+        patches = {nu: gen.quark_patch(beta, G >> nu)[(None,) * n]
+                   for nu in fld.level_list()}
+        out += synthesize(fld, patches, G).samples
     return GridFunction(n, out)

@@ -130,12 +130,13 @@ def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
     side = level_side(cl)
     nn = star.n
     # cumulative-from-above level sums of 2^{j s q} S_j^q on the cell lattice
+    terms = {j: (2.0 ** (j * s) * S) ** q for j, S in fields.items()}
     best = 0.0
     for j0 in range(0, cl + 1):
         acc = np.zeros((side,) * nn)
-        for j, S in fields.items():
+        for j, T in terms.items():
             if j >= j0:
-                acc += (2.0 ** (j * s) * S) ** q
+                acc += T
         c = side >> j0
         means = _block_mean(acc, c)
         val = phi(2.0 ** (-j0)) * float(means.max()) ** (1.0 / q)

@@ -14,7 +14,7 @@ default_rng([S, i]) so trials are independent and order-free.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .decomp import _deriv_sup
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
 from .gridfn import (FilterBank, GridFunction, _bump_axis, _check_grid,
                      _hl_stack, _outer, _peetre_scan, bands, level_side,
-                     make_bank, peetre_maximal, radial_window,
-                     random_bandlimited, sobolev_norm, wavenumbers)
+                     make_bank, peetre_maximal, random_bandlimited,
+                     sobolev_norm, wavenumbers)
 from .norms import (CoeffField, _check_bank, _moduli, _morrey_of_array,
                     aggregate, band_norm, morrey_norm, seq_norm, space_norm)
 
@@ -285,18 +285,19 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     u = np.linspace(-8.0, 8.0, M, endpoint=False)
     sob = sobolev_norm(GridFunction(n, _outer(np.multiply, [Hprof(u)] * n)),
                        nu, spacing=16.0 / M)
+    # the bank with each tau level's shell profile times H_(j)
+    shells = np.arange(G // 2 + 1, dtype=float)
+    multiplied = replace(bank, profiles={
+        j: bank.profile(j) * Hprof(shells / 2.0 ** j)
+        for j in bank.tau_levels()})
     for i, f in enumerate(corpus):
-        spec = f.spectrum()
-        fields = {}
-        for j in bank.tau_levels():
-            mult = radial_window(lambda u: Hprof(u / 2.0 ** j), n, G)
-            g = GridFunction.from_spectrum(n, spec * bank.window(j) * mult)
-            fields[j] = _peetre_scan(np.abs(g.samples), j, N)
         rhs = sob * aggregate(_moduli(bands(f, bank, bank.tau_levels())),
                               params)
         if rhs == 0:
             continue
-        ratio = aggregate(fields.items(), params) / rhs
+        ratio = aggregate(((j, _peetre_scan(np.abs(g.samples), j, N))
+                           for j, g in bands(f, multiplied, bank.tau_levels())),
+                          params) / rhs
         rep.observe(G, ratio, trial=i)
         rep.trials += 1
     rep.extra["sobolev"] = sob

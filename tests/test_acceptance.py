@@ -333,7 +333,7 @@ def test_molecule_band_decay_slopes():
 
 def test_quark_residual_decay_rate():
     n, G = 1, 512
-    gen = QuarkGen(n=n)
+    gen = QuarkGen()
     bank = make_bank(n, G)
     f = random_bandlimited(n, G, 24, seed=12)
     resids = {}
@@ -349,7 +349,7 @@ def test_quark_residual_decay_rate():
 
 
 def test_quark_coefficient_constant_stable():
-    gen = QuarkGen(n=1)
+    gen = QuarkGen()
     params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2, 1), variant="N", n=1)
     cs = {}
     for G in (512, 1024):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -15,9 +17,9 @@ from morreykit.decomp import (TINY, AtomSpec, MoleculeSpec, QuarkGen,
                               synthesize, validate_atom, validate_molecule)
 from morreykit.growth import SpaceParams, power
 from morreykit.gridfn import (GridFunction, _multi_indices, _split_blocks,
-                              level_side, make_bank, random_bandlimited,
-                              rychkov_pair)
-from morreykit.norms import CoeffField, quark_norm
+                              centered_axis, level_side, make_bank,
+                              random_bandlimited, rychkov_pair)
+from morreykit.norms import CoeffField, QuarkCoeffs, quark_norm
 
 
 def test_atom_spec_validation():
@@ -361,7 +363,7 @@ def test_band_decay_profile_pinned():
 
 
 def test_quark_partition_of_unity():
-    gen = QuarkGen(n=1)
+    gen = QuarkGen()
     assert gen.partition_residual() < 1e-12
     assert gen.rho == 1
     assert gen.support_dilate == pytest.approx(3.0)
@@ -369,7 +371,7 @@ def test_quark_partition_of_unity():
 
 def test_quark_round_trip_improves_with_cutoff():
     G = 512
-    gen = QuarkGen(n=1)
+    gen = QuarkGen()
     bank = make_bank(1, G)
     f = random_bandlimited(1, G, 24, seed=10)
     prev = np.inf
@@ -382,9 +384,91 @@ def test_quark_round_trip_improves_with_cutoff():
     assert prev < 5e-3
 
 
+def _quark_field_comb(gen, beta, nu, lam_level, G):
+    """Quark synthesis of one (beta, nu) by comb convolution, the reference
+    for quark_synthesize: lam_level on the 2^-nu lattice of the G-grid
+    convolved with the kernel prod_i (2^nu u_i)^beta_i psi1(2^nu u_i),
+    periodized over the shifts -1, 0, 1 of 2^nu."""
+    n = len(beta)
+    t = 2.0 ** nu * centered_axis(G)
+    ker_ax = []
+    for b in beta:
+        ax = np.zeros(G)
+        for sft in range(-1, 2):
+            ts = t + sft * 2.0 ** nu
+            ax += ts ** b * gen.psi1(ts)
+        ker_ax.append(ax)
+    ker = functools.reduce(np.multiply.outer, ker_ax)
+    comb = np.zeros((G,) * n, dtype=np.complex128)
+    comb[(slice(None, None, G >> nu),) * n] = lam_level
+    return np.fft.ifftn(np.fft.fftn(comb) * np.fft.fftn(ker))
+
+
+def _random_quark_coeffs(n, G, cutoff, seed, levels=None):
+    """Seeded complex lam^beta on the given levels (default 1..log2 G)."""
+    rng = np.random.default_rng(seed)
+    levels = range(1, G.bit_length()) if levels is None else levels
+    fields = {beta: CoeffField(n, {nu: rng.standard_normal((1 << nu,) * n)
+                                   + 1j * rng.standard_normal((1 << nu,) * n)
+                                   for nu in levels})
+              for beta in _multi_indices(n, cutoff)}
+    return QuarkCoeffs(n=n, beta_cutoff=cutoff, rho=1, fields=fields)
+
+
+@pytest.mark.parametrize("n,G", [(1, 512), (1, 4096), (2, 64)])
+@pytest.mark.parametrize("cutoff", [0, 1, 2])
+def test_quark_synthesize_matches_comb_convolution(n, G, cutoff):
+    # every level 1..log2 G: at nu = 1 the 3Q patch is longer than the
+    # torus, and at nu = log2 G a cube is one cell (c = 1)
+    gen = QuarkGen()
+    qlam = _random_quark_coeffs(n, G, cutoff, seed=[n, G, cutoff])
+    want = sum(_quark_field_comb(gen, beta, nu, lev, G)
+               for beta in qlam.betas()
+               for nu, lev in qlam.fields[beta].levels.items())
+    got = quark_synthesize(qlam, gen, G).samples
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,G", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("width", ["atom", "quark"])
+def test_synthesize_broadcasts_one_patch(n, G, width):
+    # a (1,)*n stack serves every cube: the bits of the patch tiled over
+    # all cubes, for the atom layout (min(3c, G) cells) and quarks' 3c
+    rng = np.random.default_rng([n, G])
+    J = G.bit_length() - 1
+    lam = CoeffField(n, {j: rng.standard_normal((1 << j,) * n)
+                         + 1j * rng.standard_normal((1 << j,) * n)
+                         for j in range(1, J + 1)})
+    one, tiled = {}, {}
+    for j in range(1, J + 1):
+        c = G >> j
+        side = (min(3 * c, G) if width == "atom" else 3 * c,) * n
+        patch = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+        one[j] = patch[(None,) * n]
+        tiled[j] = np.tile(one[j], (1 << j,) * n + (1,) * n)
+    assert synthesize(lam, one, G).samples.tobytes() \
+        == synthesize(lam, tiled, G).samples.tobytes()
+
+
+@pytest.mark.parametrize("n,G", [(1, 64), (2, 16)])
+def test_quark_synthesize_rejects_levels_off_the_grid(n, G):
+    J = G.bit_length() - 1
+    for nu in (0, J + 1):
+        qlam = _random_quark_coeffs(n, G, 1, seed=nu, levels=[nu])
+        with pytest.raises(ValueError, match=f"quark level {nu} "):
+            quark_synthesize(qlam, QuarkGen(), G)
+
+
+def test_quark_gen_has_no_fields():
+    # R and rho are constants of the window, not settings
+    assert dataclasses.fields(QuarkGen) == ()
+    with pytest.raises(TypeError):
+        QuarkGen(n=1)
+
+
 def test_quark_rejects_too_fine_bands():
     G = 64
-    gen = QuarkGen(n=1)
+    gen = QuarkGen()
     bank = make_bank(1, G)
     f = random_bandlimited(1, G, 24, seed=11)  # energy beyond the lattice
     with pytest.raises(ValueError):
@@ -393,7 +477,7 @@ def test_quark_rejects_too_fine_bands():
 
 def test_quark_norm_resolution_invariant():
     # band-limited input: the quark coefficients are G-independent
-    gen = QuarkGen(n=1)
+    gen = QuarkGen()
     params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
     vals = []
     for G in (512, 1024):

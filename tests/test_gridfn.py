@@ -17,6 +17,7 @@ from morreykit.gridfn import (FilterBank, GridFunction, band, centered_axis,
                               tau_profile_bump, theta_profile,
                               theta_profile_bump, wavenumbers, _multi_indices,
                               _times_monomial)
+from morreykit.norms import aggregate
 
 
 def test_smoothstep7_endpoints_and_symmetry():
@@ -197,7 +198,7 @@ def _sample_expand_output():
 
 def _quark_output():
     f = random_bandlimited(2, 64, 4, seed=13)
-    qlam = decomp.quark_analyze(f, decomp.QuarkGen(n=2), make_bank(2, 64), 2)
+    qlam = decomp.quark_analyze(f, decomp.QuarkGen(), make_bank(2, 64), 2)
     return qlam.to_csv()
 
 
@@ -210,11 +211,10 @@ def _multiplier_output():
 
 
 @pytest.mark.parametrize("module,output", [
-    (gridfn, _sample_expand_output), (decomp, _quark_output),
-    (verify, _multiplier_output)])
+    (gridfn, _sample_expand_output), (decomp, _quark_output)])
 def test_radial_windows_match_full_grid(monkeypatch, module, output):
-    # sample_expand's and quark_analyze's kappa and the multiplier profile
-    # give the same bits on shells as on every grid point
+    # sample_expand's and quark_analyze's kappa give the same bits on
+    # shells as on every grid point
     got = output()
     monkeypatch.setattr(module, "radial_window", _full_grid_radial)
     want = output()
@@ -222,6 +222,50 @@ def test_radial_windows_match_full_grid(monkeypatch, module, output):
         assert np.array_equal(got, want)
     else:
         assert got == want
+
+
+def _multiplier_ratio_full_grid(params, f, bank, nu, seed):
+    """multiplier_campaign's ratio for one function by the full-grid
+    formula: f's spectrum times window_j times H_(j) on every grid point,
+    then one from_spectrum per level; None where the rhs vanishes."""
+    n, G = params.n, bank.G
+    N = verify.peetre_threshold(params) + 1.0
+    coefs = np.random.default_rng(seed).standard_normal(4) \
+        * [1.0, 0.5, 0.25, 0.125]
+    Hprof = lambda u: 1.0 + sum(c * np.cos((k + 1) * u * math.pi / 4.0)
+                                for k, c in enumerate(coefs))
+    u = np.linspace(-8.0, 8.0, 256, endpoint=False)
+    sob = sobolev_norm(GridFunction(n, functools.reduce(
+        np.multiply.outer, [Hprof(u)] * n)), nu, spacing=16.0 / 256)
+    spec = f.spectrum()
+    fields = {}
+    for j in bank.tau_levels():
+        mult = _full_grid_radial(lambda u: Hprof(u / 2.0 ** j), n, G)
+        g = GridFunction.from_spectrum(n, spec * bank.window(j) * mult)
+        fields[j] = gridfn._peetre_scan(np.abs(g.samples), j, N)
+    plain = ((j, np.abs(band(f, bank, j).samples)) for j in bank.tau_levels())
+    rhs = sob * aggregate(plain, params)
+    return None if rhs == 0 else aggregate(fields.items(), params) / rhs
+
+
+@pytest.mark.parametrize("variant,r,n,G", [
+    ("N", 2.0, 2, 32), ("E", math.inf, 1, 256), ("E", 1.0, 2, 16)])
+def test_multiplier_matches_full_grid_formula(variant, r, n, G):
+    # the multiplied shell profiles through bands give each trial's ratio
+    # of the full-grid formula to 1e-14 relative
+    params = SpaceParams(q=1.0, r=r, s=1.0, phi=power(2.0, n),
+                         variant=variant, n=n)
+    bank = make_bank(n, G)
+    corpus = verify.function_corpus(n, G, 4, 6, kmax=G // 4) \
+        + [GridFunction(n, np.ones((G,) * n))]  # rhs = 0: skipped
+    for f in corpus:
+        want = _multiplier_ratio_full_grid(params, f, bank, 5.0, 3)
+        rep = verify.multiplier_campaign(params, [f], bank, nu=5.0, seed=3)
+        if want is None:
+            assert rep.trials == 0
+        else:
+            assert rep.trials == 1
+            assert rep.constants[G] == pytest.approx(want, rel=1e-14)
 
 
 def test_bank_holds_shell_profiles_only():

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 only `gridfn._outer` builds an n-axis product grid, no arithmetic takes a
-fresh `.copy()` as an operand, and no loop calls `band`.
+fresh `.copy()` as an operand, no loop calls `band`, and no module calls
+`FilterBank.window`.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -131,3 +132,23 @@ def test_band_calls_in_loops_are_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_band_calls_in_loops(path):
     assert band_calls_in_loops(path.read_text()) == []
+
+
+def window_calls(source):
+    """Lines that call a `.window(` attribute.  `FilterBank.window` gathers
+    a level's window on the full grid; the package filters through the
+    shell profiles (`gridfn.bands`), and the full-grid window is the tests'
+    reference."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "window")
+
+
+def test_window_calls_are_caught():
+    assert window_calls("w = bank.window(j)\nv = window(j)\n"
+                        "u = f(self.window(3) * 2)\nx = bank.window\n") == [1, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_full_grid_window_calls(path):
+    assert window_calls(path.read_text()) == []
