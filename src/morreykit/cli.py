@@ -221,7 +221,9 @@ CAMPAIGNS = {"hardy": {"delta": 0.5, "r": 2.0, "trials": 100},
 
 def _campaign_options(cfg: dict) -> dict:
     """The one gate of campaign and suite: cfg (name, seed and the options
-    given) over its campaign's defaults, which must cover every option."""
+    given) over its campaign's defaults, which must cover every option.
+    Grids are checked before anything is drawn: by cells, and for maximal
+    by the estimated working set."""
     takes = CAMPAIGNS.get(cfg.get("name"))
     if takes is None:
         raise ValueError(f"unknown campaign {cfg.get('name')!r}")
@@ -234,6 +236,8 @@ def _campaign_options(cfg: dict) -> dict:
         raise ValueError("a campaign needs trials >= 1 and depth >= 1")
     for G in opts.get("resolutions", ()):
         _check_cells(G, opts["dim"])
+        if opts["name"] == "maximal":
+            _check_work(verify.maximal_bytes(opts["dim"], G))
     if "depth" in opts:  # the finest coefficient level has 2^(depth dim) cells
         _check_cells(2, opts["depth"] * opts["dim"])
     return opts

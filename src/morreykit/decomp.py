@@ -38,7 +38,7 @@ import numpy as np
 from .dyadic import DyadicCube, box_mask, cube_mask, dilate
 from .gridfn import (FilterBank, GridFunction, RychkovPair, band_levels,
                      bands, smoothstep7, _along, _bump_axis, _join_blocks,
-                     _moments, _multi_indices, _outer, _split_blocks,
+                     _moment, _multi_indices, _outer, _split_blocks,
                      _times_monomial, centered_axis, coord_axis, hl_maximal,
                      kappa_profile, level_side, radial_window, wavenumbers,
                      TWO_PI, _check_grid)
@@ -47,6 +47,9 @@ from .norms import CoeffField, QuarkCoeffs, _moduli
 TINY = 1e-300
 _SLAB_BYTES = 1 << 20  # patches per slab of _level_analysis
 _WORK_GRIDS = 8  # G^n grids decompose holds besides atoms, pair and slab
+SUPPORT_DILATE = 3.0  # an atom of Q lives in the cube dilated by this
+DERIV_TOL = 1e-6  # relative slack of the validators' derivative bound
+MOMENT_TOL = 1e-8  # the validators' bound on a discrete moment
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +59,6 @@ _WORK_GRIDS = 8  # G^n grids decompose holds besides atoms, pair and slab
 class AtomSpec:
     K: int
     L: int  # -1 allowed: no moment condition
-    support_dilate: float = 3.0
-    deriv_tol: float = 1e-6
-    moment_tol: float = 1e-8
 
     def __post_init__(self):
         if self.K < 0 or self.L < -1:
@@ -68,10 +68,9 @@ class AtomSpec:
     def admissible(params) -> "AtomSpec":
         """Smallest (K, L) the synthesis theorem allows for the given space:
         K >= [1+s]_+ and L >= max(-1, [sigma - s]) with sigma = sigma_q for
-        the N-variant and sigma_qr for the E-variant."""
+        the N-variant and sigma_qr for the E-variant (params.sigma)."""
         K = max(0, math.floor(1 + params.s))
-        sigma = params.sigma_q if params.variant == "N" else params.sigma_qr
-        L = max(-1, math.floor(sigma - params.s))
+        L = max(-1, math.floor(params.sigma - params.s))
         return AtomSpec(K=K, L=L)
 
 
@@ -80,8 +79,6 @@ class MoleculeSpec:
     K: int
     L: int
     N: float  # decay order, N > K + n
-    deriv_tol: float = 1e-6
-    moment_tol: float = 1e-8
 
     def validate_for(self, n: int):
         if self.N <= self.K + n:
@@ -101,35 +98,42 @@ def _differentiate(spec: np.ndarray, alpha) -> np.ndarray:
     return spec
 
 
-def _spectral_derivative(samples: np.ndarray, alpha) -> np.ndarray:
-    return np.fft.ifftn(_differentiate(np.fft.fftn(samples), alpha))
-
-
-def _deriv_sup(samples: np.ndarray, j: int, K: int) -> float:
-    """max over |alpha| <= K of 2^{-j|alpha|} ||d^alpha g||_inf (spectral)."""
+def _deriv_sup(samples: np.ndarray, j: int, K: int,
+               envelope: np.ndarray = None) -> float:
+    """max over |alpha| <= K of 2^{-j|alpha|} ||d^alpha g / envelope||_inf,
+    the derivatives spectral from one forward FFT (envelope None: 1)."""
+    spec = np.fft.fftn(samples)
     worst = 0.0
     for alpha in _multi_indices(samples.ndim, K):
-        d = _spectral_derivative(samples, alpha)
-        worst = max(worst, 2.0 ** (-j * sum(alpha)) * float(np.abs(d).max()))
+        d = np.abs(np.fft.ifftn(_differentiate(spec, alpha)))
+        w = 2.0 ** (j * sum(alpha))
+        worst = max(worst, float(d.max()) / w if envelope is None
+                    else float((d / (w * envelope)).max()))
     return worst
 
 
-def _centered_on_cube(f: GridFunction, Q: DyadicCube) -> np.ndarray:
-    """Roll samples so the cube center sits at index 0, where the wrapped
-    coordinate is 0 and polynomial across the seam; moments are then read
-    in unwrapped cube-centered coordinates (exact while 3Q fits the torus)."""
-    G = f.G
-    shift = [-int(round(c * G)) for c in Q.center]
-    return np.roll(f.samples, shift, axis=tuple(range(f.n)))
+def _decay_envelope(Q: DyadicCube, G: int, N: float) -> np.ndarray:
+    """(1 + 2^j d(x, corner))^{-N}, d the torus distance from the cube
+    corner 2^-j m: the molecule bound at |alpha| = 0."""
+    r2 = _outer(np.add, [
+        np.abs(((coord_axis(G) - mi * Q.side) + 0.5) % 1.0 - 0.5) ** 2
+        for mi in Q.m])
+    return (1.0 + 2.0 ** Q.j * np.sqrt(r2)) ** (-N)
 
 
 def _moment_worst(f: GridFunction, Q: DyadicCube, L: int) -> float:
-    """Largest |discrete moment| over |beta| <= L in cube-centered
-    coordinates; 0 for j <= 0 cubes, where no moment condition applies."""
+    """Largest |h^n sum_x x^beta f(x)| over |beta| <= L, x centered on the
+    cube (0 for j <= 0 cubes: no moment condition).  The center is rolled
+    to index 0, where the wrapped coordinate is 0 and polynomial across
+    the seam (exact while 3Q fits the torus)."""
     if Q.j < 1:
         return 0.0
-    moms = _moments(_centered_on_cube(f, Q), L, f.h)
-    return max([0.0] + [abs(v) for v in moms.values()])
+    G, n = f.G, f.n
+    rolled = np.roll(f.samples, [-int(round(c * G)) for c in Q.center],
+                     axis=tuple(range(n)))
+    axes = [centered_axis(G)] * n
+    return max([0.0] + [abs(_moment(rolled, beta, axes) * f.h ** n)
+                        for beta in _multi_indices(n, L)])
 
 
 def validate_atom(a: GridFunction, Q: DyadicCube, spec: AtomSpec) -> dict:
@@ -137,22 +141,22 @@ def validate_atom(a: GridFunction, Q: DyadicCube, spec: AtomSpec) -> dict:
 
     (1) support inside dilate(Q, d);
     (2) 2^{-j|alpha|} |d^alpha a| <= 1 for |alpha| <= K (spectral derivatives,
-        tolerance 1 + deriv_tol);
+        tolerance 1 + DERIV_TOL);
     (3) discrete moments vanish for |beta| <= L when j >= 1 (grid Riemann
-        sums, tolerance moment_tol); j = 0 atoms skip this."""
+        sums, tolerance MOMENT_TOL); j = 0 atoms skip this."""
     j = Q.j
-    center, half = dilate(Q, spec.support_dilate)
+    center, half = dilate(Q, SUPPORT_DILATE)
     mask = box_mask(center, half, a.G)
     amax = float(np.abs(a.samples).max())
     outside = float(np.abs(a.samples[~mask]).max()) if (~mask).any() else 0.0
     support_ok = outside <= 1e-10 * max(amax, TINY)
 
     worst_deriv = _deriv_sup(a.samples, j, spec.K)
-    deriv_ok = worst_deriv <= 1.0 + spec.deriv_tol
+    deriv_ok = worst_deriv <= 1.0 + DERIV_TOL
 
     moment_worst = _moment_worst(a, Q, spec.L)
-    moment_ok = moment_worst <= spec.moment_tol * max(amax, TINY) * Q.volume \
-        or moment_worst <= spec.moment_tol
+    moment_ok = moment_worst <= MOMENT_TOL * max(amax, TINY) * Q.volume \
+        or moment_worst <= MOMENT_TOL
 
     return {
         "support_ok": support_ok,
@@ -169,23 +173,12 @@ def validate_molecule(b: GridFunction, Q: DyadicCube, spec: MoleculeSpec) -> dic
     """Molecule check: |d^alpha b(x)| <= 2^{|alpha| j} (1 + 2^j d(x, corner))^{-N}
     pointwise on the torus (compact support replaced by the decay envelope)."""
     spec.validate_for(b.n)
-    n, G = b.n, b.G
-    j = Q.j
-    # torus distance from the cube corner 2^-j m
-    r2 = _outer(np.add, [
-        np.abs(((coord_axis(G) - mi * Q.side) + 0.5) % 1.0 - 0.5) ** 2
-        for mi in Q.m[:n]])
-    envelope = (1.0 + 2.0 ** j * np.sqrt(r2)) ** (-spec.N)
-
-    worst = 0.0
-    for alpha in _multi_indices(n, spec.K):
-        d = np.abs(_spectral_derivative(b.samples, alpha))
-        ratio = d / (2.0 ** (j * sum(alpha)) * envelope)
-        worst = max(worst, float(ratio.max()))
-    deriv_ok = worst <= 1.0 + spec.deriv_tol
+    worst = _deriv_sup(b.samples, Q.j, spec.K,
+                       _decay_envelope(Q, b.G, spec.N))
+    deriv_ok = worst <= 1.0 + DERIV_TOL
 
     moment_worst = _moment_worst(b, Q, spec.L)
-    moment_ok = moment_worst <= spec.moment_tol
+    moment_ok = moment_worst <= MOMENT_TOL
 
     return {"deriv_ok": deriv_ok, "deriv_sup": worst,
             "moment_ok": moment_ok, "moment_worst": moment_worst,
@@ -408,11 +401,10 @@ def _remove_moments(a: np.ndarray, window: np.ndarray, t_axes, L: int) -> np.nda
     basis = [_times_monomial(window.astype(np.complex128), beta, t_axes)
              for beta in betas]
 
-    def mom(g, beta):
-        return complex(_times_monomial(g, beta, t_axes).sum())
-
-    M = np.array([[mom(bf, beta) for bf in basis] for beta in betas])
-    rhs = np.array([mom(a.astype(np.complex128), beta) for beta in betas])
+    M = np.array([[_moment(bf, beta, t_axes) for bf in basis]
+                  for beta in betas])
+    rhs = np.array([_moment(a.astype(np.complex128), beta, t_axes)
+                    for beta in betas])
     coef = np.linalg.solve(M, rhs)
     out = a.astype(np.complex128)
     for cc, bf in zip(coef, basis):
@@ -446,9 +438,8 @@ def make_molecule(Q: DyadicCube, spec: MoleculeSpec, G: int, seed: int = 0) -> G
         # moment removal against a compactly supported window on 3Q
         window, t_axes = _cube_window(Q, G)
         base = _remove_moments(base, window, t_axes, spec.L)
-    g = GridFunction(n, base)
-    report = validate_molecule(g, Q, MoleculeSpec(spec.K, -1, spec.N))
-    scale = report["deriv_sup"]
+    scale = _deriv_sup(GridFunction(n, base).samples, Q.j, spec.K,
+                       _decay_envelope(Q, G, spec.N))
     return GridFunction(n, base / (scale * (1.0 + 1e-9)))
 
 
@@ -471,16 +462,14 @@ def fit_decay_slopes(profile: dict, j: int) -> tuple[float, float]:
     """log2-linear slopes of the profile above and below the atom level."""
     his = sorted(nu for nu in profile if nu > j and profile[nu] > 0)
     los = sorted(nu for nu in profile if nu < j and profile[nu] > 0)
+    return tuple(_slope(nus, [math.log2(profile[nu]) for nu in nus])
+                 if len(nus) >= 2 else 0.0 for nus in (his, los))
 
-    def fit(nus):
-        if len(nus) < 2:
-            return 0.0
-        ys = [math.log2(profile[nu]) for nu in nus]
-        A = np.vstack([nus, np.ones(len(nus))]).T
-        slope, _ = np.linalg.lstsq(A, np.array(ys), rcond=None)[0]
-        return float(slope)
 
-    return fit(his), fit(los)
+def _slope(xs, ys) -> float:
+    """Least-squares slope of the line through the points (xs, ys)."""
+    A = np.vstack([xs, np.ones(len(xs))]).T
+    return float(np.linalg.lstsq(A, np.array(ys), rcond=None)[0][0])
 
 
 # ---------------------------------------------------------------------------

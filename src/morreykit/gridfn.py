@@ -811,12 +811,10 @@ def _times_monomial(a: np.ndarray, beta, axes) -> np.ndarray:
     return a
 
 
-def _moments(samples: np.ndarray, L: int, h: float) -> dict:
-    """Discrete moments sum_x x^beta f(x) h^n in centered coordinates."""
-    n = samples.ndim
-    axes = [centered_axis(samples.shape[0])] * n
-    return {beta: complex(_times_monomial(samples, beta, axes).sum() * h ** n)
-            for beta in _multi_indices(n, L)}
+def _moment(g: np.ndarray, beta, axes) -> complex:
+    """The discrete moment sum_x x^beta g(x), x on the per-axis coordinates
+    axes."""
+    return complex(_times_monomial(g, beta, axes).sum())
 
 
 def _multi_indices(n: int, max_total: int):

@@ -124,7 +124,6 @@ class _Field(NamedTuple):
     valid: Callable  # value -> bool
     encode: Callable  # value -> JSON
     decode: Callable  # JSON -> constructor argument
-    relabel: Callable  # (phi, n) -> the value _with_dim gives dimension n
 
 
 def _same(v):
@@ -132,23 +131,18 @@ def _same(v):
 
 
 _FIELDS = {
-    # keep t^(n_old/p) literally: t^(n_new/p') with p' = p*n_new/n_old
     "p": _Field("finite p > 0", lambda v: math.isfinite(v) and v > 0,
-                _same, _same, lambda phi, n: phi.p * n / phi.n),
-    "exponent": _Field("a finite exponent", math.isfinite, _same, _same,
-                       lambda phi, n: phi.exponent),
-    "shift": _Field("a finite shift", math.isfinite, _same, _same,
-                    lambda phi, n: phi.shift),
+                _same, _same),
+    "exponent": _Field("a finite exponent", math.isfinite, _same, _same),
+    "shift": _Field("a finite shift", math.isfinite, _same, _same),
     "entries": _Field("finite positive entries",
                       lambda e: bool(e) and all(math.isfinite(v) and v > 0
                                                 for v in e.values()),
                       lambda e: [[j, v] for j, v in sorted(e.items())],
-                      lambda pairs: {j: v for j, v in pairs},
-                      lambda phi, n: phi.entries),
+                      lambda pairs: {j: v for j, v in pairs}),
     "base": _Field("a base growth function",
                    lambda b: isinstance(b, GrowthFunction),
-                   lambda b: b.to_json(), GrowthFunction.from_json,
-                   lambda phi, n: _with_dim(phi.base, n)),
+                   lambda b: b.to_json(), GrowthFunction.from_json),
 }
 
 
@@ -276,18 +270,14 @@ class SpaceParams:
             raise ValueError("phi dimension does not match params dimension")
 
     @property
-    def sigma_q(self) -> float:
-        return self.n * max(1.0 / self.q - 1.0, 0.0)
+    def m(self) -> float:
+        """The N/E exponent: min(1, q) for N, min(1, q, r) for E."""
+        return min(1.0, self.q, self.r if self.variant == "E" else 1.0)
 
     @property
-    def sigma_r(self) -> float:
-        if self.r == INF:
-            return 0.0
-        return self.n * max(1.0 / self.r - 1.0, 0.0)
-
-    @property
-    def sigma_qr(self) -> float:
-        return max(self.sigma_q, self.sigma_r)
+    def sigma(self) -> float:
+        """sigma_q (N) or sigma_{q,r} (E): n (1/m - 1)."""
+        return self.n * (1.0 / self.m - 1.0)
 
     @property
     def w(self) -> float:
@@ -325,24 +315,16 @@ class SpaceParams:
 def trace_transform(params: SpaceParams) -> SpaceParams:
     """Trace parameters: n-1 dimensions, s* = s - 1/q, phi*(t) = phi(t) t^(-1/q).
 
-    The E-variant lands in the r = q scale; the N-variant keeps r."""
+    phi* evaluates phi itself, which keeps its own dimension.  The
+    E-variant lands in the r = q scale; the N-variant keeps r."""
     if params.n < 2:
         raise ValueError("trace needs n >= 2")
-    phi_star = GrowthFunction("powershift", params.n - 1,
-                              base=_with_dim(params.phi, params.n - 1),
+    phi_star = GrowthFunction("powershift", params.n - 1, base=params.phi,
                               shift=-1.0 / params.q)
     r_out = params.q if params.variant == "E" else params.r
     return SpaceParams(q=params.q, r=r_out, s=params.s - 1.0 / params.q,
                        phi=phi_star, variant=params.variant,
                        homogeneous=params.homogeneous, n=params.n - 1)
-
-
-def _with_dim(phi: GrowthFunction, n: int) -> GrowthFunction:
-    """Same evaluator, relabelled dimension (the formula keeps phi verbatim;
-    power-family exponents n/p are frozen to their original value)."""
-    return GrowthFunction(phi.family, n,
-                          **{name: _FIELDS[name].relabel(phi, n)
-                             for name in FAMILIES[phi.family].fields})
 
 
 def check_trace_summability(phi_star: GrowthFunction,

@@ -41,8 +41,7 @@ class TraceProblem:
         p = self.params
         if p.n < 2:
             raise ValueError("trace needs n >= 2")
-        w = min(1.0, p.q) if p.variant == "N" else min(1.0, p.q, p.r)
-        self.threshold = 1.0 / p.q + (p.n - 1) * (1.0 / w - 1.0)
+        self.threshold = 1.0 / p.q + (p.n - 1) * (1.0 / p.m - 1.0)
         if not p.s > self.threshold + 1e-12:
             raise ValueError(
                 f"s = {p.s} must exceed the trace threshold {self.threshold}")

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .decomp import _deriv_sup
+from .decomp import _deriv_sup, _slope
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
 from .gridfn import (FilterBank, GridFunction, _bump_axis, _check_grid,
                      _hl_stack, _outer, _peetre_scan, bands, level_side,
@@ -30,6 +30,7 @@ from .norms import (CoeffField, _check_bank, _moduli, _morrey_of_array,
 INF = math.inf
 HARDY_LENGTH = 64  # entries of each Hardy trial sequence
 MAXIMAL_STACK = 8  # functions per trial of the vector-valued maximal bound
+_MAXIMAL_STACKS = 11  # real MAXIMAL_STACK-grid stacks a maximal trial holds
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,17 @@ def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0) -> Report
 # ---------------------------------------------------------------------------
 # maximal function
 
+def maximal_bytes(n: int, G: int) -> int:
+    """Upper bound on the bytes maximal_campaign holds at once on a G^n
+    grid, in real stacks of MAXIMAL_STACK grids: a trial's moduli, the
+    last trial's maximal functions, eight working arrays of _hl_stack at
+    its finest level (running max, block means, their expansion, the
+    side-3 sums and shifts) and one for its coarser block means.  The
+    draw's complex stack and list (four real stacks) and the Morrey
+    sups' stacks come to less."""
+    return _MAXIMAL_STACKS * 8 * MAXIMAL_STACK * G ** n
+
+
 def maximal_campaign(q: float, r: float, phi: GrowthFunction, trials: int,
                      resolutions, n: int = 1, seed: int = 0) -> Report:
     """Empirical constants of the maximal bound on the Morrey space:
@@ -228,10 +240,9 @@ def filter_invariance_campaign(bankA: FilterBank, bankB: FilterBank,
 # Peetre characterization
 
 def peetre_threshold(params: SpaceParams) -> float:
-    """Smallest admissible Peetre weight order for the characterization."""
-    if params.variant == "N":
-        return params.n / min(1.0, params.q) + params.n
-    return params.n / min(1.0, params.q, params.r) + params.n
+    """Smallest admissible Peetre weight order for the characterization:
+    n / min(1, q) + n for the N-variant, n / min(1, q, r) + n for E."""
+    return params.n / params.m + params.n
 
 
 def peetre_char_campaign(params: SpaceParams, N: float, corpus,
@@ -270,7 +281,7 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
     2^{js} H_(j)(D) tau_j(D) f against the dilation-invariant Sobolev norm
     of the profile times the plain norm."""
     n = params.n
-    if not nu > n / min(1.0, params.q, params.r if params.r != INF else 1.0) + n / 2.0:
+    if not nu > n / params.w + n / 2.0:
         raise ValueError(f"nu must exceed the multiplier threshold, got {nu}")
     G = bank.G
     rep = Report(name=f"multiplier-nu{nu}", constants={G: 0.0})
@@ -315,8 +326,7 @@ def bc_norm(g: GridFunction, k: int) -> float:
 def pointwise_mult_campaign(k: int, params: SpaceParams, corpus_f, corpus_g,
                             bank: FilterBank) -> Report:
     """sup over pairs of ||g f|| / (||g||_BC^k ||f||)."""
-    sigma = params.sigma_q if params.variant == "N" else params.sigma_qr
-    if not (k > params.s > sigma):
+    if not (k > params.s > params.sigma):
         raise ValueError("needs k > s > sigma")
     rep = Report(name=f"pointwise-mult-k{k}", constants={bank.G: 0.0})
     for i, (f, g) in enumerate(zip(corpus_f, corpus_g)):
@@ -404,11 +414,8 @@ def counterexample_growth(r: float, depths, exponent: float = 1.0) -> Report:
     rep.constants = dict(ratios)
     cut = (min(ratios) + max(ratios) + 1) // 2
     tail = [N for N in sorted(ratios) if N >= cut]
-    xs = np.log2(np.array(tail, dtype=float))
-    ys = np.log2(np.array([ratios[N] for N in tail]))
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    slope = float(np.linalg.lstsq(A, ys, rcond=None)[0][0])
-    rep.extra["slope"] = slope
+    rep.extra["slope"] = _slope(np.log2(np.array(tail, dtype=float)),
+                                np.log2(np.array([ratios[N] for N in tail])))
     rep.extra["fit_range"] = [tail[0], tail[-1]]
     rep.extra["expected"] = 1.0 / r - exponent
     return rep

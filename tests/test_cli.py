@@ -397,6 +397,43 @@ def test_decompose_over_budget_fails_closed(capsys):
     assert "working set, estimated at 32.50 GiB" in result[2]
 
 
+@pytest.mark.parametrize("n,G", [(1, 1024), (2, 64), (3, 16)])
+def test_maximal_peak_within_estimate(capsys, n, G):
+    # two trials, so the previous trial's maximal functions are still held
+    # while the next is computed; one run first, so the peak counts the
+    # run's arrays and not numpy's first-call state
+    argv = ["campaign", "--name", "maximal", "--dim", str(n), "--trials",
+            "2", "--resolutions", str(G)]
+    assert run(capsys, *argv)[0] == EXIT_OK
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert peak <= verify.maximal_bytes(n, G)
+
+
+def test_maximal_over_budget_fails_closed(capsys, tmp_path, monkeypatch):
+    # 4096^2 cells pass the grid guard; the 11 GiB estimate is refused,
+    # by campaign and by suite, before anything is drawn
+    monkeypatch.setattr(verify, "maximal_campaign",
+                        lambda *a, **k: pytest.fail("the campaign ran"))
+    result = run(capsys, "campaign", "--name", "maximal", "--dim", "2",
+                 "--resolutions", "4096")
+    _assert_fails_closed(*result)
+    assert "working set, estimated at 11.00 GiB" in result[2]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"name": "hardy"}, {
+        "name": "maximal", "dim": 2, "resolutions": [64, 4096]}]))
+    result = run(capsys, "suite", "--file", str(suite))
+    _assert_fails_closed(*result)
+    assert result[2].startswith("error: suite entry 1: the working set")
+    assert verify.maximal_bytes(2, 2048) > cli.WORK_BUDGET
+
+
 def test_decompose_budget_reads_input_grid(capsys, tmp_path, monkeypatch):
     path = tmp_path / "f.bin"
     path.write_bytes(preset_function("gaussian", 1, 64).to_bytes())

@@ -16,8 +16,9 @@ from morreykit.decomp import (TINY, AtomSpec, MoleculeSpec, QuarkGen,
                               make_molecule, quark_analyze, quark_synthesize,
                               synthesize, validate_atom, validate_molecule)
 from morreykit.growth import SpaceParams, power
-from morreykit.gridfn import (GridFunction, _multi_indices, _split_blocks,
-                              centered_axis, level_side, make_bank,
+from morreykit.gridfn import (GridFunction, _along, _multi_indices, _outer,
+                              _split_blocks, _times_monomial, centered_axis,
+                              coord_axis, level_side, make_bank,
                               random_bandlimited, rychkov_pair)
 from morreykit.norms import CoeffField, QuarkCoeffs, quark_norm
 
@@ -34,7 +35,7 @@ def test_atom_spec_admissible():
     params = SpaceParams(q=0.5, r=2.0, s=0.25, phi=power(2.0), variant="N", n=1)
     spec = AtomSpec.admissible(params)
     assert spec.K == math.floor(1 + params.s)
-    assert spec.L == math.floor(params.sigma_q - params.s)
+    assert spec.L == math.floor(params.sigma - params.s)
 
 
 def test_molecule_spec_needs_decay():
@@ -317,7 +318,7 @@ def test_analyzed_atoms_validate():
     pair = rychkov_pair(L, n=1, G=G)
     f = random_bandlimited(1, G, 10, seed=8)
     lam, patches = atomic_analyze(f, pair)
-    spec = AtomSpec(K=max(1, L), L=L, deriv_tol=1e-6)
+    spec = AtomSpec(K=max(1, L), L=L)
     checked = 0
     for j, m in _cubes(lam):
         if j < 1 or abs(lam.get(j, m)) < 1e-8:
@@ -496,3 +497,97 @@ def test_atom_patch_to_grid_consistency():
     for j, m in _cubes(lam):
         total += lam.get(j, m) * _atom_grid(patches, j, m, 1, G).samples
     assert np.abs(total - f.samples).max() < 1e-10 * f.linf()
+
+
+# ---------------------------------------------------------------------------
+# one derivative sup and one moment sum: the code they replaced, kept as
+# references and compared bit for bit
+
+def _molecule_deriv_sup_per_alpha(b, Q, K, N):
+    """validate_molecule's derivative sup before _deriv_sup served it: its
+    own decay envelope, and one fftn and ifftn per alpha."""
+    n, G, j = b.n, b.G, Q.j
+    r2 = _outer(np.add, [
+        np.abs(((coord_axis(G) - mi * Q.side) + 0.5) % 1.0 - 0.5) ** 2
+        for mi in Q.m[:n]])
+    envelope = (1.0 + 2.0 ** j * np.sqrt(r2)) ** (-N)
+    worst = 0.0
+    for alpha in _multi_indices(n, K):
+        d = np.abs(np.fft.ifftn(_differentiate(np.fft.fftn(b.samples), alpha)))
+        ratio = d / (2.0 ** (j * sum(alpha)) * envelope)
+        worst = max(worst, float(ratio.max()))
+    return worst
+
+
+def _moments(samples, L, h):
+    """gridfn._moments: discrete moments sum_x x^beta f(x) h^n in centered
+    coordinates."""
+    n = samples.ndim
+    axes = [centered_axis(samples.shape[0])] * n
+    return {beta: complex(_times_monomial(samples, beta, axes).sum() * h ** n)
+            for beta in _multi_indices(n, L)}
+
+
+def _moment_worst_of_moments(f, Q, L):
+    """_moment_worst over _centered_on_cube and gridfn._moments."""
+    if Q.j < 1:
+        return 0.0
+    shift = [-int(round(c * f.G)) for c in Q.center]
+    moms = _moments(np.roll(f.samples, shift, axis=tuple(range(f.n))), L, f.h)
+    return max([0.0] + [abs(v) for v in moms.values()])
+
+
+def _make_molecule_by_validator(Q, spec, G, seed):
+    """make_molecule normalised, as before, by the derivative sup of a
+    validate_molecule run at moment order -1."""
+    n = Q.n
+    rng = np.random.default_rng(seed)
+    x = centered_axis(G)
+    r2 = _outer(np.add, [(np.sin(math.pi * (x - ci)) / (math.pi * Q.side))
+                         ** 2 for ci in Q.center])
+    mod = np.ones((G,) * n)
+    for ax in range(n):
+        freq = rng.integers(1, 4)
+        wave = 1.0 + 0.3 * np.cos(2.0 * math.pi * freq * x
+                                  + rng.uniform(0, 2 * math.pi))
+        mod = mod * _along(wave, ax, n)
+    base = (1.0 + r2) ** (-spec.N / 2.0) * mod
+    if spec.L >= 0 and Q.j >= 1:
+        window, t_axes = decomp._cube_window(Q, G)
+        base = decomp._remove_moments(base, window, t_axes, spec.L)
+    scale = _molecule_deriv_sup_per_alpha(GridFunction(n, base), Q, spec.K,
+                                          spec.N)
+    return GridFunction(n, base / (scale * (1.0 + 1e-9)))
+
+
+@pytest.mark.parametrize("n,G", [(1, 256), (2, 64)])
+def test_molecules_match_per_alpha_loop(n, G):
+    """make_molecule's bytes and validate_molecule's report equal those of
+    the per-alpha loop, for several j, K and L and decay orders N, N + 2."""
+    cases = 0
+    for j, K, L in itertools.product((1, 2, 3), (0, 1, 2), (-1, 0, 1)):
+        Q = DyadicCube(j, tuple((3 * i + 1) % (1 << j) for i in range(n)))
+        for N in (K + n + 0.5, K + n + 2.5):
+            spec = MoleculeSpec(K, L, N)
+            b = make_molecule(Q, spec, G, seed=j + K)
+            want = _make_molecule_by_validator(Q, spec, G, seed=j + K)
+            assert b.samples.tobytes() == want.samples.tobytes()
+            for N2 in (N, N + 2):
+                rep = validate_molecule(b, Q, MoleculeSpec(K, L, N2))
+                sup = _molecule_deriv_sup_per_alpha(b, Q, K, N2)
+                assert rep["deriv_sup"].hex() == sup.hex()
+                assert rep["deriv_ok"] == (sup <= 1.0 + decomp.DERIV_TOL)
+                worst = _moment_worst_of_moments(b, Q, L)
+                assert rep["moment_worst"].hex() == worst.hex()
+                cases += 1
+    assert cases == 108
+
+
+def test_moment_worst_matches_moments():
+    for n, G in ((1, 128), (2, 32)):
+        for trial in range(3):
+            f = random_bandlimited(n, G, G // 4, seed=[21, n, trial])
+            for j, L in itertools.product(range(4), range(-1, 4)):
+                Q = DyadicCube(j, ((trial + 1) % (1 << j),) * n)
+                assert decomp._moment_worst(f, Q, L).hex() == \
+                    _moment_worst_of_moments(f, Q, L).hex()

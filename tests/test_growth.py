@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -192,13 +193,13 @@ def test_check_s_condition():
 
 def test_space_params_accessors():
     p = SpaceParams(q=0.5, r=0.25, s=0.0, phi=power(1.0, n=2), variant="E", n=2)
-    assert p.sigma_q == pytest.approx(2.0)   # n(1/q - 1)
-    assert p.sigma_r == pytest.approx(6.0)
-    assert p.sigma_qr == pytest.approx(6.0)
+    assert (p.m, p.sigma) == (0.25, 6.0)  # n(1/min(1, q, r) - 1)
+    assert (p.with_(variant="N").m, p.with_(variant="N").sigma) == (0.5, 2.0)
     assert p.w == pytest.approx(0.25)
     rinf = p.with_(r=INF)
-    assert rinf.sigma_r == 0.0
+    assert (rinf.m, rinf.sigma) == (0.5, 2.0)
     assert rinf.w == pytest.approx(0.5)
+    assert p.with_(q=2.0, r=INF).sigma == 0.0
 
 
 def test_space_params_validation():
@@ -244,12 +245,12 @@ def test_growth_json_round_trip():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_trace_transform_relabels_every_family(family):
-    # _with_dim keeps the evaluator verbatim in the lower dimension
+    # phi* evaluates phi itself, which keeps its own dimension
     phi = family_examples(2)[family]
     star = trace_transform(SpaceParams(q=1.0, r=2.0, s=2.0, phi=phi,
                                        variant="N", n=2)).phi
     assert (star.n, star.family) == (1, "powershift")
-    assert (star.base.n, star.base.family) == (1, family)
+    assert star.base is phi
     for t in (0.25, 0.5, 1.0):
         assert star.base(t) == phi(t)
         assert star(t) == phi(t) * t ** -1.0
@@ -281,3 +282,84 @@ def test_space_params_json_round_trip():
     assert back.q == p.q and back.r == INF and back.s == p.s
     assert back.variant == "E" and back.homogeneous and back.n == 1
     assert back.phi(0.5) == pytest.approx(p.phi(0.5))
+
+
+# ---------------------------------------------------------------------------
+# the N/E rule, computed once by SpaceParams: the per-call conditionals it
+# replaced, kept as references and compared bit for bit
+
+def _sigma_by_variant(p):
+    """AtomSpec.admissible's sigma before SpaceParams.sigma: sigma_q for N,
+    max(sigma_q, sigma_r) for E."""
+    sigma_q = p.n * max(1.0 / p.q - 1.0, 0.0)
+    sigma_r = 0.0 if p.r == INF else p.n * max(1.0 / p.r - 1.0, 0.0)
+    return sigma_q if p.variant == "N" else max(sigma_q, sigma_r)
+
+
+def _peetre_threshold_by_variant(p):
+    if p.variant == "N":
+        return p.n / min(1.0, p.q) + p.n
+    return p.n / min(1.0, p.q, p.r) + p.n
+
+
+def _trace_threshold_by_variant(p):
+    w = min(1.0, p.q) if p.variant == "N" else min(1.0, p.q, p.r)
+    return 1.0 / p.q + (p.n - 1) * (1.0 / w - 1.0)
+
+
+def _relabelled(phi, n):
+    """The former growth._with_dim: phi's family in dimension n, with a
+    power exponent n_phi/p kept as n / p', p' = p n / n_phi."""
+    kw = {name: getattr(phi, name) for name in FAMILIES[phi.family].fields}
+    if "p" in kw:
+        kw["p"] = phi.p * n / phi.n
+    if "base" in kw:
+        kw["base"] = _relabelled(phi.base, n)
+    return GrowthFunction(phi.family, n, **kw)
+
+
+def test_variant_rules_match_space_params():
+    """sigma, AtomSpec.admissible, peetre_threshold and TraceProblem's
+    threshold and phi* against the conditionals they replaced.  phi* is
+    phi(t) t^(-1/q) bit for bit; the former phi* relabelled phi to n - 1
+    dimensions, which rounds n/p differently for some p once n = 3 (p = 0.7:
+    (2 / (0.7 * 2 / 3)) != 3 / 0.7), and only there may the two differ."""
+    from morreykit.decomp import AtomSpec
+    from morreykit.trace import TraceProblem
+    from morreykit.verify import peetre_threshold
+    scales = dyadic_scales(-12, 0)
+    traced = moved = 0
+    for n, variant, q, r, s in itertools.product(
+            (2, 3), "NE", (0.25, 0.5, 0.7, 0.75, 1.0, 1.5, 2.0),
+            (0.3, 0.5, 1.0, 2.0, INF), (0.0, 1.3, 2.0, 3.7, 6.0)):
+        for phi in (power(q, n), powerlog(q, 1.0, n)):
+            p = SpaceParams(q=q, r=r, s=s, phi=phi, variant=variant, n=n)
+            sigma = _sigma_by_variant(p)
+            assert p.sigma.hex() == sigma.hex()
+            assert AtomSpec.admissible(p).L == max(-1, math.floor(sigma - s))
+            assert peetre_threshold(p).hex() == \
+                _peetre_threshold_by_variant(p).hex()
+            threshold = _trace_threshold_by_variant(p)
+            if not s > threshold + 1e-12:
+                with pytest.raises(ValueError, match="trace threshold"):
+                    TraceProblem(p)
+                continue
+            tp = TraceProblem(p)
+            traced += 1
+            assert tp.threshold.hex() == threshold.hex()
+            star = tp.star.phi
+            old = GrowthFunction("powershift", n - 1,
+                                 base=_relabelled(phi, n - 1), shift=-1.0 / q)
+            exact = (n - 1) / (q * (n - 1) / n) == n / q
+            assert exact or n == 3
+            moved += not exact
+            for t in scales:
+                assert star(t) == phi(t) * t ** (-1.0 / q)
+                if exact:
+                    assert star(t).hex() == old(t).hex()
+                else:
+                    assert star(t) == pytest.approx(old(t), rel=1e-14)
+            if exact:
+                _, want = check_trace_summability(old, scales)
+                assert tp.summability_constant.hex() == want.hex()
+    assert traced > 100 and moved > 0

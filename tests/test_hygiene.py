@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 only `gridfn._outer` builds an n-axis product grid, no arithmetic takes a
-fresh `.copy()` as an operand, no loop calls `band`, and no module calls
-`FilterBank.window`.
+fresh `.copy()` as an operand, no loop calls `band`, no module calls
+`FilterBank.window`, and only growth, norms and cli compare a `.variant`.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -152,3 +152,31 @@ def test_window_calls_are_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_full_grid_window_calls(path):
     assert window_calls(path.read_text()) == []
+
+
+def variant_comparisons(source):
+    """Lines that compare a `.variant` attribute.  The N/E rule is computed
+    once, by `SpaceParams.m` and `SpaceParams.sigma`; every other module
+    reads those."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Compare)
+                   and any(isinstance(x, ast.Attribute) and x.attr == "variant"
+                           for x in (node.left, *node.comparators))})
+
+
+def test_variant_comparisons_are_caught():
+    assert variant_comparisons(
+        'a = p.variant == "N"\nb = 1 if "E" != self.params.variant else 2\n'
+        'c = f"{p.variant}"\nd = p.variant\ne = variant == "N"\n'
+        'if x.variant in ("N", "E"):\n    pass\n') == [1, 2, 6]
+
+
+# the space's own definition (growth), its N/E aggregation (norms) and the
+# CLI's Nakai precondition
+VARIANT_MODULES = {"growth.py", "norms.py", "cli.py"}
+
+
+def test_variant_compared_only_where_the_rule_lives():
+    found = {p.name: variant_comparisons(p.read_text()) for p in MODULES
+             if p.name not in VARIANT_MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
