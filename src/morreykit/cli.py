@@ -217,13 +217,17 @@ CAMPAIGNS = {"hardy": {"delta": 0.5, "r": 2.0, "trials": 100},
              "peetre": {"params": "power-p2-q2-s1-N-r2", **_GRIDS},
              "embedding": {"dim": 1, "r": 0.5, "depth": 6, "trials": 100},
              "counterexample": {"r": 0.5}}
+# the r whose growth N^(1/r - 1) counterexample resolves on depths 2..12:
+# swept in steps of 0.001, its slope is within 25% of 1/r - 1 on exactly
+# this interval
+COUNTEREXAMPLE_R = (0.04, 0.81)
 
 
 def _campaign_options(cfg: dict) -> dict:
     """The one gate of campaign and suite: cfg (name, seed and the options
     given) over its campaign's defaults, which must cover every option.
     Grids are checked before anything is drawn: by cells, and for maximal
-    by the estimated working set."""
+    by the estimated working set; counterexample's r by COUNTEREXAMPLE_R."""
     takes = CAMPAIGNS.get(cfg.get("name"))
     if takes is None:
         raise ValueError(f"unknown campaign {cfg.get('name')!r}")
@@ -240,6 +244,10 @@ def _campaign_options(cfg: dict) -> dict:
             _check_work(verify.maximal_bytes(opts["dim"], G))
     if "depth" in opts:  # the finest coefficient level has 2^(depth dim) cells
         _check_cells(2, opts["depth"] * opts["dim"])
+    lo, hi = COUNTEREXAMPLE_R
+    if opts["name"] == "counterexample" and not lo <= opts["r"] <= hi:
+        raise ValueError(f"counterexample resolves {lo:g} <= r <= {hi:g}"
+                         f" only, not r = {opts['r']:g}")
     return opts
 
 
@@ -441,7 +449,9 @@ def main(argv=None) -> int:
             args.seed = int(os.environ["MORREYKIT_SEED"])
         if cmd.check:
             args.params = parse_params(args.params, args.dim)
-            msgs = validate_params(args.params, for_trace=cmd.check == "trace")
+            # TraceProblem: built here only for --dry-run, else by the command
+            msgs = validate_params(args.params, for_trace=cmd.check == "trace"
+                                   and args.dry_run)
         with np.errstate(all="ignore"):
             if cmd.check and args.dry_run:
                 report, code, out = {"checked": msgs}, EXIT_OK, None

@@ -492,14 +492,6 @@ def _hl_stack(a: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def powered_maximal(f: GridFunction, eta: float) -> GridFunction:
-    """M^(eta) f = (M[|f|^eta])^(1/eta)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    p = GridFunction(f.n, (np.abs(f.samples) ** eta).astype(np.complex128))
-    return GridFunction(f.n, hl_maximal(p).samples.real ** (1.0 / eta))
-
-
 def torus_dist_sq(n: int, G: int) -> np.ndarray:
     """|z|^2 (Euclidean, torus metric) for every grid offset z."""
     d = np.minimum(coord_axis(G), 1.0 - coord_axis(G))

@@ -18,14 +18,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .decomp import _deriv_sup, _slope
+from .decomp import _slope
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
 from .gridfn import (FilterBank, GridFunction, _bump_axis, _check_grid,
                      _hl_stack, _outer, _peetre_scan, bands, level_side,
                      make_bank, peetre_maximal, random_bandlimited,
                      sobolev_norm, wavenumbers)
 from .norms import (CoeffField, _check_bank, _moduli, _morrey_of_array,
-                    aggregate, band_norm, morrey_norm, seq_norm, space_norm)
+                    aggregate, band_norm, seq_norm, space_norm)
 
 INF = math.inf
 HARDY_LENGTH = 64  # entries of each Hardy trial sequence
@@ -316,32 +316,6 @@ def multiplier_campaign(params: SpaceParams, corpus, bank: FilterBank,
 
 
 # ---------------------------------------------------------------------------
-# pointwise multiplication
-
-def bc_norm(g: GridFunction, k: int) -> float:
-    """max over |alpha| <= k of ||d^alpha g||_inf (spectral derivatives)."""
-    return _deriv_sup(g.samples, 0, k)
-
-
-def pointwise_mult_campaign(k: int, params: SpaceParams, corpus_f, corpus_g,
-                            bank: FilterBank) -> Report:
-    """sup over pairs of ||g f|| / (||g||_BC^k ||f||)."""
-    if not (k > params.s > params.sigma):
-        raise ValueError("needs k > s > sigma")
-    rep = Report(name=f"pointwise-mult-k{k}", constants={bank.G: 0.0})
-    for i, (f, g) in enumerate(zip(corpus_f, corpus_g)):
-        nf = space_norm(f, params, bank)
-        ng = bc_norm(g, k)
-        if nf == 0 or ng == 0:
-            continue
-        prod = GridFunction(f.n, f.samples * g.samples)
-        ratio = space_norm(prod, params, bank) / (ng * nf)
-        rep.observe(bank.G, ratio, trial=i)
-        rep.trials += 1
-    return rep
-
-
-# ---------------------------------------------------------------------------
 # sequence-space embedding with logarithmic phi
 
 def embedding_campaign(p: float, q: float, r: float, depth: int,
@@ -418,23 +392,4 @@ def counterexample_growth(r: float, depths, exponent: float = 1.0) -> Report:
                                 np.log2(np.array([ratios[N] for N in tail])))
     rep.extra["fit_range"] = [tail[0], tail[-1]]
     rep.extra["expected"] = 1.0 / r - exponent
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# pointwise band bound
-
-def band_pointwise_campaign(corpus, bank: FilterBank, q: float,
-                            phi: GrowthFunction) -> Report:
-    """sup over x, j, corpus of phi(2^-j) |band_j f(x)| / ||band_j f||_M:
-    the pointwise control of a band by its Morrey norm."""
-    rep = Report(name="band-pointwise", constants={bank.G: 0.0})
-    for i, f in enumerate(corpus):
-        for j, bj in bands(f, bank):
-            nb = morrey_norm(bj, q, phi)
-            if nb == 0:
-                continue
-            rep.observe(bank.G, phi(min(1.0, 2.0 ** (-j))) * bj.linf() / nb,
-                        trial=i, level=j)
-        rep.trials += 1
     return rep

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morreykit import cli, decomp, verify
+from morreykit import cli, decomp, trace, verify
 from morreykit.cli import (EXIT_EXACT, EXIT_OK, EXIT_STABILITY, EXIT_USAGE,
                            _plain, main, parse_params, validate_params)
 from morreykit.growth import SpaceParams, power
@@ -196,6 +197,26 @@ def test_extend_command(capsys, tmp_path):
     assert ext.levels[1].shape == (2, 2)
 
 
+@pytest.mark.parametrize("cmd, n", [("trace", 2), ("extend", 1)])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+def test_trace_problem_built_once(capsys, tmp_path, monkeypatch, cmd, n,
+                                  dry_run):
+    built = []
+
+    class Counted(trace.TraceProblem):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(trace, "TraceProblem", Counted)
+    path = tmp_path / "lam.csv"
+    path.write_text(CoeffField(n, {1: np.ones((2,) * n)}).to_csv())
+    code, _, err = run(capsys, cmd, "--params", "trace-A", "--input",
+                       str(path), *dry_run)
+    assert code == EXIT_OK, err
+    assert len(built) == 1
+
+
 def test_campaign_command(capsys):
     code, out, _ = run(capsys, "campaign", "--name", "hardy",
                        "--trials", "50")
@@ -288,6 +309,34 @@ def test_counterexample_judged_by_slope(capsys, r):
     assert code == EXIT_OK, err
     extra = json.loads(out)["extra"]
     assert extra["expected"] == 1.0 / r - 1.0
+
+
+def test_counterexample_r_range(capsys, tmp_path, monkeypatch):
+    # both ends resolve their growth; an r just outside, or one the sweep
+    # saw fail, is refused by campaign and by suite before anything runs
+    lo, hi = cli.COUNTEREXAMPLE_R
+    for r in (lo, hi):
+        code, out, err = run(capsys, "campaign", "--name", "counterexample",
+                             "--r", str(r))
+        assert code == EXIT_OK, err
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"name": "counterexample", "r": r}
+                                 for r in (lo, hi)]))
+    code, out, err = run(capsys, "suite", "--file", str(suite))
+    assert code == EXIT_OK, err
+    assert [entry["pass"] for entry in json.loads(out)] == [True, True]
+    monkeypatch.setattr(verify, "counterexample_growth",
+                        lambda *a, **k: pytest.fail("the campaign ran"))
+    for r in ("0.03", "0.039", "0.811", "0.82", "0.9", "1", "nan"):
+        result = run(capsys, "campaign", "--name", "counterexample", "--r", r)
+        _assert_fails_closed(*result)
+        assert "counterexample resolves 0.04 <= r <= 0.81 only" in result[2]
+    for r in (lo - 0.001, hi + 0.001):
+        suite.write_text(json.dumps([{"name": "hardy"},
+                                     {"name": "counterexample", "r": r}]))
+        result = run(capsys, "suite", "--file", str(suite))
+        _assert_fails_closed(*result)
+        assert result[2].startswith("error: suite entry 1: counterexample")
 
 
 def test_exit_code_of_a_slope_off_by_more_than_25_percent():
@@ -656,6 +705,45 @@ def test_readme_campaign_table():
             re.findall(r"`--([\w-]+)` \(([^)]*)\)", opts))
     assert rows == {name: {k: _fmt(v) for k, v in reads.items()}
                     for name, reads in cli.CAMPAIGNS.items()}
+
+
+def _option_cell(action):
+    """An option's README cell: `--flag`, then its default or choices (the
+    first is the default) or "required" in parentheses, if it has one."""
+    flag = f"`{action.option_strings[0]}`"
+    if action.required:
+        return f"{flag} (required)"
+    if action.choices:
+        assert action.default == action.choices[0]
+        return f"{flag} ({' | '.join(action.choices)})".replace("|", "\\|")
+    if action.default is None or action.nargs == 0:
+        return flag
+    return f"{flag} ({_fmt(action.default)})"
+
+
+def test_readme_command_table():
+    """README's per-command table lists each command's options, in order,
+    with the defaults build_parser() gives them; campaign's own options
+    are in the per-campaign table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| command | options (default) |\n|---|---|\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines():
+        names, cells = re.fullmatch(r"\| (.*?) \| (.*) \|", line).groups()
+        for name in re.findall(r"`(\w+)`", names):
+            rows[name] = re.findall(r"`--[\w-]+`(?: \([^)]*\))?", cells)
+    parsers = cli.build_parser()._subparsers._group_actions[0].choices
+    want, suppressed = {}, set()
+    for name, parser in parsers.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        want[name] = [_option_cell(a) for a in actions
+                      if a.default is not argparse.SUPPRESS]
+        suppressed |= {a.dest for a in actions
+                       if a.default is argparse.SUPPRESS}
+    assert rows == want
+    assert suppressed == {opt for reads in cli.CAMPAIGNS.values()
+                          for opt in reads}
+    assert "the options of that campaign below" in table
 
 
 def test_env_seed_override(capsys, monkeypatch):

@@ -194,7 +194,7 @@ GOOD = {
                "--resolutions": ["16", "16 32"]},
     "embedding": {"--dim": ["1", "2"], "--r": ["0.25", "0.5", "1.5"],
                   "--depth": ["1", "3", "4"], "--trials": ["1", "2"]},
-    "counterexample": {"--r": ["0.25", "0.5", "0.9"]},
+    "counterexample": {"--r": ["0.25", "0.5", "0.8"]},
 }
 
 

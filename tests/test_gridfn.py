@@ -11,7 +11,7 @@ from morreykit import decomp, gridfn, verify
 from morreykit.growth import SpaceParams, power
 from morreykit.gridfn import (FilterBank, GridFunction, band, centered_axis,
                               hl_maximal, kappa_profile, kinf_grid, make_bank,
-                              peetre_maximal, powered_maximal, preset_function,
+                              peetre_maximal, preset_function,
                               radial_window, random_bandlimited, rychkov_pair,
                               sample_expand, smoothstep7, sobolev_norm,
                               tau_profile_bump, theta_profile,
@@ -388,14 +388,6 @@ def test_block_sum_is_numpy_mean_order(n, sizes):
                     new = gridfn._block_mean(a, c, n)
                 assert new.shape == old.shape
                 assert new.tobytes() == old.tobytes(), (G, stack, c)
-
-
-def test_powered_maximal():
-    f = random_bandlimited(1, 32, 6, seed=7)
-    assert np.allclose(powered_maximal(f, 1.0).samples,
-                       hl_maximal(f).samples)
-    with pytest.raises(ValueError):
-        powered_maximal(f, 0.0)
 
 
 def test_peetre_maximal_dominates_band():

@@ -11,7 +11,9 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # entry points deleted on purpose, which the tracer's table still names
-DELETED = {"dyadic.ancestor", "dyadic.trace_boxes", "verify.peetre_maximal_of"}
+DELETED = {"dyadic.ancestor", "dyadic.trace_boxes", "gridfn.powered_maximal",
+           "verify.peetre_maximal_of", "verify.pointwise_mult_campaign",
+           "verify.band_pointwise_campaign"}
 
 
 def _traced_names():

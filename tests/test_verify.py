@@ -7,15 +7,14 @@ import pytest
 
 from morreykit.cli import _plain
 from morreykit.growth import SpaceParams, loginv, power, powerlog
-from morreykit.gridfn import GridFunction, make_bank, random_bandlimited
+from morreykit.gridfn import make_bank, random_bandlimited
 from morreykit.norms import space_norm
-from morreykit.verify import (Report, band_pointwise_campaign,
-                              coeff_corpus, counterexample_growth,
+from morreykit.verify import (Report, coeff_corpus, counterexample_growth,
                               embedding_campaign, filter_invariance_campaign,
                               function_corpus, hardy_bound, hardy_campaign,
                               maximal_campaign, multiplier_campaign,
                               peetre_char_campaign, peetre_threshold,
-                              pointwise_mult_campaign, trial_rng)
+                              trial_rng)
 
 INF = math.inf
 
@@ -237,29 +236,6 @@ def test_multiplier_campaign():
     assert 0 < rep.constants[G] < INF
 
 
-def test_pointwise_mult_campaign():
-    params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
-    G = 64
-    bank = make_bank(1, G)
-    with pytest.raises(ValueError):
-        pointwise_mult_campaign(1, params, [], [], bank)  # needs k > s
-    fs = function_corpus(1, G, 3, seed=7)
-    gs = function_corpus(1, G, 3, seed=8)
-    rep = pointwise_mult_campaign(2, params, fs, gs, bank)
-    assert rep.trials == 3 and rep.constants[G] > 0
-
-
-def test_pointwise_mult_constant_g():
-    # g == 1 has bc_norm 1, so the ratio is exactly 1
-    params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
-    G = 64
-    bank = make_bank(1, G)
-    f = function_corpus(1, G, 1, seed=9)
-    g = [GridFunction(1, np.ones(G))]
-    rep = pointwise_mult_campaign(2, params, f, g, bank)
-    assert rep.constants[G] == pytest.approx(1.0, rel=1e-10)
-
-
 def test_embedding_campaign():
     with pytest.raises(ValueError):
         embedding_campaign(2.0, 2.0, 3.0, depth=3)  # needs r < q
@@ -293,30 +269,3 @@ def test_counterexample_growth_pinned(exponent):
     assert tuple(rep.constants[N].hex() for N in range(2, 9)) == ratios
     assert rep.extra["slope"].hex() == slope
     assert rep.extra["fit_range"] == [5, 8]
-
-
-def test_band_pointwise_campaign():
-    G = 64
-    bank = make_bank(1, G)
-    corpus = function_corpus(1, G, 4, seed=10)
-    rep = band_pointwise_campaign(corpus, bank, 1.0, power(2.0))
-    assert rep.trials == 4
-    assert rep.constants[G] >= 1.0 - 1e-12  # attained at the sup cube
-
-
-def test_band_pointwise_campaign_pinned():
-    G = 64
-    rep = band_pointwise_campaign(function_corpus(1, G, 3, seed=10),
-                                  make_bank(1, G), 1.0, power(2.0))
-    assert rep.constants[G].hex() == "0x1.0757ee3603dd5p+1"
-    assert rep.witness == {"trial": 2, "level": 0,
-                           "ratio": float.fromhex("0x1.0757ee3603dd5p+1")}
-
-
-def test_band_pointwise_constant_band():
-    # constant function: only band 0 is nonzero and its ratio is exactly 1
-    G = 32
-    bank = make_bank(1, G)
-    rep = band_pointwise_campaign([GridFunction(1, np.ones(G))], bank,
-                                  1.0, power(2.0))
-    assert rep.constants[G] == pytest.approx(1.0)
