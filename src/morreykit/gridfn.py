@@ -201,16 +201,30 @@ def random_bandlimited(n: int, G: int, kmax: int, seed: int,
                        zero_mean: bool = False) -> GridFunction:
     """Seeded Gaussian Fourier coefficients supported in |k|_inf <= kmax,
     damped by exp(-|k|_inf / kmax)."""
-    rng = np.random.default_rng(seed)
+    return GridFunction(n, bandlimited_draw(n, G, kmax, zero_mean)([seed])[0])
+
+
+def bandlimited_draw(n: int, G: int, kmax: int, zero_mean: bool = False):
+    """A function of a list of seeds that stacks, on a leading axis, the
+    samples of random_bandlimited(n, G, kmax, seed, zero_mean) per seed.
+    The mask and weights are computed once, and one ifftn transforms the
+    whole stack: pocketfft transforms each line on its own, so every row
+    has the bytes of its own draw."""
     kinf = kinf_grid(n, G)
     mask = kinf <= kmax
-    spec = np.zeros((G,) * n, dtype=np.complex128)
     cnt = int(mask.sum())
     weights = np.exp(-kinf[mask] / max(kmax, 1))
-    spec[mask] = (rng.standard_normal(cnt) + 1j * rng.standard_normal(cnt)) * weights
-    if zero_mean:
-        spec[(0,) * n] = 0.0
-    return GridFunction.from_spectrum(n, spec)
+
+    def draw(seeds) -> np.ndarray:
+        spec = np.zeros((len(seeds),) + (G,) * n, dtype=np.complex128)
+        for row, seed in zip(spec, seeds):
+            rng = np.random.default_rng(seed)
+            row[mask] = (rng.standard_normal(cnt)
+                         + 1j * rng.standard_normal(cnt)) * weights
+        if zero_mean:
+            spec[(slice(None),) + (0,) * n] = 0.0
+        return np.fft.ifftn(spec * G ** n, axes=tuple(range(1, n + 1)))
+    return draw
 
 
 # ---------------------------------------------------------------------------

@@ -168,23 +168,95 @@ def _csv_text(head: list, n: int, tagged: list) -> str:
 # ---------------------------------------------------------------------------
 # Morrey norm on grid functions
 
+_PRUNE_CELLS = 1 << 12  # rows below this many cells sum every level
+_PRUNE_MU = 2.0 ** -20  # widest relative bound the pruning accepts
+_PRUNE_LO, _PRUNE_HI = 2.0 ** -1000, 2.0 ** 1000  # no subnormal, no overflow
+
+
+def _winning_levels(a: np.ndarray, q: float, ws: list, n: int) -> list:
+    """The levels whose candidate ws[lev] (largest cube mean)^(1/q) can be
+    the sup of some row of a (already raised to q; leading axes a stack),
+    by the sum-pyramid bound of _morrey_of_array; every level when the
+    bound cannot decide."""
+    levels = list(range(len(ws)))
+    G = a.shape[-1]
+    mu = G ** n * 2.0 ** -51 * max(1.0, 1.0 / q) + 2.0 ** -50
+    if G ** n < _PRUNE_CELLS or mu > _PRUNE_MU:
+        return levels
+    rows = a.size // G ** n
+    # the even and odd children along each grid axis
+    halves = [((slice(None),) * ax + (slice(0, None, 2),),
+               (slice(None),) * ax + (slice(1, None, 2),))
+              for ax in range(a.ndim - n, a.ndim)]
+    sums, b = [np.maximum.reduce(a.reshape(rows, -1), axis=1)], a
+    while b.shape[-1] > 1:
+        for even, odd in halves:
+            b = b[even] + b[odd]
+        sums.append(np.maximum.reduce(b.reshape(rows, -1), axis=1))
+    keep = set()
+    for row in np.array(sums[::-1]).T.tolist():  # level 0 first
+        if row[-1] == 0:  # all zero: every candidate is w * 0.0
+            keep.add(0)
+            continue
+        cand = []
+        for lev, w, s in zip(levels, ws, row):
+            mean = s / (G >> lev) ** n
+            if not (_PRUNE_LO <= mean and s <= _PRUNE_HI):
+                return levels
+            try:
+                root = mean ** (1.0 / q)
+            except OverflowError:
+                return levels
+            cand.append(w * root)
+            if not (_PRUNE_LO <= root <= _PRUNE_HI
+                    and _PRUNE_LO <= cand[-1] <= _PRUNE_HI):
+                return levels
+        low = max(cand) * (1.0 - mu)
+        keep.update(lev for lev, c in zip(levels, cand)
+                    if c * (1.0 + mu) >= low)
+    return sorted(keep)
+
+
 def _morrey_of_array(a: np.ndarray, q: float, phi: GrowthFunction,
                      n: int = None):
     """sup over dyadic cubes (levels 0..J) of phi(ell) (cube mean of a^q)^{1/q}
-    for a nonnegative field a on the grid.
+    for a nonnegative float64 field a on the grid.
 
     The grid is the trailing n axes of a (default all of them, giving a
     float); any leading axes form a stack, and the result is then an array
-    holding, per row, the float that row alone would give."""
+    holding, per row, the float that row alone would give.
+
+    Only the levels that can hold the sup are summed exactly, in numpy's
+    order (_block_sum); a sum pyramid over a^q, adding 2^n children per
+    level, bounds the rest, and its values never reach the result.  Any
+    order of adding m nonnegative floats gives the exact sum times a factor
+    in [(1 - u)^(m-1), (1 + u)^(m-1)], u = 2^-53 (N. J. Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section
+    4.2), so the pyramid's block sums and numpy's are within a factor of
+    about 1 + 2(m - 1)u of each other, m = c^n <= G^n.  The division by c^n
+    is exact while the mean is normal, the root multiplies the gap by 1/q,
+    and the root and the product by phi add an ulp or a few each.  So each
+    pyramid candidate is within a factor 1 +- mu of the exhaustive float,
+    mu = G^n 2^-51 max(1, 1/q) + 2^-50, which leaves at least 2^-40 to
+    spare once G^n >= 2^12, enough for the roundings of the bounds too.  A
+    level whose upper bound is below a row's largest lower bound loses, in
+    that row, to a level that is kept; a level is skipped only when that
+    holds in every row, so the max over the kept levels is the exhaustive
+    float.  Every level is summed when a row has fewer than 2^12 cells
+    (where the pyramid does not pay), when mu > 2^-20, or when a value of a
+    nonzero row leaves [2^-1000, 2^1000] (NaN, inf, overflow, subnormal);
+    an all-zero row needs level 0 only, the first of its equal candidates.
+    The pyramid holds about G^n / 2 floats per row at its finest sum."""
     n = n or a.ndim
     a = a ** q
     G = a.shape[-1]
     cells = tuple(range(a.ndim - n, a.ndim))
+    ws = [phi(2.0 ** (-lev)) for lev in range(G.bit_length())]
     # per level: phi(ell) and the largest cube mean of every row, the
     # largest sum over c^n: x -> fl(x / 2^k) is monotone, so bit for bit
-    peaks = [(phi(2.0 ** (-lev)),
+    peaks = [(ws[lev],
               _block_sum(a, G >> lev, n).max(axis=cells) / (G >> lev) ** n)
-             for lev in range(G.bit_length())]
+             for lev in _winning_levels(a, q, ws, n)]
     out = np.empty(a.shape[:a.ndim - n])
     for row in np.ndindex(out.shape):
         out[row] = max(w * float(peak[row]) ** (1.0 / q) for w, peak in peaks)

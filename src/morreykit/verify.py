@@ -21,9 +21,9 @@ import numpy as np
 from .decomp import _slope
 from .growth import GrowthFunction, SpaceParams, check_nakai, dyadic_scales, loginv, power
 from .gridfn import (FilterBank, GridFunction, _bump_axis, _check_grid,
-                     _hl_stack, _outer, _peetre_scan, bands, level_side,
-                     make_bank, peetre_maximal, random_bandlimited,
-                     sobolev_norm, wavenumbers)
+                     _hl_stack, _outer, _peetre_scan, bandlimited_draw, bands,
+                     level_side, make_bank, peetre_maximal,
+                     random_bandlimited, sobolev_norm, wavenumbers)
 from .norms import (CoeffField, _check_bank, _moduli, _morrey_of_array,
                     aggregate, band_norm, seq_norm, space_norm)
 
@@ -188,11 +188,10 @@ def maximal_campaign(q: float, r: float, phi: GrowthFunction, trials: int,
                  extra={"scalar": {}, "sup": {}, "lr": {}})
     for G in resolutions:
         best = dict.fromkeys(rep.extra, 0.0)  # scalar, sup, lr
+        draw = bandlimited_draw(n, G, 24)
         for i in range(trials):
-            vals = np.abs(np.stack([
-                random_bandlimited(n, G, 24,
-                                   seed=[seed, i * MAXIMAL_STACK + t]).samples
-                for t in range(MAXIMAL_STACK)]))
+            vals = np.abs(draw([[seed, i * MAXIMAL_STACK + t]
+                                for t in range(MAXIMAL_STACK)]))
             mats = _hl_stack(vals, n)
             # numerator, denominator of each form in the order of best
             m = _morrey_of_array(np.stack([
@@ -356,7 +355,9 @@ def counterexample_growth(r: float, depths, exponent: float = 1.0) -> Report:
     The ratio sequence saturates from below (every truncation carries the
     full weight of the early pieces), so the slope is fitted on the upper
     half of the depth range where the transient has died out; the full
-    ratio table is reported in constants."""
+    ratio table is reported in constants.  Raises ValueError naming r when
+    a ratio or the slope is not finite: at r <= 0.003 the E-variant's
+    ell^r sum over levels overflows."""
     if r >= 1 and exponent == 1.0:
         raise ValueError("the growth construction needs r < 1")
     n, q, p, G = 1, 0.5, 2.0, 1 << 14
@@ -385,11 +386,17 @@ def counterexample_growth(r: float, depths, exponent: float = 1.0) -> Report:
             split = list(_moduli(bands(f, bank)))
             ratios[N] = (band_norm(split, lhs_params)
                          / band_norm(split, rhs_params))
+            if not math.isfinite(ratios[N]):
+                raise ValueError(f"counterexample at r={r}: the depth-{N}"
+                                 f" ratio is {ratios[N]}, not finite")
     rep.constants = dict(ratios)
     cut = (min(ratios) + max(ratios) + 1) // 2
     tail = [N for N in sorted(ratios) if N >= cut]
     rep.extra["slope"] = _slope(np.log2(np.array(tail, dtype=float)),
                                 np.log2(np.array([ratios[N] for N in tail])))
+    if not math.isfinite(rep.extra["slope"]):
+        raise ValueError(f"counterexample at r={r}: the fitted slope is"
+                         f" {rep.extra['slope']}, not finite")
     rep.extra["fit_range"] = [tail[0], tail[-1]]
     rep.extra["expected"] = 1.0 / r - exponent
     return rep

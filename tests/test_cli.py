@@ -693,18 +693,29 @@ def _fmt(value):
     return f"{value:g}" if isinstance(value, float) else str(value)
 
 
+# the documents that carry the per-command and per-campaign tables
+TABLE_DOCS = ("README.md", "PAPER.md")
+
+
+def _doc_table(doc, head):
+    """The rows of the markdown table under the header row head in doc."""
+    text = (Path(__file__).parents[1] / doc).read_text()
+    table = text.split(f"| {head} | options (default) |\n|---|---|\n")[1]
+    return table.split("\n\n")[0].splitlines()
+
+
 def test_readme_campaign_table():
-    """README's per-campaign table lists each campaign's options and
-    defaults as cli.CAMPAIGNS holds them."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    table = readme.split("| campaign | options (default) |\n|---|---|\n")[1]
-    rows = {}
-    for line in table.split("\n\n")[0].splitlines():
-        name, opts = line.strip("|").split("|")
-        rows[name.strip().strip("`")] = dict(
-            re.findall(r"`--([\w-]+)` \(([^)]*)\)", opts))
-    assert rows == {name: {k: _fmt(v) for k, v in reads.items()}
-                    for name, reads in cli.CAMPAIGNS.items()}
+    """README's and PAPER.md's per-campaign tables list each campaign's
+    options and defaults as cli.CAMPAIGNS holds them."""
+    want = {name: {k: _fmt(v) for k, v in reads.items()}
+            for name, reads in cli.CAMPAIGNS.items()}
+    for doc in TABLE_DOCS:
+        rows = {}
+        for line in _doc_table(doc, "campaign"):
+            name, opts = line.strip("|").split("|")
+            rows[name.strip().strip("`")] = dict(
+                re.findall(r"`--([\w-]+)` \(([^)]*)\)", opts))
+        assert rows == want, doc
 
 
 def _option_cell(action):
@@ -722,16 +733,9 @@ def _option_cell(action):
 
 
 def test_readme_command_table():
-    """README's per-command table lists each command's options, in order,
-    with the defaults build_parser() gives them; campaign's own options
-    are in the per-campaign table."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    table = readme.split("| command | options (default) |\n|---|---|\n")[1]
-    rows = {}
-    for line in table.split("\n\n")[0].splitlines():
-        names, cells = re.fullmatch(r"\| (.*?) \| (.*) \|", line).groups()
-        for name in re.findall(r"`(\w+)`", names):
-            rows[name] = re.findall(r"`--[\w-]+`(?: \([^)]*\))?", cells)
+    """README's and PAPER.md's per-command tables list each command's
+    options, in order, with the defaults build_parser() gives them;
+    campaign's own options are in the per-campaign table."""
     parsers = cli.build_parser()._subparsers._group_actions[0].choices
     want, suppressed = {}, set()
     for name, parser in parsers.items():
@@ -740,10 +744,17 @@ def test_readme_command_table():
                       if a.default is not argparse.SUPPRESS]
         suppressed |= {a.dest for a in actions
                        if a.default is argparse.SUPPRESS}
-    assert rows == want
     assert suppressed == {opt for reads in cli.CAMPAIGNS.values()
                           for opt in reads}
-    assert "the options of that campaign below" in table
+    for doc in TABLE_DOCS:
+        lines = _doc_table(doc, "command")
+        rows = {}
+        for line in lines:
+            names, cells = re.fullmatch(r"\| (.*?) \| (.*) \|", line).groups()
+            for name in re.findall(r"`(\w+)`", names):
+                rows[name] = re.findall(r"`--[\w-]+`(?: \([^)]*\))?", cells)
+        assert rows == want, doc
+        assert "the options of that campaign below" in "\n".join(lines), doc
 
 
 def test_env_seed_override(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 only `gridfn._outer` builds an n-axis product grid, no arithmetic takes a
 fresh `.copy()` as an operand, no loop calls `band`, no module calls
-`FilterBank.window`, and only growth, norms and cli compare a `.variant`.
+`FilterBank.window`, only growth, norms and cli compare a `.variant`, and
+norms sums blocks (`_block_sum`) only inside `_morrey_of_array`.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -180,3 +181,32 @@ def test_variant_compared_only_where_the_rule_lives():
     found = {p.name: variant_comparisons(p.read_text()) for p in MODULES
              if p.name not in VARIANT_MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def block_sum_uses(source):
+    """(enclosing top-level def or class, or None, line) for every read of
+    `_block_sum`, called or not, so that an alias counts too."""
+    uses = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        uses += [(owner, node.lineno) for node in ast.walk(top)
+                 if getattr(node, "id", getattr(node, "attr", None))
+                 == "_block_sum"]
+    return uses
+
+
+def test_block_sum_uses_are_caught():
+    assert block_sum_uses(
+        "from .gridfn import _block_sum\n"
+        "def f(a):\n    return _block_sum(a, 2)\n"
+        "g = gridfn._block_sum\n"
+        "class C:\n    def m(self, y):\n"
+        "        return [_block_sum(x, 1) for x in y]\n") == [
+            ("f", 3), (None, 4), ("C", 7)]
+
+
+def test_norms_sums_blocks_only_in_the_morrey_sup():
+    # _morrey_of_array sums exactly only the levels its pyramid bound keeps;
+    # a Morrey sup written elsewhere in norms would sum every level
+    uses = block_sum_uses((SRC / "norms.py").read_text())
+    assert uses and {owner for owner, _ in uses} == {"_morrey_of_array"}

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from morreykit.dyadic import DyadicCube, cube_mask
 from morreykit.growth import (FAMILIES, GrowthFunction, SpaceParams, loginv,
                               power, power_of, powerlog, table)
-from morreykit.gridfn import (GridFunction, band, bands, make_bank,
-                              preset_function, random_bandlimited)
+from morreykit import norms
+from morreykit.gridfn import (GridFunction, _block_sum, band, bands,
+                              make_bank, preset_function, random_bandlimited)
 from morreykit.norms import (CoeffField, QuarkCoeffs, _cell_fields,
                              _morrey_of_array, aggregate, band_norm,
                              min_triangle_check, morrey_norm, quark_norm,
@@ -208,15 +209,15 @@ def _check_split(f, bank):
             assert space_norm(f, params, bank) == want
 
 
-def _phi_of_every_family(p, e, n):
+def _phi_of_every_family(p, e, n, levels=8):
     """{family: phi} for every growth family, built from p and e."""
     phis = {
         "power": power(p, n),
         "powerlog": powerlog(p, e, n),
         "loginv": loginv(e, n),
-        # every cube side 2^-lev, lev = 0..7, is a table scale
+        # every cube side 2^-lev, lev = 0..levels-1, is a table scale
         "table": table({-lev: 2.0 ** (-lev * n / p) * (1 + lev) ** e
-                        for lev in range(8)}, n),
+                        for lev in range(levels)}, n),
         "powershift": GrowthFunction("powershift", n, base=power(p, n),
                                      shift=-e),
         "powerof": power_of(power(p, n), e),
@@ -303,6 +304,112 @@ def test_morrey_norm_half_period_shift(case, data):
     g = GridFunction(f.n, np.roll(f.samples, shift, axis=tuple(range(f.n))))
     want = morrey_norm(f, q, phi)
     assert abs(morrey_norm(g, q, phi) - want) <= 1e-14 * want
+
+
+def _exhaustive_morrey(a, q, phi, n=None):
+    """The Morrey sup with every level summed exactly: _morrey_of_array
+    before it pruned levels, the reference of the pruned one."""
+    n = n or a.ndim
+    a = a ** q
+    G = a.shape[-1]
+    cells = tuple(range(a.ndim - n, a.ndim))
+    peaks = [(phi(2.0 ** (-lev)),
+              _block_sum(a, G >> lev, n).max(axis=cells) / (G >> lev) ** n)
+             for lev in range(G.bit_length())]
+    out = np.empty(a.shape[:a.ndim - n])
+    for row in np.ndindex(out.shape):
+        out[row] = max(w * float(peak[row]) ** (1.0 / q) for w, peak in peaks)
+    return out if out.ndim else float(out[()])
+
+
+# grids of 2^12..2^16 cells, where _morrey_of_array prunes levels
+_PRUNED_GRIDS = [(1, 1 << b) for b in range(12, 17)] + [
+    (2, 64), (2, 128), (2, 256), (3, 16), (3, 32)]
+# row kinds: a lognormal field (a wider spread puts the winner on a finer
+# level), with a planted dyadic cube, and the edge rows
+_ROWS = ["lognormal", "cube", "zero", "subnormal", "huge", "inf", "nan"]
+
+
+def _pruning_row(kind, rng, n, G):
+    a = rng.lognormal(0.0, rng.choice([0.05, 0.5, 2.0]), (G,) * n)
+    if kind == "cube":
+        c = G >> int(rng.integers(0, G.bit_length()))
+        at = tuple(slice(k, k + c) for k in rng.integers(0, G // c, n) * c)
+        a[at] *= 10.0 ** rng.uniform(0.5, 3.0)
+    elif kind == "zero":
+        a[...] = 0.0
+    elif kind == "subnormal":
+        a *= 2.0 ** -1070 / a.max()  # every nonzero cell subnormal
+    elif kind == "huge":
+        a *= 1e308 / a.max()
+    elif kind in ("inf", "nan"):
+        a[tuple(rng.integers(0, G, n))] = float(kind)
+    return a
+
+
+@st.composite
+def _pruning_cases(draw):
+    """(a, q, phi, n or None): a stack of 1..3 rows of any kinds on a grid
+    of 2^12..2^16 cells, phi from every growth family.  A "tie" phi is a
+    table whose exhaustive candidates on two levels of the first row, a
+    finite one, are within a few ulps of each other."""
+    n, G = draw(st.sampled_from(_PRUNED_GRIDS))
+    J = G.bit_length() - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = draw(st.sampled_from([0.25, 0.5, 1.0, 2.5]))
+    family = draw(st.sampled_from(sorted(FAMILIES) + ["tie"]))
+    kinds = draw(st.lists(st.sampled_from(_ROWS), min_size=1, max_size=3))
+    if family == "tie":
+        kinds[0] = draw(st.sampled_from(["lognormal", "cube"]))
+    a = np.stack([_pruning_row(k, rng, n, G) for k in kinds])
+    if family == "tie":
+        one = a[0] ** q
+        roots = [float(_block_sum(one, G >> lev, n).max() / (G >> lev) ** n)
+                 ** (1.0 / q) for lev in range(J + 1)]
+        lo, hi = draw(st.lists(st.integers(0, J), min_size=2, max_size=2,
+                               unique=True))
+        entries = {-lev: 0.5 / root for lev, root in enumerate(roots)}
+        entries[-lo] = 1.0 / roots[lo]
+        tie, step = 1.0 / roots[hi], draw(st.sampled_from([-INF, INF]))
+        for _ in range(draw(st.integers(0, 3))):
+            tie = float(np.nextafter(tie, step))
+        entries[-hi] = tie
+        phi = table(entries, n)
+    else:
+        phi = _phi_of_every_family(draw(_P), draw(_E), n, J + 1)[family]
+    stacked = len(kinds) > 1 or draw(st.booleans())
+    return (a if stacked else a[0]), q, phi, (n if stacked else None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_pruning_cases())
+def test_morrey_pruned_levels_give_the_exhaustive_bytes(case):
+    a, q, phi, n = case
+    with np.errstate(all="ignore"):
+        got = _morrey_of_array(a, q, phi, n)
+        want = _exhaustive_morrey(a, q, phi, n)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n,G,pruned", [
+    (1, 2048, False), (2, 32, False), (3, 8, False),
+    (1, 4096, True), (2, 64, True), (3, 16, True)])
+def test_morrey_sums_fewer_levels_from_4096_cells(n, G, pruned, monkeypatch):
+    # rows below 2^12 cells sum every level; from 2^12 on, a smooth field
+    # has one or two levels that can win, and only those are summed
+    calls = []
+
+    def counted(a, c, n=None):
+        calls.append(c)
+        return _block_sum(a, c, n)
+
+    monkeypatch.setattr(norms, "_block_sum", counted)
+    f = random_bandlimited(n, G, 2, seed=[n, G])
+    got = morrey_norm(f, 1.0, power(2.0, n))
+    assert got == _exhaustive_morrey(np.abs(f.samples), 1.0, power(2.0, n))
+    levels = G.bit_length()
+    assert (len(calls) < levels) if pruned else (len(calls) == levels)
 
 
 def test_coeff_field_shape_validation():

@@ -248,6 +248,14 @@ def test_counterexample_precondition():
         counterexample_growth(2.0, range(2, 5))
 
 
+def test_counterexample_fails_closed_on_overflow():
+    # the E-variant ell^r sum over levels overflows at r = 0.002: the
+    # ratios are inf, and a NaN slope must not come back as a result
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"r=0\.002.*not finite"):
+            counterexample_growth(0.002, range(2, 13))
+
+
 # counterexample_growth(0.5, range(2, 9), exponent), as float.hex: the
 # ratio per depth 2..8, then the slope fitted on depths 5..8
 COUNTEREXAMPLE_PINS = {
