@@ -173,8 +173,7 @@ def cmd_decompose(args):
         raise ValueError("--hom needs a zero-mean input: no level of the"
                          " homogeneous pair carries the mean")
     pair = rychkov_pair(args.L, n=args.dim, G=f.G, homogeneous=args.hom)
-    lam, patches = decomp.atomic_analyze(f, pair)
-    rec = decomp.synthesize(lam, patches, f.G)
+    lam, rec = decomp.round_trip(f, pair)
     resid = (rec - f).l2() / max(f.l2(), 1e-300)
     atoms = sum(np.size(v) for v in lam.levels.values())
     return ({"levels": lam.level_list(), "atoms": atoms,

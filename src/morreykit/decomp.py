@@ -18,8 +18,15 @@ a_jm = gamma_jm / lam_jm:
 A level j >= 1 is analysed in slabs of cubes of about 1 MiB of patches,
 with a forward FFT that skips the all-zero patch lines and one power-of-two
 scale, so besides the atoms it returns it holds one slab at a time; the
-bits are those of the whole-level transform.  decompose_bytes bounds what
-a decompose run holds, and the CLI checks it before the analysis.
+bits are those of the whole-level transform.
+
+Analysis and synthesis run one level at a time: _analyses yields each
+level's (j, lam_j, atoms_j) and _add_level overlap-adds it.  round_trip
+adds each level as soon as it is analysed and drops its atoms, so it
+holds one level of atoms; atomic_analyze collects every level and
+synthesize adds them, with the same bits.  decompose_bytes bounds what a
+decompose run (round_trip) holds, and the CLI checks it before the
+analysis.
 
 Quarks are atoms: quark (beta qu)_{nu m} is one kernel on the 3Q patch,
 QuarkGen.quark_patch, translated to cube m, so quark_synthesize is one
@@ -207,14 +214,34 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair):
     matching validate_atom.  patches[j] holds the normalized atoms
     a_jm = gamma_jm / lam_jm of level j (see the module docstring for the
     layout), and synthesize(lam, patches, G) reproduces f to FFT
-    precision."""
+    precision.  It holds every level's atoms; round_trip holds one."""
+    levels = list(_analyses(f, pair))
+    return (CoeffField(f.n, {j: lam for j, lam, _ in levels}),
+            {j: atoms for j, _, atoms in levels})
+
+
+def round_trip(f: GridFunction, pair: RychkovPair):
+    """(lam, synthesize(*atomic_analyze(f, pair), G)) with the same bits,
+    each level added into the output as soon as it is analysed and its
+    atoms dropped before the next level, so at most one level of atoms is
+    held at a time."""
+    lam = {}
+    out = np.zeros((f.G,) * f.n, dtype=np.complex128)
+    for j, lam_j, atoms in _analyses(f, pair):
+        lam[j] = lam_j
+        _add_level(out, lam_j, atoms, j, f.G)
+        del atoms  # or it lives on while the next level is analysed
+    return CoeffField(f.n, lam), GridFunction(f.n, out)
+
+
+def _analyses(f: GridFunction, pair: RychkovPair):
+    """Yield (j, lam_j, atoms_j) per level of atomic_analyze, in
+    pair.levels order, holding no level's atoms after its yield."""
     n, G = f.n, f.G
     if pair.G != G or pair.n != n:
         raise ValueError("pair was built for a different grid")
     K = max(1, pair.L)
     spec = f.spectrum()
-    lam_levels = {}
-    patches = {}
     for j in pair.levels:
         # a complex product rounds by ulps differently with its operands
         # swapped; the pinned lambda CSVs take the order numpy's temporary
@@ -228,14 +255,12 @@ def atomic_analyze(f: GridFunction, pair: RychkovPair):
             gamma = GridFunction.from_spectrum(
                 n, GridFunction(n, U).spectrum() * pair.phi_spec[j]).samples
             lam = max(TINY, _deriv_sup(gamma, j, K))
-            lam_levels[j] = np.full((1,) * n, lam)
-            patches[j] = gamma / lam
+            yield j, np.full((1,) * n, lam), gamma / lam
             continue
         if pair.phi_half_cells[j] > G >> j:
             raise ValueError(
                 f"kernel support at level {j} exceeds 3Q; lower L or refine G")
-        lam_levels[j], patches[j] = _level_analysis(U, pair.phi_spec[j], j, K)
-    return CoeffField(n, lam_levels), patches
+        yield (j,) + _level_analysis(U, pair.phi_spec[j], j, K)
 
 
 def _slabs(side: int, n: int, per: int) -> list:
@@ -307,56 +332,66 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
 
 
 def decompose_bytes(n: int, G: int, L: int, homogeneous: bool = False) -> int:
-    """Upper bound on the bytes decompose holds at once for a G^n grid with
-    rychkov_pair(L): every level's atoms, the pair's phi/psi spectra, the
-    level-1 kernel spectra of _level_analysis, one slab (patches, their
-    product buffer and its moduli) and _WORK_GRIDS grids for f, its
-    spectrum, a band and the transients of analysis and synthesis."""
+    """Upper bound on the bytes decompose (round_trip) holds at once for a
+    G^n grid with rychkov_pair(L): the largest level's atoms, the output
+    grid, the pair's phi/psi spectra, the level-1 kernel spectra of
+    _level_analysis, one slab (patches, their product buffer and its
+    moduli) and _WORK_GRIDS grids for f, its spectrum, a band and the
+    transients of analysis and synthesis."""
     _check_grid(G)
     grid = 16 * G ** n
     levels = band_levels(G, homogeneous)
     patch = max([16 * (4 * (G >> j)) ** n for j in levels if j >= 1],
                 default=0)
-    atoms = sum(grid if j <= 0 else 16 * (level_side(j) * min(3 * (G >> j),
+    atoms = max(grid if j <= 0 else 16 * (level_side(j) * min(3 * (G >> j),
                                                               G)) ** n
                 for j in levels)
     kernels = math.comb(n + max(1, L), n) * patch
-    return (atoms + 2 * len(levels) * grid + kernels
+    return (atoms + grid + 2 * len(levels) * grid + kernels
             + 3 * max(_SLAB_BYTES, patch) + _WORK_GRIDS * grid)
 
 
 def synthesize(lam: CoeffField, patches: dict, G: int) -> GridFunction:
-    """f = sum_j sum_m lam_jm a_jm, by increasing j.
-
-    Each level is an overlap-add: every patch axis splits into blocks of
-    c cells, three for a 3c patch and two for a G patch at j = 1, and
-    block b lands on cube m + b - 1 (mod 2^j), so a level is 3^n or 2^n
-    shifted block adds.  A stack of one patch, shape (1,)*n + patch,
-    serves every cube of its level (quark synthesis)."""
-    n = lam.n
-    out = np.zeros((G,) * n, dtype=np.complex128)
+    """f = sum_j sum_m lam_jm a_jm, by increasing j, one _add_level per
+    level.  A stack of one patch, shape (1,)*n + patch, serves every cube
+    of its level (quark synthesis)."""
+    out = np.zeros((G,) * lam.n, dtype=np.complex128)
     for j in lam.level_list():
         v = lam.levels[j]
         if j not in patches:
             if np.any(v != 0):
                 raise KeyError(f"missing atoms for level {j}")
             continue
-        if j <= 0:
-            out += np.reshape(v, ()) * patches[j]
-            continue
-        c = G >> j
-        cubes = patches[j].shape[:n]
-        nb = patches[j].shape[n] // c
-        # axes (m.., b_1, cell_1, ..., b_n, cell_n) -> (b.., m.., cell..)
-        blocks = patches[j].reshape(cubes + (nb, c) * n).transpose(
-            [*range(n, 3 * n, 2), *range(n), *range(n + 1, 3 * n, 2)])
-        weight = v[(...,) + (None,) * n]
-        acc = np.zeros(v.shape + (c,) * n, dtype=np.complex128)
-        for b in itertools.product(range(nb), repeat=n):
-            acc += np.roll(weight * blocks[b], [bi - 1 for bi in b],
-                           axis=tuple(range(n)))
-        out += _join_blocks(acc)
-    return GridFunction(n, out)
+        _add_level(out, v, patches[j], j, G)
+    return GridFunction(lam.n, out)
+
+
+def _add_level(out: np.ndarray, lam_j: np.ndarray, atoms: np.ndarray,
+               j: int, G: int) -> None:
+    """out += sum_m lam_jm a_jm over the cubes of level j, lam_j taken as
+    complex128 first, as CoeffField holds it.
+
+    An overlap-add: every patch axis splits into blocks of c cells, three
+    for a 3c patch and two for a G patch at j = 1, and block b lands on
+    cube m + b - 1 (mod 2^j), so a level is 3^n or 2^n shifted block
+    adds."""
+    n = out.ndim
+    v = np.asarray(lam_j, dtype=np.complex128)
+    if j <= 0:
+        out += np.reshape(v, ()) * atoms
+        return
+    c = G >> j
+    cubes = atoms.shape[:n]
+    nb = atoms.shape[n] // c
+    # axes (m.., b_1, cell_1, ..., b_n, cell_n) -> (b.., m.., cell..)
+    blocks = atoms.reshape(cubes + (nb, c) * n).transpose(
+        [*range(n, 3 * n, 2), *range(n), *range(n + 1, 3 * n, 2)])
+    weight = v[(...,) + (None,) * n]
+    acc = np.zeros(v.shape + (c,) * n, dtype=np.complex128)
+    for b in itertools.product(range(nb), repeat=n):
+        acc += np.roll(weight * blocks[b], [bi - 1 for bi in b],
+                       axis=tuple(range(n)))
+    out += _join_blocks(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -240,11 +240,15 @@ def theta_profile_bump(u):
     return cosstep(3.0 - np.asarray(u, dtype=float))
 
 
+BUMP_SUPPORT = (0.9, 2.95)  # tau_profile_bump is +0.0 outside, open
+
+
 def tau_profile_bump(u):
     """Non-telescoping annulus bump: supp in Q(2.95)\\Q(0.9), positive on
     Q(2)\\Q(1)."""
     u = np.asarray(u, dtype=float)
-    return cosstep((u - 0.9) / 0.55) * cosstep((2.95 - u) / 0.55)
+    lo, hi = BUMP_SUPPORT
+    return cosstep((u - lo) / 0.55) * cosstep((hi - u) / 0.55)
 
 
 # bank kind -> (theta, tau) profiles: level 0 of an inhomogeneous bank is
@@ -347,9 +351,12 @@ def make_bank(n: int, G: int, kind: str = "partition",
         if not homogeneous:
             profiles.insert(0, rows[0])
     else:
-        # one tau call for all tau levels j: their rows are tau(u / 2^j)
-        scales = np.array([2.0 ** j for j in bank.tau_levels()])
-        rows = tau(shells / scales[:, None])
+        # one tau call for all tau levels j: their rows are tau(u / 2^j),
+        # evaluated inside tau's support only and +0.0, tau's value, outside
+        v = shells / np.array([2.0 ** j for j in bank.tau_levels()])[:, None]
+        live = (v > BUMP_SUPPORT[0]) & (v < BUMP_SUPPORT[1])
+        rows = np.zeros_like(v)
+        rows[live] = tau(v[live])
         profiles = rows if homogeneous else [theta(shells), *rows]
     bank.profiles = dict(zip(levels, profiles))
     return bank

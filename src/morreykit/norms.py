@@ -203,10 +203,7 @@ def _winning_levels(a: np.ndarray, q: float, ws: list, n: int) -> list:
             mean = s / (G >> lev) ** n
             if not (_PRUNE_LO <= mean and s <= _PRUNE_HI):
                 return levels
-            try:
-                root = mean ** (1.0 / q)
-            except OverflowError:
-                return levels
+            root = _root(mean, q)
             cand.append(w * root)
             if not (_PRUNE_LO <= root <= _PRUNE_HI
                     and _PRUNE_LO <= cand[-1] <= _PRUNE_HI):
@@ -259,8 +256,16 @@ def _morrey_of_array(a: np.ndarray, q: float, phi: GrowthFunction,
              for lev in _winning_levels(a, q, ws, n)]
     out = np.empty(a.shape[:a.ndim - n])
     for row in np.ndindex(out.shape):
-        out[row] = max(w * float(peak[row]) ** (1.0 / q) for w, peak in peaks)
+        out[row] = max(w * _root(float(peak[row]), q) for w, peak in peaks)
     return out if out.ndim else float(out[()])
+
+
+def _root(x: float, q: float) -> float:
+    """x^(1/q), and inf where that overflows (a Python float raises)."""
+    try:
+        return x ** (1.0 / q)
+    except OverflowError:
+        return INF
 
 
 def morrey_norm(f: GridFunction, q: float, phi: GrowthFunction) -> float:

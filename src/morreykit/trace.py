@@ -190,10 +190,9 @@ def trace_function(f: GridFunction, pair: RychkovPair):
 
     Returns (restriction of the atom sum, direct restriction); the two
     agree to FFT precision because the atom sum reproduces f exactly."""
-    from .decomp import atomic_analyze, synthesize
+    from .decomp import round_trip
     if f.n != 2:
         raise ValueError("function trace is implemented for n = 2")
-    lam, patches = atomic_analyze(f, pair)
-    atom_sum = synthesize(lam, patches, f.G)
+    atom_sum = round_trip(f, pair)[1]
     return (GridFunction(1, atom_sum.samples[:, 0].copy()),
             GridFunction(1, f.samples[:, 0].copy()))

@@ -439,11 +439,11 @@ def test_decompose_peak_within_estimate(capsys, tmp_path, n, G, L, hom):
 
 
 def test_decompose_over_budget_fails_closed(capsys):
-    # 2^24 cells pass the grid guard; the 32.5 GiB estimate is refused
+    # 2^24 cells pass the grid guard; the 17 GiB estimate is refused
     # before anything is allocated
     result = run(capsys, "decompose", "--dim", "1", "--res", str(1 << 24))
     _assert_fails_closed(*result)
-    assert "working set, estimated at 32.50 GiB" in result[2]
+    assert "working set, estimated at 17.00 GiB" in result[2]
 
 
 @pytest.mark.parametrize("n,G", [(1, 1024), (2, 64), (3, 16)])
@@ -643,6 +643,22 @@ def test_stdout_is_strict_json(capsys, tmp_path):
     code, out, _ = run(capsys, "seqnorm", "--params", "power-p2-q1-s1-N-r2",
                        "--input", str(path))
     assert code == EXIT_OK
+    assert _strict_json(out)["norm"] == "inf"
+
+
+@pytest.mark.parametrize("params", ["power-p2-q0.3-s0-N-r2",
+                                    "power-p2-q0.3-s0-E-r2",
+                                    "power-p2-q1-s0-N-r2"])
+def test_seqnorm_root_overflow_is_inf(capsys, tmp_path, params):
+    # the Morrey root (mean)^(1/q) of two float-max coefficients overflows
+    # at q = 0.3; a Python float's power raised OverflowError there, a
+    # traceback with exit 1, where q = 1 and the E-variant print "inf"
+    path = tmp_path / "lam.csv"
+    big = sys.float_info.max
+    path.write_text(CoeffField(1, {2: [big, big, 0.0, 0.0]}).to_csv())
+    code, out, err = run(capsys, "seqnorm", "--params", params, "--dim", "1",
+                         "--input", str(path))
+    assert (code, err) == (EXIT_OK, "")
     assert _strict_json(out)["norm"] == "inf"
 
 

@@ -4,9 +4,12 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreykit import decomp
 from morreykit.dyadic import DyadicCube, cube_mask
@@ -14,7 +17,8 @@ from morreykit.decomp import (TINY, AtomSpec, MoleculeSpec, QuarkGen,
                               _differentiate, _patch_kernel, atomic_analyze,
                               band_decay_profile, fit_decay_slopes, make_atom,
                               make_molecule, quark_analyze, quark_synthesize,
-                              synthesize, validate_atom, validate_molecule)
+                              round_trip, synthesize, validate_atom,
+                              validate_molecule)
 from morreykit.growth import SpaceParams, power
 from morreykit.gridfn import (GridFunction, _along, _multi_indices, _outer,
                               _split_blocks, _times_monomial, centered_axis,
@@ -202,6 +206,73 @@ def test_atomic_analyze_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * sum(a.nbytes for a in patches.values())
+
+
+# grid sides per dimension for the fused-path property: from two levels
+# (G = 8) up, kept small enough for 30 examples in a few seconds
+_ROUND_TRIP_GRIDS = {1: [8, 16, 64, 256], 2: [8, 16, 32, 64], 3: [8, 16]}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_round_trip_matches_collect_then_synthesize(data):
+    """round_trip adds each level into the output as it is analysed; its
+    lam CSV and reconstruction are the bytes of atomic_analyze followed by
+    synthesize."""
+    n = data.draw(st.sampled_from([1, 2, 3]), label="n")
+    G = data.draw(st.sampled_from(_ROUND_TRIP_GRIDS[n]), label="G")
+    L = data.draw(st.sampled_from([0, 1, 2]), label="L")
+    hom = data.draw(st.booleans(), label="hom")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    f = {"spread": lambda: random_bandlimited(n, G, max(1, G // 8), seed=seed,
+                                              zero_mean=hom),
+         "localized": lambda: _localized(n, G, seed),
+         "zero": lambda: GridFunction(n, np.zeros((G,) * n))}[
+        data.draw(st.sampled_from(["spread", "localized", "zero"]),
+                  label="kind")]()
+    pair = rychkov_pair(L, n=n, G=G, homogeneous=hom)
+    lam, patches = atomic_analyze(f, pair)
+    want = synthesize(lam, patches, G).samples.tobytes()
+    lam_fused, rec = round_trip(f, pair)
+    assert lam_fused.to_csv() == lam.to_csv()
+    assert rec.samples.tobytes() == want
+
+
+@pytest.mark.parametrize("hom", [False, True])
+def test_round_trip_drops_each_level_before_the_next(monkeypatch, hom):
+    # every level's atoms are freed before the next level is analysed
+    added = []
+
+    def add_level(out, lam_j, atoms, j, G):
+        added.append(weakref.ref(atoms))
+        add(out, lam_j, atoms, j, G)
+
+    def level_analysis(*args):
+        assert [r() for r in added] == [None] * len(added)
+        return analyse(*args)
+
+    add, analyse = decomp._add_level, decomp._level_analysis
+    monkeypatch.setattr(decomp, "_add_level", add_level)
+    monkeypatch.setattr(decomp, "_level_analysis", level_analysis)
+    pair = rychkov_pair(1, n=2, G=32, homogeneous=hom)
+    round_trip(random_bandlimited(2, 32, 4, seed=2, zero_mean=hom), pair)
+    assert len(added) == len(pair.levels)
+
+
+def test_round_trip_holds_less_than_every_level():
+    # collecting every level before synthesis holds all 50 MiB of atoms;
+    # the fused path peaks at one level's analysis, level 1's kernel spectra
+    # and slab the largest part
+    pair = rychkov_pair(1, n=2, G=256)
+    f = random_bandlimited(2, 256, 32, seed=4)
+    atoms = sum(a.nbytes for a in atomic_analyze(f, pair)[1].values())
+    tracemalloc.start()
+    try:
+        round_trip(f, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < atoms
 
 
 def _level_analysis_unslabbed(U, phi_spec, j, K):

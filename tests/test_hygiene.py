@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 only `gridfn._outer` builds an n-axis product grid, no arithmetic takes a
 fresh `.copy()` as an operand, no loop calls `band`, no module calls
-`FilterBank.window`, only growth, norms and cli compare a `.variant`, and
-norms sums blocks (`_block_sum`) only inside `_morrey_of_array`.
+`FilterBank.window`, only growth, norms and cli compare a `.variant`,
+norms sums blocks (`_block_sum`) only inside `_morrey_of_array`, and no
+module calls `atomic_analyze`.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -183,30 +184,46 @@ def test_variant_compared_only_where_the_rule_lives():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def block_sum_uses(source):
+def name_uses(source, name):
     """(enclosing top-level def or class, or None, line) for every read of
-    `_block_sum`, called or not, so that an alias counts too."""
+    `name`, called or not, so that an alias counts too; a def of that name
+    and an import are not reads."""
     uses = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", None)
         uses += [(owner, node.lineno) for node in ast.walk(top)
-                 if getattr(node, "id", getattr(node, "attr", None))
-                 == "_block_sum"]
+                 if getattr(node, "id", getattr(node, "attr", None)) == name]
     return uses
 
 
 def test_block_sum_uses_are_caught():
-    assert block_sum_uses(
+    assert name_uses(
         "from .gridfn import _block_sum\n"
         "def f(a):\n    return _block_sum(a, 2)\n"
         "g = gridfn._block_sum\n"
         "class C:\n    def m(self, y):\n"
-        "        return [_block_sum(x, 1) for x in y]\n") == [
+        "        return [_block_sum(x, 1) for x in y]\n", "_block_sum") == [
             ("f", 3), (None, 4), ("C", 7)]
 
 
 def test_norms_sums_blocks_only_in_the_morrey_sup():
     # _morrey_of_array sums exactly only the levels its pyramid bound keeps;
     # a Morrey sup written elsewhere in norms would sum every level
-    uses = block_sum_uses((SRC / "norms.py").read_text())
+    uses = name_uses((SRC / "norms.py").read_text(), "_block_sum")
     assert uses and {owner for owner, _ in uses} == {"_morrey_of_array"}
+
+
+def test_atomic_analyze_uses_are_caught():
+    assert name_uses(
+        "from .decomp import atomic_analyze\n"
+        "def atomic_analyze(f, pair):\n    return 0\n"
+        "def g(f, pair):\n    return atomic_analyze(f, pair)[0]\n"
+        "h = decomp.atomic_analyze\n", "atomic_analyze") == [
+            ("g", 5), (None, 6)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_atomic_analyze(path):
+    # atomic_analyze holds every level's atoms at once; the package's
+    # decompositions go through decomp.round_trip, which holds one level
+    assert name_uses(path.read_text(), "atomic_analyze") == []
