@@ -71,15 +71,6 @@ class AtomSpec:
         if self.K < 0 or self.L < -1:
             raise ValueError("need K >= 0 and L >= -1")
 
-    @staticmethod
-    def admissible(params) -> "AtomSpec":
-        """Smallest (K, L) the synthesis theorem allows for the given space:
-        K >= [1+s]_+ and L >= max(-1, [sigma - s]) with sigma = sigma_q for
-        the N-variant and sigma_qr for the E-variant (params.sigma)."""
-        K = max(0, math.floor(1 + params.s))
-        L = max(-1, math.floor(params.sigma - params.s))
-        return AtomSpec(K=K, L=L)
-
 
 @dataclass
 class MoleculeSpec:
@@ -519,12 +510,6 @@ class QuarkGen:
     R = 0, rho = [R + 1] = 1, and supp of every quark is 3Q_{nu m}."""
     R: ClassVar[float] = 0.0
     rho: ClassVar[int] = 1
-
-    @property
-    def support_dilate(self) -> float:
-        # supp psi subset Q(2^R); the quark at (nu, m) covers the cube dilated
-        # by d = 2^(R+1) + 1
-        return 2.0 ** (self.R + 1) + 1.0
 
     def psi1(self, t):
         t = np.asarray(t, dtype=float)

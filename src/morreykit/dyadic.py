@@ -38,10 +38,6 @@ class DyadicCube:
         return self.side ** self.n
 
     @property
-    def lower(self) -> tuple:
-        return tuple(k * self.side for k in self.m)
-
-    @property
     def center(self) -> tuple:
         return tuple((k + 0.5) * self.side for k in self.m)
 

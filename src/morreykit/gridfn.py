@@ -130,9 +130,6 @@ class GridFunction:
         G = spec.shape[0]
         return GridFunction(n, np.fft.ifftn(spec * G ** n))
 
-    def integral(self) -> complex:
-        return complex(self.samples.sum() * self.h ** self.n)
-
     def l2(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.h ** self.n))
 
@@ -144,13 +141,6 @@ class GridFunction:
 
     def __sub__(self, other):
         return GridFunction(self.n, self.samples - other.samples)
-
-    def __mul__(self, c):
-        if isinstance(c, GridFunction):
-            return GridFunction(self.n, self.samples * c.samples)
-        return GridFunction(self.n, self.samples * c)
-
-    __rmul__ = __mul__
 
     # -- persistence --------------------------------------------------------
 

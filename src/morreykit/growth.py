@@ -9,7 +9,6 @@ computable surrogate for the continuous statement.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -21,7 +20,6 @@ MONO_TOL = 1e-12
 # a sup over the dyadic scale grid counts as finite when it exceeds the sup
 # over the trimmed grid by at most this factor
 TRIM_STABILITY = 1.25
-S_DEPTH = 40  # terms of the series that check_s_condition sums
 
 
 def dyadic_scales(jmin: int = -10, jmax: int = 10) -> list[float]:
@@ -78,17 +76,6 @@ class GrowthFunction:
             d[name] = _FIELDS[name].encode(getattr(self, name))
         return d
 
-    @staticmethod
-    def from_json(d) -> "GrowthFunction":
-        if isinstance(d, str):
-            d = json.loads(d)
-        fam = d["family"]
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {fam}")
-        return GrowthFunction(fam, int(d.get("n", 1)),
-                              **{name: _FIELDS[name].decode(d[name])
-                                 for name in FAMILIES[fam].fields})
-
     def __repr__(self):
         return f"GrowthFunction({self.to_json()})"
 
@@ -123,7 +110,6 @@ class _Field(NamedTuple):
     need: str  # what the constructor demands, for its error message
     valid: Callable  # value -> bool
     encode: Callable  # value -> JSON
-    decode: Callable  # JSON -> constructor argument
 
 
 def _same(v):
@@ -131,18 +117,16 @@ def _same(v):
 
 
 _FIELDS = {
-    "p": _Field("finite p > 0", lambda v: math.isfinite(v) and v > 0,
-                _same, _same),
-    "exponent": _Field("a finite exponent", math.isfinite, _same, _same),
-    "shift": _Field("a finite shift", math.isfinite, _same, _same),
+    "p": _Field("finite p > 0", lambda v: math.isfinite(v) and v > 0, _same),
+    "exponent": _Field("a finite exponent", math.isfinite, _same),
+    "shift": _Field("a finite shift", math.isfinite, _same),
     "entries": _Field("finite positive entries",
                       lambda e: bool(e) and all(math.isfinite(v) and v > 0
                                                 for v in e.values()),
-                      lambda e: [[j, v] for j, v in sorted(e.items())],
-                      lambda pairs: {j: v for j, v in pairs}),
+                      lambda e: [[j, v] for j, v in sorted(e.items())]),
     "base": _Field("a base growth function",
                    lambda b: isinstance(b, GrowthFunction),
-                   lambda b: b.to_json(), GrowthFunction.from_json),
+                   lambda b: b.to_json()),
 }
 
 
@@ -223,23 +207,6 @@ def check_nakai(phi: GrowthFunction,
     return False, 0.0, math.inf
 
 
-def normalize_star(phi: GrowthFunction, q: float, scales: list[float]) -> GrowthFunction:
-    """phi*(t) = sup_{s >= t} t^(n/q) s^(-n/q) phi(s), tabulated on scales.
-
-    The result is always in G_q on the same grid."""
-    scales = sorted(scales)
-    n = phi.n
-    entries = {}
-    # run the sup from the top scale downwards: phi*(t)/t^(n/q) is the
-    # running max of phi(s)/s^(n/q) over s >= t
-    run = 0.0
-    for t in reversed(scales):
-        run = max(run, phi(t) * t ** (-n / q))
-        j = round(math.log2(t))
-        entries[j] = run * t ** (n / q)
-    return GrowthFunction("table", n, entries=entries)
-
-
 # -- space parameters --------------------------------------------------------
 
 @dataclass
@@ -275,11 +242,6 @@ class SpaceParams:
         return min(1.0, self.q, self.r if self.variant == "E" else 1.0)
 
     @property
-    def sigma(self) -> float:
-        """sigma_q (N) or sigma_{q,r} (E): n (1/m - 1)."""
-        return self.n * (1.0 / self.m - 1.0)
-
-    @property
     def w(self) -> float:
         """Exponent of the quasi-triangle inequality for the space norm."""
         return min(1.0, self.q, self.r if self.r != INF else 1.0)
@@ -297,19 +259,6 @@ class SpaceParams:
             "homogeneous": self.homogeneous,
             "n": self.n,
         }
-
-    @staticmethod
-    def from_json(d) -> "SpaceParams":
-        if isinstance(d, str):
-            d = json.loads(d)
-        r = d["r"]
-        if r in ("inf", "Infinity", None):
-            r = INF
-        return SpaceParams(q=float(d["q"]), r=float(r), s=float(d["s"]),
-                           phi=GrowthFunction.from_json(d["phi"]),
-                           variant=d.get("variant", "N"),
-                           homogeneous=bool(d.get("homogeneous", False)),
-                           n=int(d.get("n", 1)))
 
 
 def trace_transform(params: SpaceParams) -> SpaceParams:
@@ -352,16 +301,3 @@ def check_trace_summability(phi_star: GrowthFunction,
     c_full = the_sup(scales)
     c_trim = the_sup(scales[3:]) if len(scales) > 5 else c_full
     return c_full <= c_trim * TRIM_STABILITY, c_full
-
-
-def check_s_condition(params: SpaceParams) -> bool:
-    """True iff the partial sums of sum_j 1/(2^{js} phi(2^{-j})) are Cauchy
-    on the grid: the tail increments must decay geometrically."""
-    a = [1.0 / (2.0 ** (j * params.s) * params.phi(2.0 ** (-j)))
-         for j in range(1, S_DEPTH + 1)]
-    k = S_DEPTH // 4
-    tail_new = sum(a[S_DEPTH - k:])
-    tail_old = sum(a[S_DEPTH - 2 * k:S_DEPTH - k])
-    if tail_old == 0.0:
-        return True
-    return tail_new <= 0.9 * tail_old

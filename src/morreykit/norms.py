@@ -58,15 +58,6 @@ class CoeffField:
         """The finest level, and 0 if every level is homogeneous."""
         return max([0, *self.levels])
 
-    def get(self, j: int, m: tuple) -> complex:
-        if j not in self.levels:
-            return 0.0
-        side = level_side(j)
-        return complex(self.levels[j][tuple(int(k) % side for k in m)])
-
-    def scaled(self, c) -> "CoeffField":
-        return CoeffField(self.n, {j: v * c for j, v in self.levels.items()})
-
     def __add__(self, other: "CoeffField") -> "CoeffField":
         out = {}
         for j in set(self.levels) | set(other.levels):
@@ -268,6 +259,17 @@ def _root(x: float, q: float) -> float:
         return INF
 
 
+def _lr(values, r: float) -> float:
+    """The ell^r norm of nonnegative values: their max at r = inf, 0.0 for
+    none, and inf where the sum or its root overflows."""
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        return 0.0
+    if r == INF:
+        return float(np.max(a))
+    return _root(float(np.sum(a ** r)), r)
+
+
 def morrey_norm(f: GridFunction, q: float, phi: GrowthFunction) -> float:
     """Generalized Morrey norm: sup_Q phi(ell(Q)) (|Q|^{-1} int_Q |f|^q)^{1/q},
     sup over the dyadic lattice down to single grid cells."""
@@ -288,11 +290,8 @@ def aggregate(level_fields, params: SpaceParams) -> float:
     pointwise ell^r.  r = infinity uses sup semantics."""
     q, r, s, phi = params.q, params.r, params.s, params.phi
     if params.variant == "N":
-        terms = [2.0 ** (j * s) * _morrey_of_array(a, q, phi)
-                 for j, a in level_fields]
-        if r == INF:
-            return max(terms) if terms else 0.0
-        return float(np.sum(np.array(terms) ** r)) ** (1.0 / r)
+        return _lr([2.0 ** (j * s) * _morrey_of_array(a, q, phi)
+                    for j, a in level_fields], r)
     agg = None
     for j, a in level_fields:
         w = 2.0 ** (j * s)

@@ -24,7 +24,7 @@ from .gridfn import (FilterBank, GridFunction, _bump_axis, _check_grid,
                      _hl_stack, _outer, _peetre_scan, bandlimited_draw, bands,
                      level_side, make_bank, peetre_maximal,
                      random_bandlimited, sobolev_norm, wavenumbers)
-from .norms import (CoeffField, _check_bank, _moduli, _morrey_of_array,
+from .norms import (CoeffField, _check_bank, _lr, _moduli, _morrey_of_array,
                     aggregate, band_norm, seq_norm, space_norm)
 
 INF = math.inf
@@ -123,12 +123,6 @@ def hardy_bound(delta: float, r: float) -> float:
                          " a finite float") from None
 
 
-def _lr_norm(a: np.ndarray, r: float) -> float:
-    if r == INF:
-        return float(np.max(a))
-    return float(np.sum(a ** r)) ** (1.0 / r)
-
-
 def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0) -> Report:
     """Empirical sup of ||b||_r / ||a||_r against the closed-form bound."""
     if not (math.isfinite(delta) and delta > 0):
@@ -145,10 +139,10 @@ def hardy_campaign(delta: float, r: float, trials: int, seed: int = 0) -> Report
         rng = trial_rng(seed, i)
         a = ((rng.random(HARDY_LENGTH) < 0.3)
              * rng.lognormal(0.0, 1.5, HARDY_LENGTH))
-        na = _lr_norm(a, r)
+        na = _lr(a, r)
         if na == 0:
             continue
-        ratio = _lr_norm(kernel @ a, r) / na
+        ratio = _lr(kernel @ a, r) / na
         rep.observe(HARDY_LENGTH, ratio, trial=i, seed=[seed, i])
         if ratio > bound + 1e-9:
             rep.failures.append({"trial": i, "ratio": ratio, "bound": bound})

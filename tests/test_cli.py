@@ -662,6 +662,29 @@ def test_seqnorm_root_overflow_is_inf(capsys, tmp_path, params):
     assert _strict_json(out)["norm"] == "inf"
 
 
+def test_norm_level_sum_overflow_is_inf(capsys):
+    # at r = 0.001 the ell^r root over levels, sum^(1/r), overflows; a
+    # Python float's power raised OverflowError there, a traceback
+    code, out, err = run(capsys, "norm", "--params",
+                         "power-p2-q1-s0-N-r0.001", "--res", "64")
+    assert (code, err) == (EXIT_OK, "")
+    assert _strict_json(out)["norm"] == "inf"
+
+
+def test_seqnorm_level_sum_overflow_is_inf(capsys, tmp_path):
+    # 1e307 at every cell of levels 0-2: the N-variant's ell^r root over
+    # levels overflows at r = 0.25 and raised OverflowError, where the
+    # E-variant and r = 2 printed "inf"
+    path = tmp_path / "lam.csv"
+    path.write_text(CoeffField(1, {j: np.full(1 << j, 1e307)
+                                   for j in range(3)}).to_csv())
+    code, out, err = run(capsys, "seqnorm", "--params",
+                         "power-p2-q1-s0-N-r0.25", "--dim", "1",
+                         "--input", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert _strict_json(out)["norm"] == "inf"
+
+
 @pytest.mark.parametrize("cmd,params", [("seqnorm", "power-p2-q1-s1-N-r2"),
                                         ("trace", "trace-A"),
                                         ("extend", "trace-A")])

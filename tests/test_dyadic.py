@@ -9,7 +9,6 @@ def test_cube_geometry():
     assert Q.n == 2
     assert Q.side == 0.25
     assert Q.volume == 0.0625
-    assert Q.lower == (0.25, 0.75)
     assert Q.center == (0.375, 0.875)
 
 

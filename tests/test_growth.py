@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from morreykit.growth import (FAMILIES, GrowthFunction, SpaceParams, check_nakai,
-                              check_s_condition, check_trace_summability,
-                              dyadic_scales, is_in_Gq, loginv, normalize_star,
-                              power, power_of, powerlog, table,
+                              check_trace_summability, dyadic_scales, is_in_Gq,
+                              loginv, power, power_of, powerlog, table,
                               trace_transform)
 
 INF = math.inf
@@ -102,37 +101,6 @@ def test_nakai_constant_stable_in_depth():
     assert abs(c8 - c12) <= 0.01 * max(c8, c12)
 
 
-def test_normalize_star_identity_on_Gq():
-    scales = dyadic_scales(-6, 6)
-    phi = power(2.0)
-    star = normalize_star(phi, 1.0, scales)
-    for t in scales:
-        assert star(t) == pytest.approx(phi(t))
-    assert is_in_Gq(star, 1.0, scales)
-
-
-def test_normalize_star_inverse_power():
-    # phi(t) = t^{-1}, n=1, q=1: phi*(t) = t sup_{s>=t} s^{-2} = t^{-1}
-    scales = dyadic_scales(-5, 5)
-    phi = table({j: 2.0 ** (-j) for j in range(-5, 6)}, n=1)
-    star = normalize_star(phi, 1.0, scales)
-    for t in scales:
-        assert star(t) == pytest.approx(1.0 / t)
-
-
-def test_normalize_star_flattens_spike():
-    # nondecreasing input with a jump that breaks the damped monotonicity
-    entries = {j: (1.0 if j < 0 else 10.0) for j in range(-4, 5)}
-    scales = dyadic_scales(-4, 4)
-    star = normalize_star(table(entries, n=1), 1.0, scales)
-    # brute-force the sup formula
-    for t in scales:
-        phi = table(entries, n=1)
-        want = max(t * phi(s) / s for s in scales if s >= t - 1e-15)
-        assert star(t) == pytest.approx(want)
-    assert is_in_Gq(star, 1.0, scales)
-
-
 def test_trace_transform_arithmetic():
     params = SpaceParams(q=1.0, r=2.0, s=2.0, phi=power(4.0, n=2),
                          variant="N", n=2)
@@ -182,24 +150,15 @@ def test_check_trace_summability_constant_diverges():
     assert not ok
 
 
-def test_check_s_condition():
-    assert check_s_condition(SpaceParams(q=1.0, r=2.0, s=1.0,
-                                         phi=power(2.0), variant="N", n=1))
-    # s = 0 with bounded phi: harmonic-like divergence
-    flat = table({j: 1.0 for j in range(-60, 1)}, n=1)
-    assert not check_s_condition(SpaceParams(q=1.0, r=2.0, s=0.0,
-                                             phi=flat, variant="N", n=1))
-
-
 def test_space_params_accessors():
     p = SpaceParams(q=0.5, r=0.25, s=0.0, phi=power(1.0, n=2), variant="E", n=2)
-    assert (p.m, p.sigma) == (0.25, 6.0)  # n(1/min(1, q, r) - 1)
-    assert (p.with_(variant="N").m, p.with_(variant="N").sigma) == (0.5, 2.0)
+    assert p.m == 0.25  # min(1, q, r)
+    assert p.with_(variant="N").m == 0.5
     assert p.w == pytest.approx(0.25)
     rinf = p.with_(r=INF)
-    assert (rinf.m, rinf.sigma) == (0.5, 2.0)
+    assert rinf.m == 0.5
     assert rinf.w == pytest.approx(0.5)
-    assert p.with_(q=2.0, r=INF).sigma == 0.0
+    assert p.with_(q=2.0, r=INF).m == 1.0
 
 
 def test_space_params_validation():
@@ -231,16 +190,20 @@ def family_examples(n):
     }
 
 
-def test_growth_json_round_trip():
-    for phi in (*family_examples(1).values(),
-                trace_transform(SpaceParams(q=1.0, r=2.0, s=1.0,
-                                            phi=power(2.0, n=2),
-                                            variant="N", n=2)).phi):
-        text = json.dumps(phi.to_json())
-        back = GrowthFunction.from_json(text)
-        assert json.dumps(back.to_json()) == text
-        for t in (0.25, 0.5, 1.0):
-            assert back(t) == phi(t)
+# to_json of family_examples(2), written out
+FAMILY_JSON = {
+    "power": {"family": "power", "n": 2, "p": 2.0},
+    "powerlog": {"family": "powerlog", "n": 2, "p": 2.0, "exponent": 1.5},
+    "loginv": {"family": "loginv", "n": 2, "exponent": 0.5},
+    "table": {"family": "table", "n": 2,
+              "entries": [[-2, 0.1], [-1, 0.3], [0, 1.0]]},
+    "powershift": {"family": "powershift", "n": 2,
+                   "base": {"family": "power", "n": 2, "p": 4.0},
+                   "shift": -0.5},
+    "powerof": {"family": "powerof", "n": 2,
+                "base": {"family": "power", "n": 2, "p": 2.0},
+                "exponent": 2.0},
+}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -254,8 +217,9 @@ def test_trace_transform_relabels_every_family(family):
     for t in (0.25, 0.5, 1.0):
         assert star.base(t) == phi(t)
         assert star(t) == phi(t) * t ** -1.0
-    text = json.dumps(star.to_json())
-    assert json.dumps(GrowthFunction.from_json(text).to_json()) == text
+    assert json.loads(json.dumps(star.to_json())) == {
+        "family": "powershift", "n": 1, "base": FAMILY_JSON[family],
+        "shift": -1.0}
 
 
 @pytest.mark.parametrize("kw", [
@@ -275,26 +239,9 @@ def test_constructor_rejects_bad_fields(kw):
         GrowthFunction(kw.pop("family"), 1, **kw)
 
 
-def test_space_params_json_round_trip():
-    p = SpaceParams(q=0.75, r=INF, s=1.5, phi=powerlog(2.0, 1.0),
-                    variant="E", homogeneous=True, n=1)
-    back = SpaceParams.from_json(json.dumps(p.to_json()))
-    assert back.q == p.q and back.r == INF and back.s == p.s
-    assert back.variant == "E" and back.homogeneous and back.n == 1
-    assert back.phi(0.5) == pytest.approx(p.phi(0.5))
-
-
 # ---------------------------------------------------------------------------
 # the N/E rule, computed once by SpaceParams: the per-call conditionals it
 # replaced, kept as references and compared bit for bit
-
-def _sigma_by_variant(p):
-    """AtomSpec.admissible's sigma before SpaceParams.sigma: sigma_q for N,
-    max(sigma_q, sigma_r) for E."""
-    sigma_q = p.n * max(1.0 / p.q - 1.0, 0.0)
-    sigma_r = 0.0 if p.r == INF else p.n * max(1.0 / p.r - 1.0, 0.0)
-    return sigma_q if p.variant == "N" else max(sigma_q, sigma_r)
-
 
 def _peetre_threshold_by_variant(p):
     if p.variant == "N":
@@ -319,12 +266,10 @@ def _relabelled(phi, n):
 
 
 def test_variant_rules_match_space_params():
-    """sigma, AtomSpec.admissible, peetre_threshold and TraceProblem's
-    threshold and phi* against the conditionals they replaced.  phi* is
-    phi(t) t^(-1/q) bit for bit; the former phi* relabelled phi to n - 1
+    """peetre_threshold and TraceProblem's threshold and phi* against the
+    conditionals they replaced.  phi* is phi(t) t^(-1/q) bit for bit; the former phi* relabelled phi to n - 1
     dimensions, which rounds n/p differently for some p once n = 3 (p = 0.7:
     (2 / (0.7 * 2 / 3)) != 3 / 0.7), and only there may the two differ."""
-    from morreykit.decomp import AtomSpec
     from morreykit.trace import TraceProblem
     from morreykit.verify import peetre_threshold
     scales = dyadic_scales(-12, 0)
@@ -334,9 +279,6 @@ def test_variant_rules_match_space_params():
             (0.3, 0.5, 1.0, 2.0, INF), (0.0, 1.3, 2.0, 3.7, 6.0)):
         for phi in (power(q, n), powerlog(q, 1.0, n)):
             p = SpaceParams(q=q, r=r, s=s, phi=phi, variant=variant, n=n)
-            sigma = _sigma_by_variant(p)
-            assert p.sigma.hex() == sigma.hex()
-            assert AtomSpec.admissible(p).L == max(-1, math.floor(sigma - s))
             assert peetre_threshold(p).hex() == \
                 _peetre_threshold_by_variant(p).hex()
             threshold = _trace_threshold_by_variant(p)

@@ -2,8 +2,9 @@
 only `gridfn._outer` builds an n-axis product grid, no arithmetic takes a
 fresh `.copy()` as an operand, no loop calls `band`, no module calls
 `FilterBank.window`, only growth, norms and cli compare a `.variant`,
-norms sums blocks (`_block_sum`) only inside `_morrey_of_array`, and no
-module calls `atomic_analyze`.
+norms sums blocks (`_block_sum`) only inside `_morrey_of_array`, no
+module calls `atomic_analyze`, and every def is reached from the CLI, the
+benchmark or the acceptance tests.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -158,8 +159,7 @@ def test_no_full_grid_window_calls(path):
 
 def variant_comparisons(source):
     """Lines that compare a `.variant` attribute.  The N/E rule is computed
-    once, by `SpaceParams.m` and `SpaceParams.sigma`; every other module
-    reads those."""
+    once, by `SpaceParams.m`; every other module reads that."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Compare)
                    and any(isinstance(x, ast.Attribute) and x.attr == "variant"
@@ -227,3 +227,86 @@ def test_no_module_calls_atomic_analyze(path):
     # atomic_analyze holds every level's atoms at once; the package's
     # decompositions go through decomp.round_trip, which holds one level
     assert name_uses(path.read_text(), "atomic_analyze") == []
+
+
+ROOT = SRC.parent.parent
+# what the package is for: the CLI and library modules, the benchmark's
+# runner and workloads, and the paper's acceptance tests
+REACHING = [*sorted(SRC.glob("*.py")), ROOT / "perfbench" / "run.py",
+            ROOT / "perfbench" / "workloads.py",
+            ROOT / "tests" / "test_acceptance.py"]
+# defs that only tests/ reach, kept on purpose: name -> why
+UNREACHED = {
+    "contains_point": "the point-membership oracle that cube_mask is tested"
+                      " against",
+    "reproducing_residual": "a diagnostic planned for the norm and"
+                            " decompose reports",
+    "partition_residual": "a diagnostic planned for the quark reports",
+}
+
+
+def defined(source):
+    """Names of every def and class, methods and nested defs included,
+    dunders excluded."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def read_names(source):
+    """Every name read in source: a Name, an Attribute or an import alias."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def traced_names(source):
+    """The parts of every dotted name in the tracer's TRACED table."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return {part for names in ast.literal_eval(node.value).values()
+                    for name in names for part in name.split(".")}
+    raise AssertionError("no TRACED table")
+
+
+def unreached(defining, reaching, traced=""):
+    """Names defined in the `defining` sources that no `reaching` source
+    reads and `traced` (the tracer's source) does not name.
+
+    Name-based: a def counts as reached when any read anywhere has its
+    name, so a def whose name collides with another read (`get`, `window`,
+    a local variable) is missed, and so is a def read only in its own
+    body."""
+    defs = set().union(*map(defined, defining))
+    reads = set().union(*map(read_names, reaching))
+    if traced:
+        reads |= traced_names(traced)
+    return sorted(defs - reads)
+
+
+def test_unreached_defs_are_caught():
+    lib = ("class A:\n    def used(self):\n        return self.helper()\n"
+           "    def helper(self):\n        return 1\n"
+           "    def planted(self):\n        return 2\n"
+           "    def __repr__(self):\n        return 'A'\n"
+           "def traced():\n    pass\n"
+           "def imported():\n    pass\n"
+           "def orphan():\n    def inner():\n        pass\n    return inner\n")
+    cli = "from .lib import A, imported\nprint(A().used())\n"
+    tracer = 'TRACED = {"lib": ["traced", "A.used"]}\n'
+    assert unreached([lib], [lib, cli], tracer) == ["orphan", "planted"]
+
+
+def test_every_def_is_reached_or_kept():
+    found = unreached([p.read_text() for p in MODULES],
+                      [p.read_text() for p in REACHING],
+                      (ROOT / "perfbench" / "tracer.py").read_text())
+    assert found == sorted(UNREACHED)

@@ -53,8 +53,8 @@ def test_trace_coeff_brute_force():
     for j in range(0, 4):
         side = 1 << j
         for m0 in range(side):
-            want = sum(lam.get(j, (m0, mn)) for mn in set([0, side - 1]))
-            assert tl.get(j, (m0,)) == pytest.approx(want)
+            want = sum(lam.levels[j][m0, mn] for mn in set([0, side - 1]))
+            assert tl.levels[j][m0] == pytest.approx(want)
 
 
 def test_trace_coeff_zero_and_dim_check():
