@@ -226,7 +226,8 @@ def _campaign_options(cfg: dict) -> dict:
     """The one gate of campaign and suite: cfg (name, seed and the options
     given) over its campaign's defaults, which must cover every option.
     Grids are checked before anything is drawn: by cells, and for maximal
-    by the estimated working set; counterexample's r by COUNTEREXAMPLE_R."""
+    by the estimated working set; counterexample's r by COUNTEREXAMPLE_R;
+    params as norm's --params is.  params and phi come out parsed."""
     takes = CAMPAIGNS.get(cfg.get("name"))
     if takes is None:
         raise ValueError(f"unknown campaign {cfg.get('name')!r}")
@@ -247,24 +248,30 @@ def _campaign_options(cfg: dict) -> dict:
     if opts["name"] == "counterexample" and not lo <= opts["r"] <= hi:
         raise ValueError(f"counterexample resolves {lo:g} <= r <= {hi:g}"
                          f" only, not r = {opts['r']:g}")
+    if "params" in opts:
+        opts["params"] = parse_params(opts["params"], opts["dim"])
+        validate_params(opts["params"])
+    if "phi" in opts:
+        phi = {"power": power(4.0, opts["dim"]),
+               "powerlog": powerlog(4.0, 1.0, opts["dim"])}.get(opts["phi"])
+        if phi is None:
+            raise ValueError(f"unknown phi {opts['phi']!r}: use power or"
+                             " powerlog")
+        opts["phi"] = phi
     return opts
 
 
-def _campaign_report(cfg: dict):
-    o = _campaign_options(cfg)
+def _campaign_report(o: dict):
+    """The report of a campaign whose options passed _campaign_options."""
     name, seed, n = o["name"], o["seed"], o.get("dim")
     if name == "hardy":
         return verify.hardy_campaign(o["delta"], o["r"], o["trials"], seed)
     if name == "maximal":
-        phi = {"power": power(4.0, n),
-               "powerlog": powerlog(4.0, 1.0, n)}.get(o["phi"])
-        if phi is None:
-            raise ValueError(f"unknown phi {o['phi']!r}: use power or powerlog")
-        return verify.maximal_campaign(2.0, 2.0, phi, o["trials"],
+        return verify.maximal_campaign(2.0, 2.0, o["phi"], o["trials"],
                                        o["resolutions"], n=n, seed=seed)
     if name in ("filter", "peetre"):
         # the finest grid's report, with the constants and failures of all
-        params = parse_params(o["params"], n)
+        params = o["params"]
         constants, failures = {}, []
         for G in sorted(set(o["resolutions"])):
             corpus = verify.function_corpus(n, G, o["trials"], seed)
@@ -292,8 +299,8 @@ def _exit_code(rep) -> int:
 
 
 def cmd_campaign(args):
-    rep = _campaign_report({k: v for k, v in vars(args).items()
-                            if k != "command"})
+    rep = _campaign_report(_campaign_options(
+        {k: v for k, v in vars(args).items() if k != "command"}))
     return rep.to_dict(), _exit_code(rep), None
 
 
@@ -335,7 +342,7 @@ def cmd_suite(args):
             entries.append(_campaign_options({"seed": args.seed, **cfg}))
         except ValueError as e:
             raise ValueError(f"suite entry {i}: {e}") from None
-    reps = [_campaign_report(cfg) for cfg in entries]
+    reps = [_campaign_report(o) for o in entries]
     codes = [_exit_code(rep) for rep in reps]
     return ([{"campaign": rep.name, "constants": rep.constants,
               "pass": code == EXIT_OK} for rep, code in zip(reps, codes)],

@@ -27,6 +27,14 @@ def dyadic_scales(jmin: int = -10, jmax: int = 10) -> list[float]:
     return [2.0 ** e for e in range(jmin, jmax + 1)]
 
 
+def pow_inf(x: float, y: float) -> float:
+    """x ** y, and inf where that overflows (a Python float power raises)."""
+    try:
+        return x ** y
+    except OverflowError:
+        return INF
+
+
 class GrowthFunction:
     """phi: (0, inf) -> (0, inf), one of a few closed-form families.
 
@@ -63,9 +71,13 @@ class GrowthFunction:
     def __call__(self, t: float) -> float:
         if t <= 0:
             raise ValueError("scale must be positive")
-        v = FAMILIES[self.family].value(self, t)
-        if not v > 0:
-            raise ValueError(f"phi({t}) = {v} is not positive")
+        try:
+            v = FAMILIES[self.family].value(self, t)
+        except OverflowError:
+            v = INF
+        if not 0 < v < INF:
+            raise ValueError(f"phi({t}) = {v} is not"
+                             f" {'finite' if v > 0 else 'positive'}")
         return v
 
     # -- serialization ------------------------------------------------------
@@ -156,14 +168,12 @@ def power_of(phi: GrowthFunction, exponent: float) -> GrowthFunction:
 def is_in_Gq(phi: GrowthFunction, q: float, scales: list[float]) -> bool:
     """True iff phi is nondecreasing and phi(t) t^(-n/q) is nonincreasing
     on the scale grid (relative tolerance MONO_TOL)."""
-    if any(t <= 0 for t in scales):
-        raise ValueError("scales must be positive")
     scales = sorted(scales)
-    vals = [phi(t) for t in scales]
+    vals = [phi(t) for t in scales]  # phi raises on a scale t <= 0
     for a, b in zip(vals, vals[1:]):
         if b < a * (1.0 - MONO_TOL):
             return False
-    damp = [v * t ** (-phi.n / q) for v, t in zip(vals, scales)]
+    damp = [v * pow_inf(t, -phi.n / q) for v, t in zip(vals, scales)]
     for a, b in zip(damp, damp[1:]):
         if b > a * (1.0 + MONO_TOL):
             return False
@@ -180,8 +190,6 @@ def check_nakai(phi: GrowthFunction,
     sup does not grow when the grid is extended, which we test by comparing
     against the sup over the grid trimmed by one scale at each end.  Returns
     (found, epsilon, C)."""
-    if not scales:
-        raise ValueError("scales must be nonempty")
     scales = sorted(scales)
     if len(scales) < 8:
         raise ValueError("need at least 8 scales")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .growth import GrowthFunction, SpaceParams
+from .growth import GrowthFunction, SpaceParams, pow_inf
 from .gridfn import (FilterBank, GridFunction, bands, _block_sum, _expand,
                      level_side)
 
@@ -194,7 +194,7 @@ def _winning_levels(a: np.ndarray, q: float, ws: list, n: int) -> list:
             mean = s / (G >> lev) ** n
             if not (_PRUNE_LO <= mean and s <= _PRUNE_HI):
                 return levels
-            root = _root(mean, q)
+            root = pow_inf(mean, 1.0 / q)
             cand.append(w * root)
             if not (_PRUNE_LO <= root <= _PRUNE_HI
                     and _PRUNE_LO <= cand[-1] <= _PRUNE_HI):
@@ -247,16 +247,8 @@ def _morrey_of_array(a: np.ndarray, q: float, phi: GrowthFunction,
              for lev in _winning_levels(a, q, ws, n)]
     out = np.empty(a.shape[:a.ndim - n])
     for row in np.ndindex(out.shape):
-        out[row] = max(w * _root(float(peak[row]), q) for w, peak in peaks)
+        out[row] = max(w * pow_inf(float(p[row]), 1.0 / q) for w, p in peaks)
     return out if out.ndim else float(out[()])
-
-
-def _root(x: float, q: float) -> float:
-    """x^(1/q), and inf where that overflows (a Python float raises)."""
-    try:
-        return x ** (1.0 / q)
-    except OverflowError:
-        return INF
 
 
 def _lr(values, r: float) -> float:
@@ -267,7 +259,7 @@ def _lr(values, r: float) -> float:
         return 0.0
     if r == INF:
         return float(np.max(a))
-    return _root(float(np.sum(a ** r)), r)
+    return pow_inf(float(np.sum(a ** r)), 1.0 / r)
 
 
 def morrey_norm(f: GridFunction, q: float, phi: GrowthFunction) -> float:
@@ -281,6 +273,16 @@ def morrey_norm(f: GridFunction, q: float, phi: GrowthFunction) -> float:
 # ---------------------------------------------------------------------------
 # the N/E aggregation shared by function, sequence and starred norms
 
+def level_weight(j: int, s: float) -> float:
+    """2^(j s), the weight of level j.  A weight above the float range is
+    an error, not inf: inf times a zero level would be NaN."""
+    try:
+        return 2.0 ** (j * s)
+    except OverflowError:
+        raise ValueError(f"the level weight 2^(j s) overflows at j = {j},"
+                         f" s = {s}") from None
+
+
 def aggregate(level_fields, params: SpaceParams) -> float:
     """Space norm of nonnegative level fields F_j, given as (j, F_j) pairs
     (dict.items() or a generator, so callers need not hold every level).
@@ -290,17 +292,15 @@ def aggregate(level_fields, params: SpaceParams) -> float:
     pointwise ell^r.  r = infinity uses sup semantics."""
     q, r, s, phi = params.q, params.r, params.s, params.phi
     if params.variant == "N":
-        return _lr([2.0 ** (j * s) * _morrey_of_array(a, q, phi)
+        return _lr([level_weight(j, s) * _morrey_of_array(a, q, phi)
                     for j, a in level_fields], r)
     agg = None
     for j, a in level_fields:
-        w = 2.0 ** (j * s)
+        cand = level_weight(j, s) * a
         if r == INF:
-            cand = w * a
             agg = cand if agg is None else np.maximum(agg, cand)
         else:
-            cand = (w * a) ** r
-            agg = cand if agg is None else agg + cand
+            agg = cand ** r if agg is None else agg + cand ** r
     if agg is None:
         return 0.0
     if r != INF:
@@ -364,10 +364,8 @@ def quark_norm(qlam: QuarkCoeffs, params: SpaceParams, rho: float = None) -> flo
     """sup_beta 2^{rho |beta|} seq_norm(lambda^beta)."""
     if rho is None:
         rho = qlam.rho
-    best = 0.0
-    for beta, fld in qlam.fields.items():
-        best = max(best, 2.0 ** (rho * sum(beta)) * seq_norm(fld, params))
-    return best
+    return _lr([level_weight(sum(beta), rho) * seq_norm(fld, params)
+                for beta, fld in qlam.fields.items()], INF)
 
 
 # ---------------------------------------------------------------------------

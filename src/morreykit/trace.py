@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .growth import (SpaceParams, check_trace_summability, dyadic_scales,
-                     trace_transform)
+                     pow_inf, trace_transform)
 from .gridfn import (GridFunction, RychkovPair, _block_mean, _expand,
                      level_side)
-from .norms import CoeffField, _cell_fields, seq_norm
+from .norms import CoeffField, _cell_fields, _lr, level_weight, seq_norm
 
 INF = math.inf
 
@@ -103,11 +103,14 @@ def _finite_norm(lam: CoeffField, params: SpaceParams) -> float:
     return norm
 
 
-def _trace_cell_fields(lam: CoeffField, problem: TraceProblem):
-    """|trace coefficients| per level, expanded to the finest (n-1)-lattice."""
-    tl = trace_coeff(lam, problem)  # _cell_fields takes the moduli
-    cl = tl.max_level
-    return dict(_cell_fields(tl, cl)), cl
+def _bound(lam: CoeffField, problem: TraceProblem, peaks: list) -> float:
+    """sup over j0 of phi*(2^-j0) peaks[j0]^(1/q), over lam's source norm."""
+    denom = _finite_norm(lam, problem.params)
+    if denom == 0:
+        return 0.0
+    star = problem.star
+    return _lr([star.phi(2.0 ** (-j0)) * pow_inf(peak, 1.0 / star.q)
+                for j0, peak in enumerate(peaks)], INF) / denom
 
 
 def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
@@ -120,27 +123,19 @@ def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
     with S_j the level-j trace indicator aggregate.  Finite constants here
     witness the fine-scale half of the trace estimate."""
     star = problem.star
-    q, s = star.q, star.s
-    phi = star.phi
-    fields, cl = _trace_cell_fields(lam, problem)
-    denom = _finite_norm(lam, problem.params)
-    if denom == 0:
-        return 0.0
+    cl = lam.max_level
     side = level_side(cl)
-    nn = star.n
     # cumulative-from-above level sums of 2^{j s q} S_j^q on the cell lattice
-    terms = {j: (2.0 ** (j * s) * S) ** q for j, S in fields.items()}
-    best = 0.0
+    terms = [(j, (level_weight(j, star.s) * S) ** star.q)
+             for j, S in _cell_fields(trace_coeff(lam, problem), cl)]
+    peaks = []
     for j0 in range(0, cl + 1):
-        acc = np.zeros((side,) * nn)
-        for j, T in terms.items():
+        acc = np.zeros((side,) * star.n)
+        for j, T in terms:
             if j >= j0:
                 acc += T
-        c = side >> j0
-        means = _block_mean(acc, c)
-        val = phi(2.0 ** (-j0)) * float(means.max()) ** (1.0 / q)
-        best = max(best, val)
-    return best / denom
+        peaks.append(float(_block_mean(acc, side >> j0).max()))
+    return _bound(lam, problem, peaks)
 
 
 def trace_bound_II(lam: CoeffField, problem: TraceProblem) -> float:
@@ -153,25 +148,17 @@ def trace_bound_II(lam: CoeffField, problem: TraceProblem) -> float:
     where m'(j) runs over the ancestors of Q': the coarse-scale chain of
     hyperplane-adjacent coefficients."""
     star = problem.star
-    q, s = star.q, star.s
-    phi = star.phi
-    denom = _finite_norm(lam, problem.params)
-    if denom == 0:
-        return 0.0
-    nn = star.n
     cl = lam.max_level
-    side = level_side(cl)
     # chain sums on the finest hyperplane lattice: at cell y, the ancestor
     # coefficient at level j is lam[j][(y >> (cl - j), 0)]
-    acc = np.zeros((side,) * nn)
-    best = 0.0
+    acc = np.zeros((level_side(cl),) * star.n)
+    peaks = []
     for j0 in range(0, cl + 1):
         if j0 in lam.levels:
             expanded = _expand(np.abs(lam.levels[j0][..., 0]), 1 << (cl - j0))
-            acc = acc + (2.0 ** (j0 * s) * expanded) ** q
-        val = phi(2.0 ** (-j0)) * float(acc.max()) ** (1.0 / q)
-        best = max(best, val)
-    return best / denom
+            acc += (level_weight(j0, star.s) * expanded) ** star.q
+        peaks.append(float(acc.max()))
+    return _bound(lam, problem, peaks)
 
 
 def extension_bound(mu: CoeffField, problem: TraceProblem) -> float:

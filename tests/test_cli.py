@@ -16,7 +16,7 @@ import pytest
 from morreykit import cli, decomp, trace, verify
 from morreykit.cli import (EXIT_EXACT, EXIT_OK, EXIT_STABILITY, EXIT_USAGE,
                            _plain, main, parse_params, validate_params)
-from morreykit.growth import SpaceParams, power
+from morreykit.growth import SpaceParams, power, table
 from morreykit.gridfn import GridFunction, make_bank, preset_function
 from morreykit.norms import CoeffField, space_norm
 
@@ -405,6 +405,56 @@ def test_suite_entry_takes_campaign_defaults(capsys, tmp_path):
         assert entry["constants"] == json.loads(alone)["constants"]
 
 
+@pytest.mark.parametrize("name", ["filter", "peetre"])
+def test_suite_entry_with_params_matches_campaign(capsys, tmp_path, name):
+    # the gate hands the report a parsed SpaceParams in a suite as in a
+    # campaign
+    opts = {"params": "power-p2-q1-s1-E-r2", "dim": 2, "trials": 2,
+            "resolutions": [16, 32]}
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps([{"name": name, **opts}]))
+    code, out, err = run(capsys, "suite", "--file", str(cfg))
+    assert err == ""
+    [entry] = json.loads(out)
+    code1, alone, _ = run(capsys, "campaign", "--name", name, "--params",
+                          opts["params"], "--dim", "2", "--trials", "2",
+                          "--resolutions", "16", "32")
+    assert code == code1 and code in (EXIT_OK, EXIT_STABILITY)
+    assert entry["constants"] == json.loads(alone)["constants"]
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"name": "filter", "params": "bogus-q1"},
+     "unknown growth family 'bogus'"),
+    ({"name": "peetre", "params": "power-p1-q2-s1-N-r2"},
+     "phi is not in the admissible growth class for q"),
+    ({"name": "maximal", "phi": "bogus"},
+     "unknown phi 'bogus': use power or powerlog")])
+def test_suite_checks_values_before_any_entry_runs(capsys, monkeypatch,
+                                                  tmp_path, entry, message):
+    def ran(*args, **kw):
+        raise RuntimeError("entry 0 ran")
+    monkeypatch.setattr(verify, "hardy_campaign", ran)
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps([{"name": "hardy", "trials": 2},
+                               {**entry, "trials": 1, "resolutions": [16]}]))
+    result = run(capsys, "suite", "--file", str(cfg))
+    _assert_fails_closed(*result)
+    assert result[2] == f"error: suite entry 1: {message}"
+
+
+@pytest.mark.parametrize("name", ["filter", "peetre"])
+def test_campaign_params_outside_Gq_exit_1(capsys, name):
+    # the check norm gives --params: phi(t) = t at q = 2 (n = 1) is not in
+    # G_q, since phi(t) t^(-1/2) increases
+    result = run(capsys, "campaign", "--name", name, "--params",
+                 "power-p1-q2-s1-N-r2", "--trials", "1", "--resolutions",
+                 "16")
+    _assert_fails_closed(*result)
+    assert result[2] == ("error: phi is not in the admissible growth class"
+                         " for q")
+
+
 @pytest.mark.parametrize("argv", [
     ["norm", "--params", "power-p2-q1-s1-N-r2", "--dim", "4", "--res",
      "4096"],
@@ -683,6 +733,104 @@ def test_seqnorm_level_sum_overflow_is_inf(capsys, tmp_path):
                          "--input", str(path))
     assert (code, err) == (EXIT_OK, "")
     assert _strict_json(out)["norm"] == "inf"
+
+
+@pytest.fixture
+def two_csv(tmp_path):
+    """A 2-D field of two large coefficients, 6e307 at level 1 and 4e307 at
+    level 2, both on the hyperplane."""
+    path = tmp_path / "two.csv"
+    path.write_text("j,m1,m2,re,im\n1,0,0,6e307,0\n2,0,0,4e307,0\n")
+    return str(path)
+
+
+def test_trace_root_overflow_is_inf(capsys, two_csv):
+    # bound II's root (chain sum)^(1/q) overflows at q = 0.75; the bounds'
+    # own float power raised OverflowError there, a traceback, where
+    # seqnorm on the same field prints its norm
+    params = "power-p0.75-q0.75-s2-N-rinf"
+    code, out, err = run(capsys, "trace", "--params", params,
+                         "--input", two_csv)
+    assert (code, err) == (EXIT_OK, "")
+    assert _strict_json(out) == {"bound_I": 1.7502634816366944,
+                                 "bound_II": "inf"}
+    code, out, err = run(capsys, "seqnorm", "--dim", "2", "--params", params,
+                         "--input", two_csv)
+    assert (code, err) == (EXIT_OK, "")
+    assert _strict_json(out) == {"norm": 3.779763149684471e+307}
+
+
+@pytest.mark.parametrize("variant", ["N", "E"])
+def test_seqnorm_weight_overflow_fails_closed(capsys, two_csv, variant):
+    # 2^(j s) at j = 2, s = 1000 is above the float range: a raw float
+    # power raised OverflowError, and an inf weight times a zero level
+    # would be NaN
+    result = run(capsys, "seqnorm", "--dim", "2", "--params",
+                 f"power-p2-q1-s1000-{variant}-r2", "--input", two_csv)
+    _assert_fails_closed(*result)
+    assert result[2] == ("error: the level weight 2^(j s) overflows at"
+                         " j = 2, s = 1000.0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--params", "power-p2-q1-s100000-E-r2", "--res", "16"],
+    ["campaign", "--name", "filter", "--params", "power-p2-q2-s100000-N-r2",
+     "--resolutions", "16", "--trials", "1"]])
+def test_function_weight_overflow_fails_closed(capsys, argv):
+    result = run(capsys, *argv)
+    _assert_fails_closed(*result)
+    assert result[2].endswith("overflows at j = 1, s = 100000.0")
+
+
+def test_growth_class_power_overflow_is_inf(capsys):
+    # t^(-n/q) at q = 1e-6 overflows on the G_q scales; as inf it decides
+    # the class, since phi(t) t^(-n/q) is then decreasing
+    code, out, err = run(capsys, "norm", "--params",
+                         "power-p2-q0.000001-s0-N-r2", "--res", "16")
+    assert (code, err) == (EXIT_OK, "")
+    assert math.isfinite(_strict_json(out)["norm"])
+
+
+def test_growth_value_overflow_fails_closed(capsys):
+    # phi*(t) = phi(t) t^(-1/q) overflows at the smallest summability scale
+    result = run(capsys, "trace", "--params",
+                 "power-p2-q0.000001-s2000001-N-r2", "--dry-run")
+    _assert_fails_closed(*result)
+    assert result[2] == "error: phi(0.000244140625) = inf is not finite"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["norm", "--params", "power-p1-q2-s0-N-r2", "--res", "16"],
+     "phi is not in the admissible growth class for q"),
+    (["trace", "--params", "power-p2-q1-s3-N-r2", "--input", "{csv2}"],
+     "phi* fails the dyadic summability condition"),
+    (["norm", "--params", "power-p2-q1-s0-N-r2", "--input", "{short}"],
+     "not a grid-function blob"),
+    (["norm", "--params", "power-p2-q1-s0-N-r2", "--fn", "bogus"],
+     "unknown preset bogus"),
+    (["decompose", "--L", "7", "--res", "64"],
+     "kernel support at level 4 exceeds 3Q; lower L or refine G")])
+def test_refusals_fail_closed(capsys, tmp_path, argv, message):
+    (tmp_path / "lam.csv").write_text(
+        CoeffField(2, {1: np.ones((2, 2))}).to_csv())
+    (tmp_path / "short.bin").write_bytes(b"GRD")
+    paths = {"{csv2}": str(tmp_path / "lam.csv"),
+             "{short}": str(tmp_path / "short.bin")}
+    result = run(capsys, *[paths.get(a, a) for a in argv])
+    _assert_fails_closed(*result)
+    assert result[2] == f"error: {message}"
+
+
+def test_validate_params_nakai_refuses_e_variant():
+    # phi = 2^min(j, 0) on the dyadic scales t = 2^j, dropping to 1e-9 at
+    # j = 10: in G_1, but no epsilon makes t^eps / phi(t) quasi-decreasing
+    phi = table({j: 2.0 ** min(j, 0) if j < 10 else 1e-9
+                 for j in range(-10, 11)})
+    params = SpaceParams(q=1.0, r=2.0, s=0.0, phi=phi, variant="E")
+    with pytest.raises(ValueError, match="needs the Nakai condition"):
+        validate_params(params)
+    assert validate_params(params.with_(variant="N")) == [
+        "growth class check: phi in G_q"]
 
 
 @pytest.mark.parametrize("cmd,params", [("seqnorm", "power-p2-q1-s1-N-r2"),

@@ -9,8 +9,8 @@ import pytest
 
 from morreykit import decomp, gridfn, verify
 from morreykit.growth import SpaceParams, power
-from morreykit.gridfn import (FilterBank, GridFunction, band, centered_axis,
-                              hl_maximal, kappa_profile, kinf_grid, make_bank,
+from morreykit.gridfn import (GridFunction, band, centered_axis, hl_maximal,
+                              kappa_profile, kinf_grid, make_bank,
                               peetre_maximal, preset_function,
                               radial_window, random_bandlimited, rychkov_pair,
                               sample_expand, smoothstep7, sobolev_norm,

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 
-import numpy as np
 import pytest
 
 from morreykit.growth import (FAMILIES, GrowthFunction, SpaceParams, check_nakai,

@@ -1,10 +1,10 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-only `gridfn._outer` builds an n-axis product grid, no arithmetic takes a
-fresh `.copy()` as an operand, no loop calls `band`, no module calls
-`FilterBank.window`, only growth, norms and cli compare a `.variant`,
-norms sums blocks (`_block_sum`) only inside `_morrey_of_array`, no
-module calls `atomic_analyze`, and every def is reached from the CLI, the
-benchmark or the acceptance tests.
+"""Source hygiene: no module of the package and no test module imports a
+name it never uses, only `gridfn._outer` builds an n-axis product grid, no
+arithmetic takes a fresh `.copy()` as an operand, no loop calls `band`, no
+module calls `FilterBank.window`, only growth, norms and cli compare a
+`.variant`, norms sums blocks (`_block_sum`) only inside
+`_morrey_of_array`, no module calls `atomic_analyze`, and every def is
+reached from the CLI, the benchmark or the acceptance tests.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -19,6 +19,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "morreykit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the test modules (perfbench/ is left out: the benchmark owns it)
+TESTS = sorted((SRC.parent.parent / "tests").glob("*.py"))
 
 
 def _imported(tree):
@@ -57,7 +59,7 @@ def test_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreykit.cli import TRACE_PRESETS
 from morreykit.growth import SpaceParams, power
-from morreykit.gridfn import random_bandlimited, rychkov_pair
-from morreykit.norms import CoeffField
+from morreykit.gridfn import (_block_mean, _expand, level_side,
+                              random_bandlimited, rychkov_pair)
+from morreykit.norms import CoeffField, _cell_fields, seq_norm
 from morreykit.trace import (TraceProblem, extend_coeff, extension_bound,
                              trace_bound_I, trace_bound_II, trace_coeff,
                              trace_function, _touching_slices)
@@ -82,6 +85,75 @@ def test_trace_bound_I_pinned(n, name):
     lam = next(coeff_corpus(n, 6 if n == 2 else 4, 1, seed=9))
     prob = TraceProblem(TRACE_PRESETS[name](n))
     assert trace_bound_I(lam, prob).hex() == TRACE_I_PINS[n, name]
+
+
+def _loop_bound_I(lam, problem):
+    """trace_bound_I as two hand-written loops: per j0 a left fold of the
+    weighted level terms from zeros, and a running max over j0."""
+    star = problem.star
+    q, s, phi = star.q, star.s, star.phi
+    tl = trace_coeff(lam, problem)
+    cl = tl.max_level
+    fields = dict(_cell_fields(tl, cl))
+    denom = seq_norm(lam, problem.params)
+    if denom == 0:
+        return 0.0
+    side = level_side(cl)
+    terms = {j: (2.0 ** (j * s) * S) ** q for j, S in fields.items()}
+    best = 0.0
+    for j0 in range(0, cl + 1):
+        acc = np.zeros((side,) * star.n)
+        for j, T in terms.items():
+            if j >= j0:
+                acc += T
+        means = _block_mean(acc, side >> j0)
+        best = max(best, phi(2.0 ** (-j0)) * float(means.max()) ** (1.0 / q))
+    return best / denom
+
+
+def _loop_bound_II(lam, problem):
+    """trace_bound_II as a hand-written chain sum and running max."""
+    star = problem.star
+    q, s, phi = star.q, star.s, star.phi
+    denom = seq_norm(lam, problem.params)
+    if denom == 0:
+        return 0.0
+    cl = lam.max_level
+    acc = np.zeros((level_side(cl),) * star.n)
+    best = 0.0
+    for j0 in range(0, cl + 1):
+        if j0 in lam.levels:
+            expanded = _expand(np.abs(lam.levels[j0][..., 0]), 1 << (cl - j0))
+            acc = acc + (2.0 ** (j0 * s) * expanded) ** q
+        best = max(best, phi(2.0 ** (-j0)) * float(acc.max()) ** (1.0 / q))
+    return best / denom
+
+
+def _valid_problem(n, name):
+    try:
+        return TraceProblem(TRACE_PRESETS[name](n))
+    except ValueError:  # below the trace threshold in this dimension
+        return None
+
+
+PROBLEMS = {(n, name): _valid_problem(n, name)
+            for n in (2, 3) for name in "ABCD"}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(k for k, v in PROBLEMS.items() if v)),
+       depth=st.integers(0, 4), floor=st.sampled_from([0, -1, -3]),
+       seed=st.integers(0, 2 ** 16))
+def test_bounds_match_the_loops(key, depth, floor, seed):
+    # the bounds build on norms' level weight, root and ell^inf rules; on
+    # coefficient fields with and without homogeneous levels (j < 0) they
+    # give the floats of the loops they replaced, bit for bit
+    n = key[0]
+    depth += 2 if n == 2 else 0  # a 3-D level has (2^depth)^3 cells
+    lam = next(coeff_corpus(n, depth, 1, seed, floor=floor))
+    prob = PROBLEMS[key]
+    assert trace_bound_I(lam, prob).hex() == _loop_bound_I(lam, prob).hex()
+    assert trace_bound_II(lam, prob).hex() == _loop_bound_II(lam, prob).hex()
 
 
 def test_trace_extend_round_trip_exact():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from morreykit.cli import _plain
-from morreykit.growth import SpaceParams, loginv, power, powerlog
-from morreykit.gridfn import make_bank, random_bandlimited
-from morreykit.norms import space_norm
+from morreykit.growth import SpaceParams, power, powerlog
+from morreykit.gridfn import make_bank
 from morreykit.verify import (Report, coeff_corpus, counterexample_growth,
                               embedding_campaign, filter_invariance_campaign,
                               function_corpus, hardy_bound, hardy_campaign,
