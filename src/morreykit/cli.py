@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -36,14 +37,15 @@ _PHI_FIELDS = {"p": ("p", 2.0), "exponent": ("e", 1.0)}
 
 def parse_params(text: str, n: int = 1) -> SpaceParams:
     """Grammar: family[-e<exp>][-p<p>]-q<q>-s<s>-<N|E>-r<r>[-hom], e.g.
-    power-p2-q1-s0-E-r2 or loginv-e2-q2-s0-E-r0.5; r may be 'inf'.  A
-    family takes only its own fields' tokens: power -p, powerlog -p and -e,
-    loginv -e.  trace-A ... trace-D name the TRACE_PRESETS."""
+    power-p2-q1-s0-E-r2 or loginv-e2-q2-s0-E-r0.5; r may be 'inf', and
+    only a '-' before a letter splits (s-1 and q1e-5 are values).  A family
+    takes only its own fields' tokens: power -p, powerlog -p and -e, loginv
+    -e.  trace-A ... trace-D name the TRACE_PRESETS."""
     if text.startswith("trace-"):
         if text[6:] not in TRACE_PRESETS:
             raise ValueError(f"unknown trace preset {text!r}")
         return TRACE_PRESETS[text[6:]](n)
-    family, *toks = text.split("-")
+    family, *toks = re.split(r"-(?=[A-Za-z])", text)
     fam = growth.FAMILIES.get(family)
     if fam is None or not set(fam.fields) <= _PHI_FIELDS.keys():
         raise ValueError(f"unknown growth family {family!r}")
@@ -196,8 +198,9 @@ def cmd_quark(args):
 def cmd_trace(args):
     problem = trace.TraceProblem(args.params)
     lam = _load_coeffs(args, args.dim)
-    return ({"bound_I": trace.trace_bound_I(lam, problem),
-             "bound_II": trace.trace_bound_II(lam, problem)}, EXIT_OK,
+    norm = trace.finite_norm(lam, problem.params)  # both bounds' denominator
+    return ({"bound_I": trace.trace_bound_I(lam, problem, norm),
+             "bound_II": trace.trace_bound_II(lam, problem, norm)}, EXIT_OK,
             lambda: trace.trace_coeff(lam, problem).to_csv())
 
 

@@ -237,11 +237,13 @@ def _analyses(f: GridFunction, pair: RychkovPair):
         # a complex product rounds by ulps differently with its operands
         # swapped; the pinned lambda CSVs take the order numpy's temporary
         # elision gave, spec * psi from 256 KiB (NPY_MIN_ELIDE_BYTES) up and
-        # psi * spec below, so it is chosen here by size, not left to numpy
-        psi = pair.psi_spec[j]
-        U = GridFunction.from_spectrum(n, np.multiply(spec, psi)
-                                       if spec.nbytes >= 256 * 1024
-                                       else np.multiply(psi, spec)).samples
+        # psi * spec below, so it is chosen here by size, not left to numpy;
+        # the product overwrites psi_j, formed for this level only
+        psi = pair.psi(j)
+        np.multiply(*((spec, psi) if spec.nbytes >= 256 * 1024
+                      else (psi, spec)), out=psi)
+        U = GridFunction.from_spectrum(n, psi).samples
+        del psi  # or it lives on through the level's analysis
         if j <= 0:
             gamma = GridFunction.from_spectrum(
                 n, GridFunction(n, U).spectrum() * pair.phi_spec[j]).samples
@@ -270,20 +272,21 @@ def _slabs(side: int, n: int, per: int) -> list:
 def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     """lam and normalized atoms of level j >= 1, in slabs of cubes.
 
-    gamma_m = phi_j * (chi_{Q_m} U) is a circular convolution on a 4c
-    patch (origin = cube corner minus one cube side), exact while the
-    kernel half-width stays at most c cells; its support is then the first
-    3c cells.  The cubes go through in slabs of at most _SLAB_BYTES of
-    patches (or one patch), so a level holds one slab, not all 4^n G^n
-    cells.  The forward FFT runs one patch axis at a time in fftn's order,
-    last first, over the lines whose earlier patch axes lie in [c, 2c):
-    the other lines are zero, and each line is transformed on its own, so
-    the bytes are fftn's.  Each d^alpha phi_j, |alpha| <= K, is convolved
-    into one reused buffer by an unscaled inverse FFT and folded into lam;
-    only the alpha = 0 patches are kept, cut to min(3c, G) cells per axis
-    (at j = 1 the 2G patch is G-periodic).  The quadrature weight G^-n and
-    ifftn's (4c)^-n are one power-of-two factor, applied to the max and the
-    kept patches: exact while nothing is subnormal or overflows."""
+    gamma_m = phi_j * (chi_{Q_m} U) is a circular convolution on a 4c patch
+    (origin = cube corner minus one cube side), exact while the kernel
+    half-width stays at most c cells; its support is then the first 3c
+    cells.  The cubes go through in slabs of at most _SLAB_BYTES of patches
+    (or one patch), in one pair of patch buffers per level, so a level
+    holds one slab, not all 4^n G^n cells.  The forward FFT runs one patch
+    axis at a time in fftn's order, last first, over the lines whose
+    earlier patch axes lie in [c, 2c): the other lines are zero, and each
+    line is transformed on its own, so the bytes are fftn's.  Each d^alpha
+    phi_j, |alpha| <= K, is convolved into one reused buffer by an unscaled
+    inverse FFT and folded into lam; only the alpha = 0 patches are kept,
+    cut to min(3c, G) cells per axis (at j = 1 the 2G patch is G-periodic).
+    The quadrature weight G^-n and ifftn's (4c)^-n are one power-of-two
+    factor, applied to the max and the kept patches: exact while nothing is
+    subnormal or overflows."""
     n = U.ndim
     G = U.shape[0]
     c = G >> j
@@ -302,14 +305,20 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     blocks = _split_blocks(U, c)
     inner = (slice(c, 2 * c),) * n
     kept = (...,) + (slice(0, min(3 * c, G)),) * n
-    for sl in _slabs(side, n, max(1, _SLAB_BYTES // (16 * size ** n))):
+    slabs = _slabs(side, n, max(1, _SLAB_BYTES // (16 * size ** n)))
+    # one pair of patch buffers per level, of the first slab's shape: no
+    # slab is larger, and a ragged last run takes their leading part
+    ext_all = np.empty(lam[slabs[0]].shape + (size,) * n, dtype=complex)
+    buf_all = np.empty_like(ext_all)
+    for sl in slabs:
+        cut = tuple(slice(0, k) for k in lam[sl].shape)
+        ext, buf = ext_all[cut], buf_all[cut]
         # blocks of U per cube, zero-extended into the 4c patch at offset c
-        ext = np.zeros(lam[sl].shape + (size,) * n, dtype=np.complex128)
+        ext[...] = 0
         ext[(...,) + inner] = blocks[sl]
         for ax in reversed(range(n)):
             live = ext[(...,) + inner[:ax] + (slice(None),) * (n - ax)]
             np.fft.fft(live, axis=n + ax, out=live)
-        buf = np.empty_like(ext)
         lam_sl = np.full(ext.shape[:n], TINY)
         for i, (weight, kern_hat) in enumerate(kernels):
             np.multiply(ext, kern_hat, out=buf)
@@ -325,10 +334,10 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
 def decompose_bytes(n: int, G: int, L: int, homogeneous: bool = False) -> int:
     """Upper bound on the bytes decompose (round_trip) holds at once for a
     G^n grid with rychkov_pair(L): the largest level's atoms, the output
-    grid, the pair's phi/psi spectra, the level-1 kernel spectra of
-    _level_analysis, one slab (patches, their product buffer and its
-    moduli) and _WORK_GRIDS grids for f, its spectrum, a band and the
-    transients of analysis and synthesis."""
+    grid, the pair's phi spectra and real denominator, one psi spectrum,
+    the level-1 kernel spectra of _level_analysis, one slab (patches, their
+    product buffer and its moduli) and _WORK_GRIDS grids for f, its
+    spectrum, a band and the transients of analysis and synthesis."""
     _check_grid(G)
     grid = 16 * G ** n
     levels = band_levels(G, homogeneous)
@@ -338,7 +347,7 @@ def decompose_bytes(n: int, G: int, L: int, homogeneous: bool = False) -> int:
                                                               G)) ** n
                 for j in levels)
     kernels = math.comb(n + max(1, L), n) * patch
-    return (atoms + grid + 2 * len(levels) * grid + kernels
+    return (atoms + grid + (len(levels) + 1) * grid + grid // 2 + kernels
             + 3 * max(_SLAB_BYTES, patch) + _WORK_GRIDS * grid)
 
 

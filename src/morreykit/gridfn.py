@@ -785,18 +785,27 @@ class RychkovPair:
     psi_j = conj(phi_j) / sum_i |phi_i|^2.  The Laplacian factor makes the
     psi_j symbols vanish to high order at frequency zero, which is what
     drives coefficient decay; the moment conditions of the resulting atoms
-    are carried entirely by the compact phi side."""
+    are carried entirely by the compact phi side.  The pair keeps phi_j and
+    the real denominator; psi(j) forms psi_j when asked."""
     n: int
     G: int
     L: int
     levels: list
     phi_spec: dict  # j -> spectrum array (values c_k * G^n scaling-free)
-    psi_spec: dict
+    denom: np.ndarray  # sum_j |phi_j|^2, 1.0 at the origin if homogeneous
     phi_half_cells: dict  # spatial support half-width of phi_j, in cells
     homogeneous: bool = False
 
+    def psi(self, j: int) -> np.ndarray:
+        """psi_j's spectrum, conj(phi_j) / denom, as a fresh array."""
+        ps = np.conj(self.phi_spec[j])
+        ps /= self.denom
+        if self.homogeneous:
+            ps[(0,) * self.n] = 0.0
+        return ps
+
     def reproducing_residual(self, f: GridFunction) -> float:
-        total = sum(self.psi_spec[j] * self.phi_spec[j] for j in self.levels)
+        total = sum(self.psi(j) * self.phi_spec[j] for j in self.levels)
         spec = f.spectrum()
         if self.homogeneous:
             spec = spec.copy()
@@ -871,21 +880,10 @@ def rychkov_pair(L: int, n: int = 1, G: int = 256,
         mask[origin] = False
         if D[mask].min() < 1e-8 * D.max():
             raise ValueError("reproducing system ill-conditioned")
-        Dsafe = D.copy()
-        Dsafe[origin] = 1.0
-    else:
-        if D.min() < 1e-8 * D.max():
-            raise ValueError("reproducing system ill-conditioned")
-        Dsafe = D
-
-    psi_spec = {}
-    for j in levels:
-        ps = np.conj(phi_spec[j]) / Dsafe
-        if homogeneous:
-            ps[(0,) * n] = 0.0
-        psi_spec[j] = ps
-
+        D[origin] = 1.0
+    elif D.min() < 1e-8 * D.max():
+        raise ValueError("reproducing system ill-conditioned")
     return RychkovPair(n=n, G=G, L=L, levels=levels, phi_spec=phi_spec,
-                       psi_spec=psi_spec, phi_half_cells=half_cells,
+                       denom=D, phi_half_cells=half_cells,
                        homogeneous=homogeneous)
 

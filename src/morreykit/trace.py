@@ -93,7 +93,7 @@ def extend_coeff(mu: CoeffField, problem: TraceProblem) -> CoeffField:
 # ---------------------------------------------------------------------------
 # empirical trace constants
 
-def _finite_norm(lam: CoeffField, params: SpaceParams) -> float:
+def finite_norm(lam: CoeffField, params: SpaceParams) -> float:
     """seq_norm(lam, params) as the denominator of a bound; a norm that
     overflows is an error, as dividing by it would read as a bound of 0."""
     norm = seq_norm(lam, params)
@@ -103,9 +103,10 @@ def _finite_norm(lam: CoeffField, params: SpaceParams) -> float:
     return norm
 
 
-def _bound(lam: CoeffField, problem: TraceProblem, peaks: list) -> float:
+def _bound(lam: CoeffField, problem: TraceProblem, peaks: list,
+           norm: float | None) -> float:
     """sup over j0 of phi*(2^-j0) peaks[j0]^(1/q), over lam's source norm."""
-    denom = _finite_norm(lam, problem.params)
+    denom = finite_norm(lam, problem.params) if norm is None else norm
     if denom == 0:
         return 0.0
     star = problem.star
@@ -113,7 +114,8 @@ def _bound(lam: CoeffField, problem: TraceProblem, peaks: list) -> float:
                 for j0, peak in enumerate(peaks)], INF) / denom
 
 
-def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
+def trace_bound_I(lam: CoeffField, problem: TraceProblem,
+                  norm: float | None = None) -> float:
     """sup over hyperplane cubes Q' of
 
         phi*(l) ( |Q'|^{-1} int_{Q'} sum_{j >= j_{Q'}} 2^{j s* q} S_j^q )^{1/q}
@@ -121,7 +123,8 @@ def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
                        || lam ||  (source sequence norm)
 
     with S_j the level-j trace indicator aggregate.  Finite constants here
-    witness the fine-scale half of the trace estimate."""
+    witness the fine-scale half of the trace estimate.  norm, if given, is
+    finite_norm(lam, problem.params), taken once for both bounds."""
     star = problem.star
     cl = lam.max_level
     side = level_side(cl)
@@ -135,10 +138,11 @@ def trace_bound_I(lam: CoeffField, problem: TraceProblem) -> float:
             if j >= j0:
                 acc += T
         peaks.append(float(_block_mean(acc, side >> j0).max()))
-    return _bound(lam, problem, peaks)
+    return _bound(lam, problem, peaks, norm)
 
 
-def trace_bound_II(lam: CoeffField, problem: TraceProblem) -> float:
+def trace_bound_II(lam: CoeffField, problem: TraceProblem,
+                   norm: float | None = None) -> float:
     """sup over hyperplane cubes Q' of
 
         phi*(l) ( sum_{j=0}^{j_{Q'}} 2^{j s* q} |lam_{j (m'(j), 0)}|^q )^{1/q}
@@ -146,7 +150,7 @@ def trace_bound_II(lam: CoeffField, problem: TraceProblem) -> float:
                        || lam ||  (source sequence norm)
 
     where m'(j) runs over the ancestors of Q': the coarse-scale chain of
-    hyperplane-adjacent coefficients."""
+    hyperplane-adjacent coefficients; norm as in trace_bound_I."""
     star = problem.star
     cl = lam.max_level
     # chain sums on the finest hyperplane lattice: at cell y, the ancestor
@@ -158,12 +162,12 @@ def trace_bound_II(lam: CoeffField, problem: TraceProblem) -> float:
             expanded = _expand(np.abs(lam.levels[j0][..., 0]), 1 << (cl - j0))
             acc += (level_weight(j0, star.s) * expanded) ** star.q
         peaks.append(float(acc.max()))
-    return _bound(lam, problem, peaks)
+    return _bound(lam, problem, peaks, norm)
 
 
 def extension_bound(mu: CoeffField, problem: TraceProblem) -> float:
     """|| extend(mu) ||_source / || mu ||_trace."""
-    denom = _finite_norm(mu, problem.star)
+    denom = finite_norm(mu, problem.star)
     if denom == 0:
         return 0.0
     return seq_norm(extend_coeff(mu, problem), problem.params) / denom

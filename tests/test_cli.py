@@ -16,9 +16,10 @@ import pytest
 from morreykit import cli, decomp, trace, verify
 from morreykit.cli import (EXIT_EXACT, EXIT_OK, EXIT_STABILITY, EXIT_USAGE,
                            _plain, main, parse_params, validate_params)
-from morreykit.growth import SpaceParams, power, table
+from morreykit.growth import SpaceParams, power, powerlog, table
 from morreykit.gridfn import GridFunction, make_bank, preset_function
-from morreykit.norms import CoeffField, space_norm
+from morreykit.norms import CoeffField, seq_norm, space_norm
+from test_cli_fuzz import GOOD_PARAMS
 
 INF = math.inf
 
@@ -41,6 +42,75 @@ def test_parse_params_grammar():
         parse_params("bogus-p2")
     with pytest.raises(ValueError):
         parse_params("power-x3")
+
+
+class _SplitOnEveryDash:
+    """The re module as parse_params used it before negative values: a
+    split on every '-'."""
+    @staticmethod
+    def split(pattern, text):
+        return text.split("-")
+
+
+def _perfbench_params():
+    """Every params string perfbench's workloads pass to parse_params."""
+    text = (Path(__file__).resolve().parent.parent / "perfbench"
+            / "workloads.py").read_text()
+    return re.findall(r'"((?:power|powerlog|loginv)-[^"]*)"', text)
+
+
+def test_perfbench_params_are_found():
+    assert len(set(_perfbench_params())) >= 20
+
+
+@pytest.mark.parametrize("text", sorted({
+    *GOOD_PARAMS, *_perfbench_params(), "power-p2-q1-s0-E-r2",
+    "loginv-e2-q2-s0-E-r0.5", "powerlog-e1.5-p4-q1-s1-N-rinf-hom",
+    "power-q1e3-s1.5e0-N-r2E1"}))
+def test_params_parse_as_before(monkeypatch, text):
+    # a string with no '-' inside a value parses as the split on every '-'
+    # parsed it, field for field
+    new = [parse_params(text, n).to_json() for n in (1, 2)]
+    monkeypatch.setattr(cli, "re", _SplitOnEveryDash)
+    assert [parse_params(text, n).to_json() for n in (1, 2)] == new
+
+
+@pytest.mark.parametrize("params,want", [
+    ("power-p2-q1-s-1-N-r2", SpaceParams(q=1.0, r=2.0, s=-1.0,
+                                         phi=power(2.0))),
+    ("power-p2-q1e-5-s0-N-r2", SpaceParams(q=1e-5, r=2.0, s=0.0,
+                                           phi=power(2.0))),
+    ("powerlog-e-1-p2-q1-s0-N-r2", SpaceParams(q=1.0, r=2.0, s=0.0,
+                                               phi=powerlog(2.0, -1.0)))])
+def test_params_take_negative_and_exponent_values(capsys, tmp_path, params,
+                                                  want):
+    # each exited 1 with "could not convert string to float" ('' or '1e')
+    path = tmp_path / "lam.csv"
+    path.write_text("j,m,re,im\n0,0,1.5,0\n1,0,0.5,0.25\n2,3,2.0,0\n")
+    assert parse_params(params).to_json() == want.to_json()
+    code, out, err = run(capsys, "seqnorm", "--dim", "1", "--params", params,
+                         "--input", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    want_norm = seq_norm(CoeffField.from_csv(path.read_text(), 1), want)
+    assert _strict_json(out) == {"norm": want_norm}
+
+
+@pytest.mark.parametrize("params,message", [
+    ("loginv-e-1-q1-s0-N-r2",
+     "phi is not in the admissible growth class for q"),
+    ("power-p2-q-1-s0-N-r2", "q must be finite and positive"),
+    ("power-p2-q1-s0-N-r-2", "r must be positive"),
+    ("power-p-2-q1-s0-N-r2", "power family needs finite p > 0"),
+    ("power-p2-q1-s-1e400-N-r2", "s must be finite")])
+def test_params_negative_values_out_of_range_fail_closed(capsys, params,
+                                                         message):
+    # a value that now parses is still checked: log(2 + 1/t)^1 is no growth
+    # function, and q, r, p must be positive and s finite; the params are
+    # refused before the input is read
+    result = run(capsys, "seqnorm", "--dim", "1", "--params", params,
+                 "--input", "unused.csv")
+    _assert_fails_closed(*result)
+    assert result[2] == f"error: {message}"
 
 
 def test_trace_presets_all_validate():
@@ -488,12 +558,29 @@ def test_decompose_peak_within_estimate(capsys, tmp_path, n, G, L, hom):
     assert peak <= decomp.decompose_bytes(n, G, L, hom)
 
 
+def test_decompose_holds_one_level_of_filters(capsys, tmp_path):
+    # the pair keeps phi_j and one real denominator, psi_j is formed per
+    # level, and a level's slabs share one pair of patch buffers; storing
+    # psi_j for every level and fresh buffers per slab peaked at 47.2 MiB
+    argv = ["decompose", "--dim", "2", "--res", "256", "--L", "1",
+            "--out", str(tmp_path / "lam.csv")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert peak < 42 * 2 ** 20
+
+
 def test_decompose_over_budget_fails_closed(capsys):
-    # 2^24 cells pass the grid guard; the 17 GiB estimate is refused
+    # 2^24 cells pass the grid guard; the 11.62 GiB estimate is refused
     # before anything is allocated
     result = run(capsys, "decompose", "--dim", "1", "--res", str(1 << 24))
     _assert_fails_closed(*result)
-    assert "working set, estimated at 17.00 GiB" in result[2]
+    assert "working set, estimated at 11.62 GiB" in result[2]
 
 
 @pytest.mark.parametrize("n,G", [(1, 1024), (2, 64), (3, 16)])
@@ -758,6 +845,32 @@ def test_trace_root_overflow_is_inf(capsys, two_csv):
                          "--input", two_csv)
     assert (code, err) == (EXIT_OK, "")
     assert _strict_json(out) == {"norm": 3.779763149684471e+307}
+
+
+def test_trace_takes_the_source_norm_once(capsys, tmp_path, monkeypatch):
+    # both bounds divide by the source norm; trace takes it once and hands
+    # it to both, with the bounds each gives when it takes the norm itself
+    path = tmp_path / "lam.csv"
+    assert run(capsys, "decompose", "--dim", "2", "--res", "64",
+               "--out", str(path))[0] == EXIT_OK
+    lam = CoeffField.from_csv(path.read_text(), 2)
+    problem = trace.TraceProblem(parse_params("trace-A", 2))
+    want = {"bound_I": trace.trace_bound_I(lam, problem),
+            "bound_II": trace.trace_bound_II(lam, problem)}
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return seq_norm(*args)
+
+    monkeypatch.setattr(trace, "seq_norm", counted)
+    code, out, err = run(capsys, "trace", "--params", "trace-A",
+                         "--input", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert len(calls) == 1
+    got = _strict_json(out)
+    assert {k: v.hex() for k, v in got.items()} == {
+        k: v.hex() for k, v in want.items()}
 
 
 @pytest.mark.parametrize("variant", ["N", "E"])

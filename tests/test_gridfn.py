@@ -636,6 +636,42 @@ def test_rychkov_pair_reproduces():
         assert pair.reproducing_residual(f) < 1e-12
 
 
+def _stored_psi(pair):
+    """The psi_j spectra rychkov_pair stored for every level before the
+    pair formed them per level: conj(phi_j) over the denominator, which
+    is 1 at the origin and psi_j 0 there when homogeneous."""
+    D = sum(np.abs(pair.phi_spec[j]) ** 2 for j in pair.levels)
+    origin = (0,) * pair.n
+    if pair.homogeneous:
+        D[origin] = 1.0
+    stored = {}
+    for j in pair.levels:
+        stored[j] = np.conj(pair.phi_spec[j]) / D
+        if pair.homogeneous:
+            stored[j][origin] = 0.0
+    return stored
+
+
+@pytest.mark.parametrize("hom", [False, True])
+@pytest.mark.parametrize("L", [0, 1, 2])
+@pytest.mark.parametrize("n,G", [(1, 4096), (2, 256), (3, 32)])
+def test_psi_matches_stored_spectra(n, G, L, hom):
+    # psi(j) gives the bytes the stored spectra had, and the reproducing
+    # residual keeps its float
+    pair = rychkov_pair(L, n=n, G=G, homogeneous=hom)
+    stored = _stored_psi(pair)
+    for j in pair.levels:
+        assert pair.psi(j).tobytes() == stored[j].tobytes(), j
+    f = random_bandlimited(n, G, G // 8, seed=[18, n, L], zero_mean=hom)
+    total = sum(stored[j] * pair.phi_spec[j] for j in pair.levels)
+    spec = f.spectrum()
+    if hom:
+        spec[(0,) * n] = 0.0
+    err = GridFunction.from_spectrum(n, (total - 1.0) * spec)
+    want = err.l2() / max(f.l2(), 1e-300)
+    assert pair.reproducing_residual(f).hex() == want.hex()
+
+
 def test_rychkov_phi_moments_vanish():
     # Laplacian^L1 kills discrete moments up to order 2*L1 - 1 >= L exactly
     for L in (0, 1, 3):
