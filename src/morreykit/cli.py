@@ -37,15 +37,15 @@ _PHI_FIELDS = {"p": ("p", 2.0), "exponent": ("e", 1.0)}
 
 def parse_params(text: str, n: int = 1) -> SpaceParams:
     """Grammar: family[-e<exp>][-p<p>]-q<q>-s<s>-<N|E>-r<r>[-hom], e.g.
-    power-p2-q1-s0-E-r2 or loginv-e2-q2-s0-E-r0.5; r may be 'inf', and
-    only a '-' before a letter splits (s-1 and q1e-5 are values).  A family
-    takes only its own fields' tokens: power -p, powerlog -p and -e, loginv
-    -e.  trace-A ... trace-D name the TRACE_PRESETS."""
+    power-p2-q1-s0-E-r2, or a trace preset trace-A ... trace-D.  r may be
+    'inf'.  Only a '-' before a letter splits, and not a key's sign (s-1,
+    q1e-5, s-inf are values).  A family takes only its own tokens."""
     if text.startswith("trace-"):
         if text[6:] not in TRACE_PRESETS:
             raise ValueError(f"unknown trace preset {text!r}")
         return TRACE_PRESETS[text[6:]](n)
-    family, *toks = re.split(r"-(?=[A-Za-z])", text)
+    family, *toks = re.split(
+        r"-(?=[A-Za-z])(?!(?<=-[a-z]-)(?i:inf|nan))", text)
     fam = growth.FAMILIES.get(family)
     if fam is None or not set(fam.fields) <= _PHI_FIELDS.keys():
         raise ValueError(f"unknown growth family {family!r}")
@@ -185,10 +185,9 @@ def cmd_decompose(args):
 
 def cmd_quark(args):
     f = _load_function(args)
-    gen = decomp.QuarkGen()
     bank = make_bank(args.dim, f.G)
-    qlam = decomp.quark_analyze(f, gen, bank, args.beta_cutoff)
-    rec = decomp.quark_synthesize(qlam, gen, f.G)
+    qlam = decomp.quark_analyze(f, bank, args.beta_cutoff)
+    rec = decomp.quark_synthesize(qlam, f.G)
     resid = (rec - f).l2() / max(f.l2(), 1e-300)
     # a truncation error, not an identity: reported but not gated
     return {"betas": [list(b) for b in qlam.betas()],

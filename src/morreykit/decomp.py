@@ -28,9 +28,9 @@ synthesize adds them, with the same bits.  decompose_bytes bounds what a
 decompose run (round_trip) holds, and the CLI checks it before the
 analysis.
 
-Quarks are atoms: quark (beta qu)_{nu m} is one kernel on the 3Q patch,
-QuarkGen.quark_patch, translated to cube m, so quark_synthesize is one
-synthesize per beta with a one-patch stack that serves every cube.
+Quarks are atoms: (beta qu)_{nu m} is quark_patch(beta, c) on the 3Q
+patch translated to cube m, the window psi1 and QUARK_RHO being module
+data, so quark_synthesize is one synthesize per beta, one patch per level.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -259,7 +258,9 @@ def _analyses(f: GridFunction, pair: RychkovPair):
 def _slabs(side: int, n: int, per: int) -> list:
     """Index tuples that cover a (side,)*n array of cubes in C order, at
     most per >= 1 cubes each: one index on the leading axes, a run on the
-    next, and the trailing axes whole."""
+    next, and the trailing axes whole.  per is rounded down to a power of
+    two, as side is one, so every slab has one shape."""
+    per = 1 << (per.bit_length() - 1)
     t = 0  # trailing axes a slab takes whole
     while t < n - 1 and side ** (t + 1) <= per:
         t += 1
@@ -306,13 +307,10 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     inner = (slice(c, 2 * c),) * n
     kept = (...,) + (slice(0, min(3 * c, G)),) * n
     slabs = _slabs(side, n, max(1, _SLAB_BYTES // (16 * size ** n)))
-    # one pair of patch buffers per level, of the first slab's shape: no
-    # slab is larger, and a ragged last run takes their leading part
-    ext_all = np.empty(lam[slabs[0]].shape + (size,) * n, dtype=complex)
-    buf_all = np.empty_like(ext_all)
+    # one pair of patch buffers per level, of the one slab shape
+    ext = np.empty(lam[slabs[0]].shape + (size,) * n, dtype=complex)
+    buf = np.empty_like(ext)
     for sl in slabs:
-        cut = tuple(slice(0, k) for k in lam[sl].shape)
-        ext, buf = ext_all[cut], buf_all[cut]
         # blocks of U per cube, zero-extended into the 4c patch at offset c
         ext[...] = 0
         ext[(...,) + inner] = blocks[sl]
@@ -510,37 +508,37 @@ def _slope(xs, ys) -> float:
 # ---------------------------------------------------------------------------
 # quarks
 
-@dataclass
-class QuarkGen:
-    """Separable partition-of-unity window for quarks.
+# supp psi1 = (-1, 1), so R = 0 and rho = [R + 1] = 1: every quark of
+# level nu lives on 3Q_{nu m}
+QUARK_RHO = 1
 
-    psi1(x) = s(x + 1/2) - s(x - 1/2) with s a unit-width smooth step, so
-    sum_m psi1(x - m) telescopes to 1 exactly.  supp psi1 = (-1, 1), hence
-    R = 0, rho = [R + 1] = 1, and supp of every quark is 3Q_{nu m}."""
-    R: ClassVar[float] = 0.0
-    rho: ClassVar[int] = 1
 
-    def psi1(self, t):
-        t = np.asarray(t, dtype=float)
-        return smoothstep7(t + 1.0) - smoothstep7(t)
+def psi1(t):
+    """Separable partition-of-unity window: psi1(x) = s(x + 1/2) -
+    s(x - 1/2) with s a unit-width smooth step, so sum_m psi1(x - m)
+    telescopes to 1 exactly."""
+    t = np.asarray(t, dtype=float)
+    return smoothstep7(t + 1.0) - smoothstep7(t)
 
-    def partition_residual(self) -> float:
-        x = np.linspace(-0.5, 0.5, 4096, endpoint=False)
-        total = sum(self.psi1(x - m) for m in range(-2, 3))
-        return float(np.max(np.abs(total - 1.0)))
 
-    def quark_patch(self, beta, c: int) -> np.ndarray:
-        """(beta qu) of a level with c cells per cube side, on its 3Q patch
-        in synthesize's layout: prod_i t_i^beta_i psi1(t_i) with
-        t = (p - c) / c at patch cell p < 3c, the cube corner at t = 0."""
-        t = (np.arange(3 * c) - c) / c
-        return _outer(np.multiply, [t ** b * self.psi1(t) for b in beta])
+def partition_residual() -> float:
+    x = np.linspace(-0.5, 0.5, 4096, endpoint=False)
+    total = sum(psi1(x - m) for m in range(-2, 3))
+    return float(np.max(np.abs(total - 1.0)))
+
+
+def quark_patch(beta, c: int) -> np.ndarray:
+    """(beta qu) of a level with c cells per cube side, on its 3Q patch
+    in synthesize's layout: prod_i t_i^beta_i psi1(t_i) with
+    t = (p - c) / c at patch cell p < 3c, the cube corner at t = 0."""
+    t = (np.arange(3 * c) - c) / c
+    return _outer(np.multiply, [t ** b * psi1(t) for b in beta])
 
 
 SAMPLE_GAP = 3  # band nu is sampled on the 2^(nu+SAMPLE_GAP) lattice
 
 
-def _band_samples(f: GridFunction, bank: FilterBank, rho: int) -> dict:
+def _band_samples(f: GridFunction, bank: FilterBank) -> dict:
     """{nu: band nu of f sampled on the 2^-(nu+SAMPLE_GAP) lattice} for the
     bands that carry energy.  The bands share one spectrum of f, which is
     freed before quark_analyze expands them: holding it through the
@@ -553,15 +551,15 @@ def _band_samples(f: GridFunction, bank: FilterBank, rho: int) -> dict:
         if bnu.linf() <= 1e-14 * max(f.linf(), TINY):
             continue
         nu_s = nu + SAMPLE_GAP
-        if nu_s + rho > J:
-            raise ValueError(
-                f"band {nu} carries energy but level {nu_s + rho} exceeds the grid")
+        if nu_s + QUARK_RHO > J:
+            raise ValueError(f"band {nu} carries energy but level"
+                             f" {nu_s + QUARK_RHO} exceeds the grid")
         # a copy, as a view would keep the whole band alive
         out[nu] = bnu.samples[(slice(None, None, G >> nu_s),) * n].copy()
     return out
 
 
-def quark_analyze(f: GridFunction, gen: QuarkGen, bank: FilterBank,
+def quark_analyze(f: GridFunction, bank: FilterBank,
                   beta_cutoff: int) -> QuarkCoeffs:
     """Taylor-expansion quark coefficients.
 
@@ -578,38 +576,36 @@ def quark_analyze(f: GridFunction, gen: QuarkGen, bank: FilterBank,
     n = f.n
     fields = {beta: {} for beta in _multi_indices(n, beta_cutoff)}
     lam_norms = {}
-    for nu, Lam in _band_samples(f, bank, gen.rho).items():
+    for nu, Lam in _band_samples(f, bank).items():
         nu_s = nu + SAMPLE_GAP
         S = 1 << nu_s
         lam_norms[nu] = float(np.abs(Lam).max())
-        Sf = S << gen.rho
+        Sf = S << QUARK_RHO
         # spectrum of the sampling kernel on the Sf lattice (independent of
         # G): the window with the kernel's 1/S^n weight and ifftn's Sf^n
         window = radial_window(lambda u: kappa_profile(TWO_PI * u / S), n,
                                Sf).astype(np.complex128) * (Sf // S) ** n
         # lam^beta(l) = scale * sum_m Lam(m) d^beta g(l - 2^rho m)
         comb = np.zeros((Sf,) * n, dtype=np.complex128)
-        comb[(slice(None, None, 1 << gen.rho),) * n] = Lam
+        comb[(slice(None, None, 1 << QUARK_RHO),) * n] = Lam
         comb_hat = np.fft.fftn(comb)
         for beta in fields:
             conv = np.fft.ifftn(comb_hat * _differentiate(window, beta))
             log_scale = -sum(beta) * math.log(Sf) \
                 - sum(math.lgamma(bb + 1) for bb in beta)
-            fields[beta][nu_s + gen.rho] = conv * math.exp(log_scale)
+            fields[beta][nu_s + QUARK_RHO] = conv * math.exp(log_scale)
     qfields = {}
     for beta, levels in fields.items():
         if levels:
             qfields[beta] = CoeffField(n, levels)
-    return QuarkCoeffs(n=n, beta_cutoff=beta_cutoff, rho=gen.rho,
-                       fields=qfields,
-                       meta={"R": gen.R, "lam_norms": lam_norms,
-                             "sample_gap": SAMPLE_GAP})
+    return QuarkCoeffs(n=n, rho=QUARK_RHO, fields=qfields,
+                       lam_norms=lam_norms)
 
 
-def quark_synthesize(qlam: QuarkCoeffs, gen: QuarkGen, G: int) -> GridFunction:
+def quark_synthesize(qlam: QuarkCoeffs, G: int) -> GridFunction:
     """sum_beta sum_nu sum_m lam^beta_{nu m} (beta qu)_{nu m}, beta-major:
     per beta one atomic synthesis, every cube of level nu taking the one
-    patch gen.quark_patch(beta, G / 2^nu).  Levels run over 1..log2 G."""
+    patch quark_patch(beta, G / 2^nu).  Levels run over 1..log2 G."""
     n = qlam.n
     J = G.bit_length() - 1
     out = np.zeros((G,) * n, dtype=np.complex128)
@@ -618,7 +614,7 @@ def quark_synthesize(qlam: QuarkCoeffs, gen: QuarkGen, G: int) -> GridFunction:
         bad = [nu for nu in fld.level_list() if not 1 <= nu <= J]
         if bad:
             raise ValueError(f"quark level {bad[0]} outside 1..{J} on G={G}")
-        patches = {nu: gen.quark_patch(beta, G >> nu)[(None,) * n]
+        patches = {nu: quark_patch(beta, G >> nu)[(None,) * n]
                    for nu in fld.level_list()}
         out += synthesize(fld, patches, G).samples
     return GridFunction(n, out)

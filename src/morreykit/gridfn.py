@@ -171,18 +171,17 @@ def preset_function(name: str, n: int, G: int, seed: int = 0) -> GridFunction:
     if n < 1:
         raise ValueError(f"dimension n={n} must be positive")
     _check_grid(G)
-    x = [centered_axis(G)] * n
-    mesh = np.meshgrid(*x, indexing="ij") if n > 1 else [x[0]]
+    x = centered_axis(G)
     if name == "gaussian":
-        r2 = sum(m ** 2 for m in mesh)
+        r2 = _outer(np.add, [x ** 2] * n)
         return GridFunction(n, np.exp(-40.0 * r2).astype(np.complex128))
     if name == "mode":
-        phase = sum((i + 3) * m for i, m in enumerate(mesh))
+        phase = _outer(np.add, [(i + 3) * x for i in range(n)])
         return GridFunction(n, np.exp(2j * math.pi * phase))
     if name == "chirp":
-        r2 = sum(m ** 2 for m in mesh)
+        r2 = _outer(np.add, [x ** 2] * n)
         return GridFunction(n, np.exp(-30.0 * r2) * np.cos(40.0 * r2))
-    if name.startswith("random-bandlimited"):
+    if name == "random-bandlimited":
         return random_bandlimited(n, G, kmax=max(2, G // 8), seed=seed)
     raise ValueError(f"unknown preset {name}")
 

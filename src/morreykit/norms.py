@@ -123,12 +123,11 @@ class CoeffField:
 @dataclass
 class QuarkCoeffs:
     """Triply indexed coefficients lambda^beta_{nu m}: one CoeffField per
-    multi-index beta."""
+    multi-index beta, and the sup of each sampled band nu's samples."""
     n: int
-    beta_cutoff: int
     rho: float
     fields: dict = field(default_factory=dict)  # beta tuple -> CoeffField
-    meta: dict = field(default_factory=dict)
+    lam_norms: dict = field(default_factory=dict)  # nu -> max |Lambda_nu|
 
     def betas(self):
         return sorted(self.fields, key=lambda b: (sum(b), b))
@@ -360,11 +359,9 @@ def seq_norm(lam: CoeffField, params: SpaceParams) -> float:
     return aggregate(_cell_fields(lam, lam.max_level), params)
 
 
-def quark_norm(qlam: QuarkCoeffs, params: SpaceParams, rho: float = None) -> float:
+def quark_norm(qlam: QuarkCoeffs, params: SpaceParams) -> float:
     """sup_beta 2^{rho |beta|} seq_norm(lambda^beta)."""
-    if rho is None:
-        rho = qlam.rho
-    return _lr([level_weight(sum(beta), rho) * seq_norm(fld, params)
+    return _lr([level_weight(sum(beta), qlam.rho) * seq_norm(fld, params)
                 for beta, fld in qlam.fields.items()], INF)
 
 

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from morreykit.cli import TRACE_PRESETS
-from morreykit.decomp import (AtomSpec, MoleculeSpec, QuarkGen, atomic_analyze,
-                              band_decay_profile, fit_decay_slopes, make_atom,
-                              make_molecule, quark_analyze, quark_synthesize,
-                              synthesize, validate_atom, validate_molecule)
+from morreykit.decomp import (QUARK_RHO, AtomSpec, MoleculeSpec,
+                              atomic_analyze, band_decay_profile,
+                              fit_decay_slopes, make_atom, make_molecule,
+                              quark_analyze, quark_synthesize, synthesize,
+                              validate_atom, validate_molecule)
 from morreykit.dyadic import DyadicCube, box_mask, cube_mask, dilate
 from morreykit.growth import (SpaceParams, check_nakai, dyadic_scales,
                               is_in_Gq, loginv, power, power_of, powerlog,
@@ -333,23 +334,21 @@ def test_molecule_band_decay_slopes():
 
 def test_quark_residual_decay_rate():
     n, G = 1, 512
-    gen = QuarkGen()
     bank = make_bank(n, G)
     f = random_bandlimited(n, G, 24, seed=12)
     resids = {}
     for cut in range(0, 4):
-        q = quark_analyze(f, gen, bank, cut)
-        resids[cut] = (quark_synthesize(q, gen, G) - f).l2() / f.l2()
+        q = quark_analyze(f, bank, cut)
+        resids[cut] = (quark_synthesize(q, G) - f).l2() / f.l2()
     xs = np.array(sorted(resids), dtype=float)
     ys = np.log2([resids[c] for c in xs.astype(int)])
     A = np.vstack([xs, np.ones_like(xs)]).T
     slope = float(np.linalg.lstsq(A, ys, rcond=None)[0][0])
     # rho = 1, R = 0: at least half a binary digit gained per extra |beta|
-    assert slope <= -(gen.rho - 0.0 - 0.5), (resids, slope)
+    assert slope <= -(QUARK_RHO - 0.0 - 0.5), (resids, slope)
 
 
 def test_quark_coefficient_constant_stable():
-    gen = QuarkGen()
     params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2, 1), variant="N", n=1)
     cs = {}
     for G in (512, 1024):
@@ -357,8 +356,8 @@ def test_quark_coefficient_constant_stable():
         bank = make_bank(1, G)
         for i in range(10):
             f = random_bandlimited(1, G, 24, seed=[13, i])
-            q = quark_analyze(f, gen, bank, 2)
-            den = max(np.abs(list(q.meta["lam_norms"].values())).max(), 1e-300)
+            q = quark_analyze(f, bank, 2)
+            den = max(np.abs(list(q.lam_norms.values())).max(), 1e-300)
             hi = max(hi, quark_norm(q, params) / den)
         cs[G] = hi
     assert drift(cs[512], cs[1024]) < STABILITY, cs

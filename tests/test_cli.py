@@ -101,7 +101,19 @@ def test_params_take_negative_and_exponent_values(capsys, tmp_path, params,
     ("power-p2-q-1-s0-N-r2", "q must be finite and positive"),
     ("power-p2-q1-s0-N-r-2", "r must be positive"),
     ("power-p-2-q1-s0-N-r2", "power family needs finite p > 0"),
-    ("power-p2-q1-s-1e400-N-r2", "s must be finite")])
+    ("power-p2-q1-s-1e400-N-r2", "s must be finite"),
+    # a '-' before inf or nan is a sign: these split there and exited 1
+    # with "could not convert string to float: ''"
+    ("power-p2-q1-s-inf-N-r2", "s must be finite"),
+    ("power-p2-q1-s-nan-N-r2", "s must be finite"),
+    ("power-p2-q1-s-Infinity-N-r2", "s must be finite"),
+    ("power-p2-q1-s0-N-r-inf", "r must be positive"),
+    ("power-p2-q-nan-s0-N-r2", "q must be finite and positive"),
+    # only a key's own sign joins: a trailing token stays a bad token
+    ("power-p2-q1-s0-N-r2-nan",
+     "bad token 'nan' in params 'power-p2-q1-s0-N-r2-nan'"),
+    ("power-p2-q1-s0-N-inf",
+     "bad token 'inf' in params 'power-p2-q1-s0-N-inf'")])
 def test_params_negative_values_out_of_range_fail_closed(capsys, params,
                                                          message):
     # a value that now parses is still checked: log(2 + 1/t)^1 is no growth
@@ -922,7 +934,10 @@ def test_growth_value_overflow_fails_closed(capsys):
     (["norm", "--params", "power-p2-q1-s0-N-r2", "--fn", "bogus"],
      "unknown preset bogus"),
     (["decompose", "--L", "7", "--res", "64"],
-     "kernel support at level 4 exceeds 3Q; lower L or refine G")])
+     "kernel support at level 4 exceeds 3Q; lower L or refine G"),
+    # the name is matched whole: a longer one ran as random-bandlimited
+    (["quark", "--fn", "random-bandlimited-oops", "--res", "64"],
+     "unknown preset random-bandlimited-oops")])
 def test_refusals_fail_closed(capsys, tmp_path, argv, message):
     (tmp_path / "lam.csv").write_text(
         CoeffField(2, {1: np.ones((2, 2))}).to_csv())

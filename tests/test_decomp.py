@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from morreykit import decomp
 from morreykit.dyadic import DyadicCube, cube_mask
-from morreykit.decomp import (TINY, AtomSpec, MoleculeSpec, QuarkGen,
+from morreykit.decomp import (QUARK_RHO, TINY, AtomSpec, MoleculeSpec,
                               _differentiate, _patch_kernel, atomic_analyze,
                               band_decay_profile, fit_decay_slopes, make_atom,
                               make_molecule, quark_analyze, quark_synthesize,
@@ -320,9 +319,9 @@ def test_level_analysis_matches_unslabbed(monkeypatch, n, G, L, kind):
     """Slabs, the pruned forward FFT and the one power-of-two scale give
     the bytes of the whole-level analysis, lam and atoms alike.  The scale
     is exact only while nothing is subnormal, so every input keeps its
-    samples in the normal range (or zero).  Slab caps of one cube, of a
-    ragged run (3000 bytes) and of 4 KiB split every level, whose patches
-    hold 16 (4G)^n bytes at every j."""
+    samples in the normal range (or zero).  Slab caps of one cube, of 3000
+    bytes (a run rounded down to a power of two) and of 4 KiB split every
+    level, whose patches hold 16 (4G)^n bytes at every j."""
     pair = rychkov_pair(L, n=n, G=G, homogeneous=kind == "hom")
     f = {"spread": lambda: random_bandlimited(n, G, G // 8, seed=[15, n, L]),
          "hom": lambda: random_bandlimited(n, G, G // 4, seed=[16, n, L],
@@ -336,6 +335,29 @@ def test_level_analysis_matches_unslabbed(monkeypatch, n, G, L, kind):
         assert 16 * (4 * G) ** n > cap
         monkeypatch.setattr(decomp, "_SLAB_BYTES", cap)
         assert _analysis_bytes(f, pair) == want, cap
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slabs_cover_each_cube_once_in_one_shape(n):
+    # the side of a level and the rounded cap are powers of two, so no slab
+    # is ragged and _level_analysis holds one pair of buffers of one shape;
+    # caps that are no power of two are rounded down
+    caps = sorted({1 << k for k in range(21)} | {3, 5, 3000, 65535})
+    configs = 0
+    for side in (1 << k for k in range(9)):
+        for per in caps:
+            if side ** n // per > 4096:
+                continue  # too many slabs to walk
+            slabs = decomp._slabs(side, n, per)
+            seen = np.zeros((side,) * n, dtype=np.int64)
+            for sl in slabs:
+                seen[sl] += 1
+            assert (seen == 1).all(), (side, per)
+            shapes = {seen[sl].shape for sl in slabs}
+            assert len(shapes) == 1, (side, per, shapes)
+            assert np.prod(shapes.pop()) <= per
+            configs += 1
+    assert configs >= 100
 
 
 def test_homogeneous_lam_pinned():
@@ -429,27 +451,25 @@ def test_band_decay_profile_pinned():
 
 
 def test_quark_partition_of_unity():
-    gen = QuarkGen()
-    assert gen.partition_residual() < 1e-12
-    assert gen.rho == 1
+    assert decomp.partition_residual() < 1e-12
+    assert QUARK_RHO == 1
 
 
 def test_quark_round_trip_improves_with_cutoff():
     G = 512
-    gen = QuarkGen()
     bank = make_bank(1, G)
     f = random_bandlimited(1, G, 24, seed=10)
     prev = np.inf
     for cutoff in (0, 1, 2):
-        qlam = quark_analyze(f, gen, bank, cutoff)
-        rec = quark_synthesize(qlam, gen, G)
+        qlam = quark_analyze(f, bank, cutoff)
+        rec = quark_synthesize(qlam, G)
         resid = (rec - f).l2() / f.l2()
         assert resid < prev
         prev = resid
     assert prev < 5e-3
 
 
-def _quark_field_comb(gen, beta, nu, lam_level, G):
+def _quark_field_comb(beta, nu, lam_level, G):
     """Quark synthesis of one (beta, nu) by comb convolution, the reference
     for quark_synthesize: lam_level on the 2^-nu lattice of the G-grid
     convolved with the kernel prod_i (2^nu u_i)^beta_i psi1(2^nu u_i),
@@ -461,7 +481,7 @@ def _quark_field_comb(gen, beta, nu, lam_level, G):
         ax = np.zeros(G)
         for sft in range(-1, 2):
             ts = t + sft * 2.0 ** nu
-            ax += ts ** b * gen.psi1(ts)
+            ax += ts ** b * decomp.psi1(ts)
         ker_ax.append(ax)
     ker = functools.reduce(np.multiply.outer, ker_ax)
     comb = np.zeros((G,) * n, dtype=np.complex128)
@@ -477,7 +497,7 @@ def _random_quark_coeffs(n, G, cutoff, seed, levels=None):
                                    + 1j * rng.standard_normal((1 << nu,) * n)
                                    for nu in levels})
               for beta in _multi_indices(n, cutoff)}
-    return QuarkCoeffs(n=n, beta_cutoff=cutoff, rho=1, fields=fields)
+    return QuarkCoeffs(n=n, rho=1, fields=fields)
 
 
 @pytest.mark.parametrize("n,G", [(1, 512), (1, 4096), (2, 64)])
@@ -485,12 +505,11 @@ def _random_quark_coeffs(n, G, cutoff, seed, levels=None):
 def test_quark_synthesize_matches_comb_convolution(n, G, cutoff):
     # every level 1..log2 G: at nu = 1 the 3Q patch is longer than the
     # torus, and at nu = log2 G a cube is one cell (c = 1)
-    gen = QuarkGen()
     qlam = _random_quark_coeffs(n, G, cutoff, seed=[n, G, cutoff])
-    want = sum(_quark_field_comb(gen, beta, nu, lev, G)
+    want = sum(_quark_field_comb(beta, nu, lev, G)
                for beta in qlam.betas()
                for nu, lev in qlam.fields[beta].levels.items())
-    got = quark_synthesize(qlam, gen, G).samples
+    got = quark_synthesize(qlam, G).samples
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -521,33 +540,24 @@ def test_quark_synthesize_rejects_levels_off_the_grid(n, G):
     for nu in (0, J + 1):
         qlam = _random_quark_coeffs(n, G, 1, seed=nu, levels=[nu])
         with pytest.raises(ValueError, match=f"quark level {nu} "):
-            quark_synthesize(qlam, QuarkGen(), G)
-
-
-def test_quark_gen_has_no_fields():
-    # R and rho are constants of the window, not settings
-    assert dataclasses.fields(QuarkGen) == ()
-    with pytest.raises(TypeError):
-        QuarkGen(n=1)
+            quark_synthesize(qlam, G)
 
 
 def test_quark_rejects_too_fine_bands():
     G = 64
-    gen = QuarkGen()
     bank = make_bank(1, G)
     f = random_bandlimited(1, G, 24, seed=11)  # energy beyond the lattice
     with pytest.raises(ValueError):
-        quark_analyze(f, gen, bank, 1)
+        quark_analyze(f, bank, 1)
 
 
 def test_quark_norm_resolution_invariant():
     # band-limited input: the quark coefficients are G-independent
-    gen = QuarkGen()
     params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
     vals = []
     for G in (512, 1024):
         f = random_bandlimited(1, G, 24, seed=12)
-        qlam = quark_analyze(f, gen, make_bank(1, G), 2)
+        qlam = quark_analyze(f, make_bank(1, G), 2)
         vals.append(quark_norm(qlam, params))
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 

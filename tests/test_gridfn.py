@@ -53,6 +53,28 @@ def test_mode_spectrum_is_one_hot():
     assert np.abs(spec).max() < 1e-12
 
 
+def _preset_meshgrid(name, n, G):
+    """gaussian, mode and chirp as preset_function built them before the
+    products moved to _outer: n full coordinate grids from np.meshgrid."""
+    x = [centered_axis(G)] * n
+    mesh = np.meshgrid(*x, indexing="ij") if n > 1 else [x[0]]
+    r2 = sum(m ** 2 for m in mesh)
+    values = {"gaussian": lambda: np.exp(-40.0 * r2).astype(np.complex128),
+              "mode": lambda: np.exp(2j * math.pi * sum(
+                  (i + 3) * m for i, m in enumerate(mesh))),
+              "chirp": lambda: np.exp(-30.0 * r2) * np.cos(40.0 * r2)}[name]
+    return GridFunction(n, values()).samples
+
+
+@pytest.mark.parametrize("n,G", [(1, 256), (2, 64), (3, 16), (1, 4), (2, 128)])
+@pytest.mark.parametrize("name", ["gaussian", "mode", "chirp"])
+def test_presets_match_meshgrid_form(name, n, G):
+    want = _preset_meshgrid(name, n, G)
+    got = preset_function(name, n, G).samples
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_integral_and_norms():
     G = 64
     f = GridFunction(1, np.full(G, 2.0 + 0j))
@@ -197,7 +219,7 @@ def _sample_expand_output():
 
 def _quark_output():
     f = random_bandlimited(2, 64, 4, seed=13)
-    qlam = decomp.quark_analyze(f, decomp.QuarkGen(), make_bank(2, 64), 2)
+    qlam = decomp.quark_analyze(f, make_bank(2, 64), 2)
     return qlam.to_csv()
 
 

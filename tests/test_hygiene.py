@@ -1,10 +1,10 @@
 """Source hygiene: no module of the package and no test module imports a
-name it never uses, only `gridfn._outer` builds an n-axis product grid, no
-arithmetic takes a fresh `.copy()` as an operand, no loop calls `band`, no
-module calls `FilterBank.window`, only growth, norms and cli compare a
-`.variant`, norms sums blocks (`_block_sum`) only inside
-`_morrey_of_array`, no module calls `atomic_analyze`, and every def is
-reached from the CLI, the benchmark or the acceptance tests.
+name it never uses, only `gridfn._outer` builds an n-axis product grid (no
+other `.outer` or `meshgrid`), no arithmetic takes a fresh `.copy()` as an
+operand, no loop calls `band`, no module calls `FilterBank.window`, only
+growth, norms and cli compare a `.variant`, norms sums blocks (`_block_sum`)
+only inside `_morrey_of_array`, no module calls `atomic_analyze`, and every
+def is reached from the CLI, the benchmark or the acceptance tests.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -64,15 +64,22 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def outer_uses(path):
-    """Lines that reach for a `<ufunc>.outer`."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "outer"]
+def outer_uses(source):
+    """Lines that reach for a `<ufunc>.outer` or `meshgrid`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Attribute)
+                      and node.attr in ("outer", "meshgrid"))
+                  or (isinstance(node, ast.Name) and node.id == "meshgrid"))
+
+
+def test_grid_products_are_caught():
+    assert outer_uses("a = np.multiply.outer(x, y)\nb = np.meshgrid(x, y)\n"
+                      "c = meshgrid(x)\nd = np.outer\ne = x * y\n"
+                      "f = outer(x, y)\n") == [1, 2, 3, 4]
 
 
 def test_grid_products_only_in_gridfn():
-    found = {p.name: outer_uses(p) for p in MODULES}
+    found = {p.name: outer_uses(p.read_text()) for p in MODULES}
     assert len(found.pop("gridfn.py")) == 1  # the fold inside _outer
     assert {name: lines for name, lines in found.items() if lines} == {}
 

@@ -544,12 +544,12 @@ def test_seq_norm_E_singleton_matches_N():
 def test_quark_norm_singleton():
     lam = _singleton(1, 2, (1,), 3)
     params = SpaceParams(q=1.0, r=2.0, s=1.0, phi=power(2.0), variant="N", n=1)
-    qlam = QuarkCoeffs(n=1, beta_cutoff=2, rho=1.0, fields={(2,): lam})
+    qlam = QuarkCoeffs(n=1, rho=1.0, fields={(2,): lam})
     assert quark_norm(qlam, params) == pytest.approx(
         2.0 ** 2 * seq_norm(lam, params))
-    # rho override
-    assert quark_norm(qlam, params, rho=0.0) == pytest.approx(
-        seq_norm(lam, params))
+    # rho = 0 drops the weight 2^{rho |beta|}
+    assert quark_norm(QuarkCoeffs(n=1, rho=0.0, fields={(2,): lam}),
+                      params) == pytest.approx(seq_norm(lam, params))
 
 
 def test_min_triangle_trivial_cases():
