@@ -17,8 +17,10 @@ a_jm = gamma_jm / lam_jm:
 
 A level j >= 1 is analysed in slabs of cubes of about 1 MiB of patches,
 with a forward FFT that skips the all-zero patch lines and one power-of-two
-scale, so besides the atoms it returns it holds one slab at a time; the
-bits are those of the whole-level transform.
+scale, so besides the atoms it returns it holds one slab at a time.  Level
+1 keeps its kernel spectra on the even-wavenumber lattice, as they are +0.0
+off it, so no held spectrum exceeds G^n cells; the bits are those of the
+whole-level transform.
 
 Analysis and synthesis run one level at a time: _analyses yields each
 level's (j, lam_j, atoms_j) and _add_level overlap-adds it.  round_trip
@@ -283,11 +285,17 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     earlier patch axes lie in [c, 2c): the other lines are zero, and each
     line is transformed on its own, so the bytes are fftn's.  Each d^alpha
     phi_j, |alpha| <= K, is convolved into one reused buffer by an unscaled
-    inverse FFT and folded into lam; only the alpha = 0 patches are kept,
-    cut to min(3c, G) cells per axis (at j = 1 the 2G patch is G-periodic).
-    The quadrature weight G^-n and ifftn's (4c)^-n are one power-of-two
-    factor, applied to the max and the kept patches: exact while nothing is
-    subnormal or overflows."""
+    inverse FFT, last axis first, and folded into lam; only the alpha = 0
+    patches are kept, cut to min(3c, G) cells per axis.  At j = 1 the 2G
+    patch kernel is the G-periodic kernel tiled twice per axis, so its
+    spectrum is +0.0 at every wavenumber odd on some axis: level 1 keeps
+    the kernel spectra, the forward lines read and the products on the
+    even lattice ev (1/2^n of the cells), the rest of the product +0.0,
+    and an inverse pass skips the lines odd on an earlier axis, all zero.
+    A zero enters a sum only as x + 0 = x, so the bytes are the full
+    lattice's.  The quadrature weight G^-n and ifftn's (4c)^-n are one
+    power-of-two factor, applied to the max and the kept patches: exact
+    while nothing is subnormal or overflows."""
     n = U.ndim
     G = U.shape[0]
     c = G >> j
@@ -295,11 +303,12 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     side = level_side(j)
     axes = tuple(range(n, 2 * n))
     scale = float(G * size) ** -n
+    ev = (slice(None, None, 2) if size > G else slice(None),) * n
     # spectra of the d^alpha phi_j kernels (alpha = 0 first: phi_j itself,
     # exactly compact), from full-grid kernels by spectral differentiation
     kernels = [(2.0 ** (-j * sum(alpha)) * scale, np.fft.fftn(_patch_kernel(
-        np.fft.ifftn(_differentiate(phi_spec, alpha) * G ** n), size)))
-        for alpha in _multi_indices(n, K)]
+        np.fft.ifftn(_differentiate(phi_spec, alpha) * G ** n), size))[
+            ev].copy()) for alpha in _multi_indices(n, K)]
     lam = np.empty((side,) * n)
     atoms = np.empty((side,) * n + (min(3 * c, G),) * n,
                      dtype=np.complex128)
@@ -315,12 +324,16 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
         ext[...] = 0
         ext[(...,) + inner] = blocks[sl]
         for ax in reversed(range(n)):
-            live = ext[(...,) + inner[:ax] + (slice(None),) * (n - ax)]
+            live = ext[(...,) + inner[:ax] + (slice(None),) + ev[ax + 1:]]
             np.fft.fft(live, axis=n + ax, out=live)
         lam_sl = np.full(ext.shape[:n], TINY)
         for i, (weight, kern_hat) in enumerate(kernels):
-            np.multiply(ext, kern_hat, out=buf)
-            np.fft.ifftn(buf, axes=axes, norm="forward", out=buf)
+            if size > G:
+                buf[...] = 0
+            np.multiply(ext[(...,) + ev], kern_hat, out=buf[(...,) + ev])
+            for ax in reversed(range(n)):
+                live = buf[(...,) + ev[:ax] + (slice(None),) * (n - ax)]
+                np.fft.ifft(live, axis=n + ax, norm="forward", out=live)
             lam_sl = np.maximum(lam_sl, weight * np.abs(buf).max(axis=axes))
             if i == 0:
                 np.multiply(buf[kept], scale, out=atoms[sl])
@@ -333,9 +346,11 @@ def decompose_bytes(n: int, G: int, L: int, homogeneous: bool = False) -> int:
     """Upper bound on the bytes decompose (round_trip) holds at once for a
     G^n grid with rychkov_pair(L): the largest level's atoms, the output
     grid, the pair's phi spectra and real denominator, one psi spectrum,
-    the level-1 kernel spectra of _level_analysis, one slab (patches, their
-    product buffer and its moduli) and _WORK_GRIDS grids for f, its
-    spectrum, a band and the transients of analysis and synthesis."""
+    the kernel spectra of _level_analysis (G^n cells each: level 1 keeps
+    its even lattice of the 2G patch, level 2 has a G patch), one slab
+    (patches, their product buffer and its moduli) and _WORK_GRIDS grids
+    for f, its spectrum, a band and the transients of analysis and
+    synthesis."""
     _check_grid(G)
     grid = 16 * G ** n
     levels = band_levels(G, homogeneous)
@@ -344,7 +359,7 @@ def decompose_bytes(n: int, G: int, L: int, homogeneous: bool = False) -> int:
     atoms = max(grid if j <= 0 else 16 * (level_side(j) * min(3 * (G >> j),
                                                               G)) ** n
                 for j in levels)
-    kernels = math.comb(n + max(1, L), n) * patch
+    kernels = math.comb(n + max(1, L), n) * grid
     return (atoms + grid + (len(levels) + 1) * grid + grid // 2 + kernels
             + 3 * max(_SLAB_BYTES, patch) + _WORK_GRIDS * grid)
 
@@ -573,6 +588,8 @@ def quark_analyze(f: GridFunction, bank: FilterBank,
                                   d^beta g(b l - a m)
 
     with a = 2^-nu_s, b = 2^-(nu_s+rho)."""
+    if beta_cutoff < 0:
+        raise ValueError("beta_cutoff must be >= 0")
     n = f.n
     fields = {beta: {} for beta in _multi_indices(n, beta_cutoff)}
     lam_norms = {}

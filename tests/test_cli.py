@@ -570,29 +570,44 @@ def test_decompose_peak_within_estimate(capsys, tmp_path, n, G, L, hom):
     assert peak <= decomp.decompose_bytes(n, G, L, hom)
 
 
-def test_decompose_holds_one_level_of_filters(capsys, tmp_path):
-    # the pair keeps phi_j and one real denominator, psi_j is formed per
-    # level, and a level's slabs share one pair of patch buffers; storing
-    # psi_j for every level and fresh buffers per slab peaked at 47.2 MiB
-    argv = ["decompose", "--dim", "2", "--res", "256", "--L", "1",
-            "--out", str(tmp_path / "lam.csv")]
+def _decompose_peak(capsys, tmp_path, *argv):
     tracemalloc.start()
     try:
-        code = main(argv)
+        code = main(["decompose", *argv, "--out", str(tmp_path / "lam.csv")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     capsys.readouterr()
     assert code == EXIT_OK
-    assert peak < 42 * 2 ** 20
+    return peak
+
+
+def test_decompose_holds_one_level_of_filters(capsys, tmp_path):
+    # the pair keeps phi_j and one real denominator, psi_j is formed per
+    # level, a level's slabs share one pair of patch buffers, and level 1
+    # keeps its kernel spectra on the even lattice; storing psi_j for every
+    # level and fresh buffers per slab peaked at 47.2 MiB, and the level-1
+    # kernel spectra on the whole 2G patch at 38.7 MiB
+    peak = _decompose_peak(capsys, tmp_path, "--dim", "2", "--res", "256",
+                           "--L", "1")
+    assert peak < 34 * 2 ** 20
+
+
+def test_decompose_3d_level_1_holds_lattice_kernels(capsys, tmp_path):
+    # the ten level-1 kernel spectra of (3, 32) L = 2 on the whole 2G patch
+    # (4 MiB each) made a run peak at 58.8 MiB; on the even lattice they
+    # take 0.5 MiB each
+    peak = _decompose_peak(capsys, tmp_path, "--dim", "3", "--res", "32",
+                           "--L", "2")
+    assert peak < 32 * 2 ** 20
 
 
 def test_decompose_over_budget_fails_closed(capsys):
-    # 2^24 cells pass the grid guard; the 11.62 GiB estimate is refused
+    # 2^24 cells pass the grid guard; the 11.12 GiB estimate is refused
     # before anything is allocated
     result = run(capsys, "decompose", "--dim", "1", "--res", str(1 << 24))
     _assert_fails_closed(*result)
-    assert "working set, estimated at 11.62 GiB" in result[2]
+    assert "working set, estimated at 11.12 GiB" in result[2]
 
 
 @pytest.mark.parametrize("n,G", [(1, 1024), (2, 64), (3, 16)])
@@ -937,7 +952,10 @@ def test_growth_value_overflow_fails_closed(capsys):
      "kernel support at level 4 exceeds 3Q; lower L or refine G"),
     # the name is matched whole: a longer one ran as random-bandlimited
     (["quark", "--fn", "random-bandlimited-oops", "--res", "64"],
-     "unknown preset random-bandlimited-oops")])
+     "unknown preset random-bandlimited-oops"),
+    # no quark at all was analysed, and the empty sum exited 0
+    (["quark", "--beta-cutoff", "-1", "--res", "64"],
+     "beta_cutoff must be >= 0")])
 def test_refusals_fail_closed(capsys, tmp_path, argv, message):
     (tmp_path / "lam.csv").write_text(
         CoeffField(2, {1: np.ones((2, 2))}).to_csv())

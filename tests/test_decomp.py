@@ -295,6 +295,24 @@ def _level_analysis_unslabbed(U, phi_spec, j, K):
     return lam, atoms
 
 
+@pytest.mark.parametrize("n,G", [(1, 16), (1, 4096), (1, 16384), (2, 16),
+                                 (2, 128), (2, 256), (3, 8), (3, 32)])
+def test_level1_kernel_spectra_vanish_off_even_lattice(n, G):
+    """_level_analysis keeps level 1's kernel spectra on the even lattice:
+    the 2G patch kernel is the G-periodic kernel tiled twice per axis, and
+    pocketfft's spectrum of it is +0.0, sign bit clear, at every wavenumber
+    odd on some axis."""
+    odd = (np.indices((2 * G,) * n) % 2 == 1).any(axis=0)
+    for L, hom in itertools.product([0, 1, 2], [False, True]):
+        phi_spec = rychkov_pair(L, n=n, G=G, homogeneous=hom).phi_spec[1]
+        for alpha in _multi_indices(n, max(1, L)):
+            kern_hat = np.fft.fftn(_patch_kernel(np.fft.ifftn(
+                _differentiate(phi_spec, alpha) * G ** n), 2 * G))[odd]
+            parts = np.concatenate([kern_hat.real, kern_hat.imag])
+            assert not parts.any(), (L, hom, alpha)
+            assert not np.signbit(parts).any(), (L, hom, alpha)
+
+
 def _analysis_bytes(f, pair):
     lam, patches = atomic_analyze(f, pair)
     return ([(j, lam.levels[j].tobytes()) for j in lam.level_list()],
