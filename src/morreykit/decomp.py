@@ -328,7 +328,7 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
             np.fft.fft(live, axis=n + ax, out=live)
         lam_sl = np.full(ext.shape[:n], TINY)
         for i, (weight, kern_hat) in enumerate(kernels):
-            if size > G:
+            if ev[0].step:  # level 1: off the lattice the product is +0.0
                 buf[...] = 0
             np.multiply(ext[(...,) + ev], kern_hat, out=buf[(...,) + ev])
             for ax in reversed(range(n)):
@@ -347,10 +347,10 @@ def decompose_bytes(n: int, G: int, L: int, homogeneous: bool = False) -> int:
     G^n grid with rychkov_pair(L): the largest level's atoms, the output
     grid, the pair's phi spectra and real denominator, one psi spectrum,
     the kernel spectra of _level_analysis (G^n cells each: level 1 keeps
-    its even lattice of the 2G patch, level 2 has a G patch), one slab
-    (patches, their product buffer and its moduli) and _WORK_GRIDS grids
-    for f, its spectrum, a band and the transients of analysis and
-    synthesis."""
+    the even lattice of its 2G patch, level 2 has a G patch; the atoms and
+    slab terms, not yet held then, cover level 1's (2G)^n fftn transients),
+    one slab (patches, product buffer, moduli) and _WORK_GRIDS grids for
+    f, its spectrum, a band and the transients of analysis and synthesis."""
     _check_grid(G)
     grid = 16 * G ** n
     levels = band_levels(G, homogeneous)
