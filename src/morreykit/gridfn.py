@@ -9,9 +9,10 @@ exp(2 pi i k.x) exactly on the grid.
 
 Frequency windows (theta, tau_j, kappa) are evaluated at xi = k, i.e. the
 window geometry Q(2) / Q(3) lives on the integer wavenumber scale.  The
-sampling expansion is the one exception: its aliasing period is 2^nu in k
-while the window geometry Q(3) assumes a Nyquist factor of 2 pi, so the
-sampling window is evaluated at xi = 2 pi k / 2^nu (see sample_expand).
+sampling expansion (decomp.quark_analyze) is the one exception: its
+aliasing period is 2^nu in k while the window geometry Q(3) assumes a
+Nyquist factor of 2 pi, so its kappa window is evaluated at
+xi = 2 pi k / 2^nu.
 """
 
 from __future__ import annotations
@@ -294,10 +295,6 @@ class FilterBank:
             raise ValueError(f"level {j} outside bank range")
         return self.profiles[j]
 
-    def window(self, j: int) -> np.ndarray:
-        """Level j's window on the full n-dimensional frequency grid."""
-        return self.profile(j)[kinf_grid(self.n, self.G).astype(np.intp)]
-
     def admissible(self) -> dict:
         """Checks on the |k|_inf shells, each of which occurs on the grid:
         0 not in supp(tau), theta > 0 on Q(2), tau > 0 on Q(2)\\Q(1);
@@ -384,11 +381,6 @@ def bands(f: GridFunction, bank: FilterBank, levels=None):
                 out = full
             out = np.fft.ifft(out, axis=ax)
         yield j, GridFunction(n, out)
-
-
-def band(f: GridFunction, bank: FilterBank, j: int) -> GridFunction:
-    """The level-j band of f alone; several levels go through bands."""
-    return next(bands(f, bank, [j]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -688,37 +680,6 @@ def _block_scan(w: np.ndarray, g: np.ndarray, out: np.ndarray, b: int,
             low = evaluate(t.start + act, src[first[act] + r])
     _split_blocks(out, b)[...] = ob.reshape((nb,) * n + (b,) * n)
     return True
-
-
-# ---------------------------------------------------------------------------
-# sampling expansion
-
-def sample_expand(f: GridFunction, kappa, nu: int) -> GridFunction:
-    """Reconstruct a band-limited f from its samples on the 2^nu lattice.
-
-    Precondition: spectrum supported in |2 pi k|_inf <= 3 * 2^nu.  The
-    reconstruction pairs each sample f(2^-nu m) with the kernel whose
-    spectrum is kappa(2 pi k / 2^nu); the aliased spectrum copies sit at
-    distance >= (2 pi - 3) 2^nu > 3.01 * 2^nu from the origin, outside the
-    window, so the identity is exact on the grid."""
-    n, G = f.n, f.G
-    S = 1 << nu
-    if S > G:
-        raise ValueError("sampling lattice finer than the grid")
-    spec = f.spectrum()
-    u = kinf_grid(n, G)
-    limit = 3.0 * 2.0 ** nu / TWO_PI
-    outside = np.abs(spec)[u > limit]
-    if outside.size and outside.max() > 1e-12 * max(np.abs(spec).max(), 1e-300):
-        raise ValueError("spectrum leaks outside Q(3*2^nu); cannot sample-expand")
-    step = G // S
-    coarse = f.samples[(slice(None, None, step),) * n]
-    A = np.fft.fftn(coarse) / S ** n  # aliased spectrum, periodic with period S
-    k = wavenumbers(G).astype(int)
-    idx = np.ix_(*[k % S for _ in range(n)]) if n > 1 else (k % S,)
-    A_full = A[idx]
-    window = radial_window(lambda v: kappa(TWO_PI * v / 2.0 ** nu), n, G)
-    return GridFunction.from_spectrum(n, window * A_full)
 
 
 # ---------------------------------------------------------------------------

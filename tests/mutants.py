@@ -56,6 +56,9 @@ MUTANTS = [
     Mutant("slab-cap-not-rounded", DECOMP,
            "    per = 1 << (per.bit_length() - 1)\n", "",
            "tests/test_decomp.py"),
+    # the quark sampling expansion
+    Mutant("quark-window-off-by-1e-9", DECOMP, "* (Sf // S) ** n",
+           "* (Sf // S) ** n * (1 + 1e-9)", "tests/test_decomp.py"),
     Mutant("psi-times-reciprocal", "src/morreykit/gridfn.py",
            "        ps /= self.denom\n", "        ps *= 1.0 / self.denom\n",
            "tests/test_gridfn.py"),

@@ -20,8 +20,8 @@ from morreykit.decomp import (QUARK_RHO, TINY, AtomSpec, MoleculeSpec,
                               validate_molecule)
 from morreykit.growth import SpaceParams, power
 from morreykit.gridfn import (GridFunction, _along, _multi_indices, _outer,
-                              _split_blocks, _times_monomial, centered_axis,
-                              coord_axis, level_side, make_bank,
+                              _split_blocks, _times_monomial, bands,
+                              centered_axis, coord_axis, level_side, make_bank,
                               random_bandlimited, rychkov_pair)
 from morreykit.norms import CoeffField, QuarkCoeffs, quark_norm
 
@@ -578,6 +578,28 @@ def test_quark_norm_resolution_invariant():
         qlam = quark_analyze(f, make_bank(1, G), 2)
         vals.append(quark_norm(qlam, params))
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
+
+
+@pytest.mark.parametrize("n,G", [(1, 256), (1, 1024), (2, 64), (2, 128)])
+def test_quark_sampling_expansion_is_exact(n, G):
+    # the beta = 0 field is the sampling expansion of band nu from its
+    # 2^-(nu+SAMPLE_GAP) lattice, evaluated on the finer 2^-(nu_s+rho)
+    # lattice: band nu itself there, as the kappa window is 1 on its
+    # spectrum and no aliased copy reaches the window
+    f = random_bandlimited(n, G, max(2, G // 8), seed=[16, n, G])
+    bank = make_bank(n, G)
+    zero = (0,) * n
+    got = quark_analyze(f, bank, 0).fields[zero].levels
+    kept = 0
+    for nu, b in bands(f, bank):
+        level = nu + decomp.SAMPLE_GAP + QUARK_RHO
+        if level not in got:
+            continue
+        kept += 1
+        want = b.samples[(slice(None, None, G >> level),) * n]
+        tol = 1e-12 * np.abs(b.samples).max()
+        assert np.abs(got[level] - want).max() <= tol
+    assert kept == len(got) >= 2
 
 
 def test_atom_patch_to_grid_consistency():

@@ -9,12 +9,11 @@ import pytest
 
 from morreykit import decomp, gridfn, verify
 from morreykit.growth import SpaceParams, power
-from morreykit.gridfn import (GridFunction, band, centered_axis, hl_maximal,
-                              kappa_profile, kinf_grid, make_bank,
-                              peetre_maximal, preset_function,
-                              radial_window, random_bandlimited, rychkov_pair,
-                              sample_expand, smoothstep7, sobolev_norm,
-                              tau_profile_bump, theta_profile,
+from morreykit.gridfn import (GridFunction, bands, centered_axis, hl_maximal,
+                              kinf_grid, make_bank, peetre_maximal,
+                              preset_function, radial_window,
+                              random_bandlimited, rychkov_pair, smoothstep7,
+                              sobolev_norm, tau_profile_bump, theta_profile,
                               theta_profile_bump, wavenumbers, _multi_indices,
                               _times_monomial)
 from morreykit.norms import aggregate
@@ -203,18 +202,14 @@ def test_bank_windows_match_full_grid(n, G, kind, hom):
     bank = make_bank(n, G, kind, homogeneous=hom)
     want = _full_grid_windows(n, G, kind, hom)
     assert list(bank.profiles) == list(want)
+    index = kinf_grid(n, G).astype(np.intp)
     for j, w in want.items():
-        assert bank.window(j).tobytes() == w.tobytes()
+        assert bank.profile(j)[index].tobytes() == w.tobytes()
     assert bank.admissible() == _full_grid_admissible(n, G, kind, hom)
 
 
 def _full_grid_radial(profile, n, G):
     return profile(kinf_grid(n, G))
-
-
-def _sample_expand_output():
-    f = random_bandlimited(2, 64, 7, seed=9)
-    return sample_expand(f, kappa_profile, 4).samples
 
 
 def _quark_output():
@@ -231,18 +226,13 @@ def _multiplier_output():
     return rep.constants, rep.extra, rep.witness
 
 
-@pytest.mark.parametrize("module,output", [
-    (gridfn, _sample_expand_output), (decomp, _quark_output)])
+@pytest.mark.parametrize("module,output", [(decomp, _quark_output)])
 def test_radial_windows_match_full_grid(monkeypatch, module, output):
-    # sample_expand's and quark_analyze's kappa give the same bits on
-    # shells as on every grid point
+    # quark_analyze's kappa gives the same bits on shells as on every grid
+    # point
     got = output()
     monkeypatch.setattr(module, "radial_window", _full_grid_radial)
-    want = output()
-    if isinstance(got, np.ndarray):
-        assert np.array_equal(got, want)
-    else:
-        assert got == want
+    assert output() == got
 
 
 def _multiplier_ratio_full_grid(params, f, bank, nu, seed):
@@ -259,12 +249,15 @@ def _multiplier_ratio_full_grid(params, f, bank, nu, seed):
     sob = sobolev_norm(GridFunction(n, functools.reduce(
         np.multiply.outer, [Hprof(u)] * n)), nu, spacing=16.0 / 256)
     spec = f.spectrum()
+    index = kinf_grid(n, G).astype(np.intp)
     fields = {}
     for j in bank.tau_levels():
         mult = _full_grid_radial(lambda u: Hprof(u / 2.0 ** j), n, G)
-        g = GridFunction.from_spectrum(n, spec * bank.window(j) * mult)
+        g = GridFunction.from_spectrum(
+            n, spec * bank.profile(j)[index] * mult)
         fields[j] = gridfn._peetre_scan(np.abs(g.samples), j, N)
-    plain = ((j, np.abs(band(f, bank, j).samples)) for j in bank.tau_levels())
+    plain = ((j, np.abs(b.samples))
+             for j, b in bands(f, bank, bank.tau_levels()))
     rhs = sob * aggregate(plain, params)
     return None if rhs == 0 else aggregate(fields.items(), params) / rhs
 
@@ -313,7 +306,7 @@ def test_band_reproduces_lowpass_function():
     # Fourier support inside {theta == 1} (|k| <= 2) -> band 0 is the identity
     G = 64
     f = random_bandlimited(1, G, 2, seed=3)
-    b0 = band(f, make_bank(1, G), 0)
+    b0 = next(bands(f, make_bank(1, G), [0]))[1]
     assert np.abs(b0.samples - f.samples).max() < 1e-12
 
 
@@ -321,10 +314,10 @@ def test_bank_levels_partition_unity():
     G = 64
     bank = make_bank(1, G)
     f = random_bandlimited(1, G, 12, seed=4)
-    total = sum(band(f, bank, j).samples for j in bank.levels())
+    total = sum(b.samples for _, b in bands(f, bank))
     assert np.abs(total - f.samples).max() < 1e-12 * f.linf()
     with pytest.raises(ValueError):
-        bank.window(99)
+        bank.profile(99)
 
 
 def test_hl_maximal_constant():
@@ -415,13 +408,13 @@ def test_peetre_maximal_dominates_band():
     G = 64
     bank = make_bank(1, G)
     f = random_bandlimited(1, G, 12, seed=8)
-    for j in (1, 3):
-        b = np.abs(band(f, bank, j).samples)
-        P = peetre_maximal(band(f, bank, j), j, 4.0).samples.real
-        assert np.all(P >= b - 1e-12)
+    split = dict(bands(f, bank, [1, 3]))
+    for j, bj in split.items():
+        P = peetre_maximal(bj, j, 4.0).samples.real
+        assert np.all(P >= np.abs(bj.samples) - 1e-12)
     for N in (0.0, math.nan):  # a NaN order once gave all-NaN samples
         with pytest.raises(ValueError, match="N must be positive"):
-            peetre_maximal(band(f, bank, 1), 1, N)
+            peetre_maximal(split[1], 1, N)
 
 
 def test_peetre_maximal_constant_band():
@@ -429,7 +422,7 @@ def test_peetre_maximal_constant_band():
     bank = make_bank(1, G)
     f = GridFunction(1, np.full(G, 1.0 + 0j))
     # theta == 1 at k = 0, so band 0 is the constant; max attained at y = x
-    P = peetre_maximal(band(f, bank, 0), 0, 3.0).samples.real
+    P = peetre_maximal(next(bands(f, bank, [0]))[1], 0, 3.0).samples.real
     assert np.allclose(P, 1.0)
 
 
@@ -449,12 +442,11 @@ def test_peetre_scan_matches_full_scan(n, G):
     bank = make_bank(n, G)
     for seed in range(3):
         f = random_bandlimited(n, G, G // 8, seed=[15, seed])
-        for j in (1, 2, 3):
-            g = np.abs(band(f, bank, j).samples)
+        for j, bj in bands(f, bank, [1, 2, 3]):
+            g = np.abs(bj.samples)
             for N in (2.5, 4.0):
                 want = _full_peetre_scan(g, j, N)
-                assert np.array_equal(
-                    peetre_maximal(band(f, bank, j), j, N).samples, want)
+                assert np.array_equal(peetre_maximal(bj, j, N).samples, want)
 
 
 def _peetre_char_output():
@@ -623,21 +615,6 @@ def test_peetre_scan_working_set(n, G, j, N):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 8 * (8 * G ** n) + 2 * 8 * gridfn._TABLE_CAP
-
-
-def test_sample_expand_exact():
-    G = 128
-    nu = 4
-    # keep |2 pi k| <= 3 * 2^nu: kmax = 7
-    f = random_bandlimited(1, G, 7, seed=9)
-    rec = sample_expand(f, kappa_profile, nu)
-    assert np.abs(rec.samples - f.samples).max() < 1e-10 * f.linf()
-
-
-def test_sample_expand_rejects_leaky_spectrum():
-    f = random_bandlimited(1, 128, 40, seed=10)
-    with pytest.raises(ValueError):
-        sample_expand(f, kappa_profile, 4)
 
 
 def test_sobolev_norm():

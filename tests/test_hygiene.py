@@ -1,10 +1,10 @@
 """Source hygiene: no module of the package and no test module imports a
 name it never uses, only `gridfn._outer` builds an n-axis product grid (no
 other `.outer` or `meshgrid`), no arithmetic takes a fresh `.copy()` as an
-operand, no loop calls `band`, no module calls `FilterBank.window`, only
-growth, norms and cli compare a `.variant`, norms sums blocks (`_block_sum`)
-only inside `_morrey_of_array`, no module calls `atomic_analyze`, and every
-def is reached from the CLI, the benchmark or the acceptance tests.
+operand, only growth, norms and cli compare a `.variant`, norms sums blocks
+(`_block_sum`) only inside `_morrey_of_array`, no module calls
+`atomic_analyze`, and every def is read by name from the CLI, the benchmark
+or the acceptance tests.  `tests/reach.py` checks the same by a call trace.
 
 A stdlib-ast scan instead of a linter, so the check needs no extra
 dependency.  A name counts as used when it is read anywhere in the module,
@@ -105,65 +105,6 @@ def test_copy_operands_are_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_arithmetic_on_fresh_copies(path):
     assert copy_operands(path.read_text()) == []
-
-
-LOOPS = (ast.For, ast.AsyncFor, ast.While)
-COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
-
-def band_calls_in_loops(source):
-    """Lines that call `band(` in the body of a for/while loop or anywhere
-    in a comprehension.  Code that splits several levels of one function
-    iterates `gridfn.bands`, which takes the spectrum once; `band` takes it
-    again on every call."""
-    lines = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, LOOPS):
-            scopes = node.body
-        elif isinstance(node, COMPREHENSIONS):
-            scopes = [node]
-        else:
-            continue
-        for sub in (x for scope in scopes for x in ast.walk(scope)):
-            if isinstance(sub, ast.Call) and (
-                    getattr(sub.func, "id", None) == "band"
-                    or getattr(sub.func, "attr", None) == "band"):
-                lines.add(sub.lineno)
-    return sorted(lines)
-
-
-def test_band_calls_in_loops_are_caught():
-    assert band_calls_in_loops(
-        "for j in js:\n    b = band(f, bank, j)\n"
-        "c = [gridfn.band(f, bank, j) for j in js]\n"
-        "while x:\n    x = {j: band(f, bank, j) for j in x}\n"
-        "d = band(f, bank, 0)\n"
-        "for j, b in bands(f, bank):\n    e = bands(f, bank, [j])\n") == [2, 3, 5]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_band_calls_in_loops(path):
-    assert band_calls_in_loops(path.read_text()) == []
-
-
-def window_calls(source):
-    """Lines that call a `.window(` attribute.  `FilterBank.window` gathers
-    a level's window on the full grid; the package filters through the
-    shell profiles (`gridfn.bands`), and the full-grid window is the tests'
-    reference."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call)
-                  and getattr(node.func, "attr", None) == "window")
-
-
-def test_window_calls_are_caught():
-    assert window_calls("w = bank.window(j)\nv = window(j)\n"
-                        "u = f(self.window(3) * 2)\nx = bank.window\n") == [1, 3]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_full_grid_window_calls(path):
-    assert window_calls(path.read_text()) == []
 
 
 def variant_comparisons(source):
@@ -276,28 +217,16 @@ def read_names(source):
     return names
 
 
-def traced_names(source):
-    """The parts of every dotted name in the tracer's TRACED table."""
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and any(
-                getattr(t, "id", None) == "TRACED" for t in node.targets):
-            return {part for names in ast.literal_eval(node.value).values()
-                    for name in names for part in name.split(".")}
-    raise AssertionError("no TRACED table")
-
-
-def unreached(defining, reaching, traced=""):
+def unreached(defining, reaching):
     """Names defined in the `defining` sources that no `reaching` source
-    reads and `traced` (the tracer's source) does not name.
+    reads.
 
     Name-based: a def counts as reached when any read anywhere has its
-    name, so a def whose name collides with another read (`get`, `window`,
-    a local variable) is missed, and so is a def read only in its own
-    body."""
+    name, so a def whose name collides with another read (`get`, a local
+    variable) is missed, and so is a def read only in its own body;
+    `tests/reach.py` finds those by a call trace."""
     defs = set().union(*map(defined, defining))
     reads = set().union(*map(read_names, reaching))
-    if traced:
-        reads |= traced_names(traced)
     return sorted(defs - reads)
 
 
@@ -310,12 +239,13 @@ def test_unreached_defs_are_caught():
            "def imported():\n    pass\n"
            "def orphan():\n    def inner():\n        pass\n    return inner\n")
     cli = "from .lib import A, imported\nprint(A().used())\n"
+    # a name in a string, as in the benchmark tracer's table, is no read
     tracer = 'TRACED = {"lib": ["traced", "A.used"]}\n'
-    assert unreached([lib], [lib, cli], tracer) == ["orphan", "planted"]
+    assert unreached([lib], [lib, cli, tracer]) == [
+        "orphan", "planted", "traced"]
 
 
 def test_every_def_is_reached_or_kept():
     found = unreached([p.read_text() for p in MODULES],
-                      [p.read_text() for p in REACHING],
-                      (ROOT / "perfbench" / "tracer.py").read_text())
+                      [p.read_text() for p in REACHING])
     assert found == sorted(UNREACHED)

@@ -10,7 +10,7 @@ from morreykit.dyadic import DyadicCube, cube_mask
 from morreykit.growth import (FAMILIES, GrowthFunction, SpaceParams, loginv,
                               power, power_of, powerlog, table)
 from morreykit import norms
-from morreykit.gridfn import (GridFunction, _block_sum, band, bands,
+from morreykit.gridfn import (GridFunction, _block_sum, bands, kinf_grid,
                               make_bank, preset_function, random_bandlimited)
 from morreykit.norms import (CoeffField, QuarkCoeffs, _cell_fields,
                              _morrey_of_array, aggregate, band_norm,
@@ -190,7 +190,7 @@ def test_aggregate_matches_space_and_seq_norm():
     lam = next(coeff_corpus(1, 5, 1, seed=4, floor=-2))
     for hom in (False, True):
         bank = make_bank(1, G, homogeneous=hom)
-        fields = {j: np.abs(band(f, bank, j).samples) for j in bank.levels()}
+        fields = {j: np.abs(b.samples) for j, b in bands(f, bank)}
         for variant in ("N", "E"):
             for r in (0.5, 2.0, INF):
                 params = SpaceParams(q=1.0, r=r, s=1.0, phi=power(2.0),
@@ -217,9 +217,11 @@ def test_space_norm_matches_per_band_spectrum():
 
 def _check_split(f, bank):
     n, hom = f.n, bank.homogeneous
+    index = kinf_grid(n, bank.G).astype(np.intp)
 
     def per_band(j):
-        return GridFunction.from_spectrum(n, bank.window(j) * f.spectrum())
+        return GridFunction.from_spectrum(
+            n, bank.profile(j)[index] * f.spectrum())
 
     for levels in (None, bank.tau_levels()):
         split = list(bands(f, bank, levels))

@@ -11,7 +11,8 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # entry points deleted on purpose, which the tracer's table still names
-DELETED = {"dyadic.ancestor", "dyadic.trace_boxes", "gridfn.powered_maximal",
+DELETED = {"dyadic.ancestor", "dyadic.trace_boxes", "gridfn.band",
+           "gridfn.powered_maximal", "gridfn.sample_expand",
            "verify.peetre_maximal_of", "verify.pointwise_mult_campaign",
            "verify.band_pointwise_campaign"}
 
