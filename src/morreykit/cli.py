@@ -139,6 +139,9 @@ def _load_function(args, work=None) -> GridFunction:
             _check_work(work(args.dim, args.res))
         return preset_function(args.fn, args.dim, args.res, seed=args.seed)
     with open(args.input, "rb") as fh:
+        n, G = GridFunction.header(fh.read(16))
+        _check_cells(G, n)  # before the payload is read
+        fh.seek(0)
         f = GridFunction.from_bytes(fh.read())
     if f.n != args.dim:
         raise ValueError(f"--input holds an n={f.n} function,"

@@ -9,11 +9,11 @@ to f exactly (Fubini split of the reproducing identity).  It returns the
 coefficients lam_jm and, per level, one array of the normalized atoms
 a_jm = gamma_jm / lam_jm:
 
-* j >= 1: a stack of shape (2^j,)*n + (min(3c, G),)*n, with c = G / 2^j
-  grid cells per cube side.  Entry [m] is atom (j, m) on the patch
-  starting one cube side before the cube, at cell (m c - c) mod G: its
-  full support 3Q, or at j = 1 the whole torus once.
-* j <= 0: the atom on the full grid, as one cube covers the torus.
+* a stack of shape (level_side(j),)*n + (min(3c, G),)*n, with
+  c = G / level_side(j) grid cells per cube side.  Entry [m] is atom
+  (j, m) on the patch starting one cube side before the cube, at cell
+  (m c - c) mod G: its full support 3Q, or the whole torus once at j = 1
+  and on the one cube of a level j <= 0.
 
 A level j >= 1 is analysed in slabs of cubes of about 1 MiB of patches,
 with a forward FFT that skips the all-zero patch lines and one power-of-two
@@ -249,27 +249,12 @@ def _analyses(f: GridFunction, pair: RychkovPair):
             gamma = GridFunction.from_spectrum(
                 n, GridFunction(n, U).spectrum() * pair.phi_spec[j]).samples
             lam = max(TINY, _deriv_sup(gamma, j, K))
-            yield j, np.full((1,) * n, lam), gamma / lam
+            yield j, np.full((1,) * n, lam), (gamma / lam)[(None,) * n]
             continue
         if pair.phi_half_cells[j] > G >> j:
             raise ValueError(
                 f"kernel support at level {j} exceeds 3Q; lower L or refine G")
         yield (j,) + _level_analysis(U, pair.phi_spec[j], j, K)
-
-
-def _slabs(side: int, n: int, per: int) -> list:
-    """Index tuples that cover a (side,)*n array of cubes in C order, at
-    most per >= 1 cubes each: one index on the leading axes, a run on the
-    next, and the trailing axes whole.  per is rounded down to a power of
-    two, as side is one, so every slab has one shape."""
-    per = 1 << (per.bit_length() - 1)
-    t = 0  # trailing axes a slab takes whole
-    while t < n - 1 and side ** (t + 1) <= per:
-        t += 1
-    run = per // side ** t
-    return [tuple(slice(h, h + 1) for h in head) + (slice(s, s + run),)
-            for head in itertools.product(range(side), repeat=n - 1 - t)
-            for s in range(0, side, run)]
 
 
 def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
@@ -278,12 +263,13 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     gamma_m = phi_j * (chi_{Q_m} U) is a circular convolution on a 4c patch
     (origin = cube corner minus one cube side), exact while the kernel
     half-width stays at most c cells; its support is then the first 3c
-    cells.  The cubes go through in slabs of at most _SLAB_BYTES of patches
-    (or one patch), in one pair of patch buffers per level, so a level
-    holds one slab, not all 4^n G^n cells.  The forward FFT runs one patch
-    axis at a time in fftn's order, last first, over the lines whose
-    earlier patch axes lie in [c, 2c): the other lines are zero, and each
-    line is transformed on its own, so the bytes are fftn's.  Each d^alpha
+    cells.  The cubes go through in C order, in slabs (runs of cubes) of at
+    most _SLAB_BYTES of patches (or one patch), in one pair of patch buffers
+    per level, so a level holds one slab, not all 4^n G^n cells.  The
+    forward FFT runs one patch axis at a time in fftn's order, last first,
+    over the lines whose earlier patch axes lie in [c, 2c): the other lines
+    are zero, and each line is transformed on its own, so the bytes are
+    fftn's.  Each d^alpha
     phi_j, |alpha| <= K, is convolved into one reused buffer by an unscaled
     inverse FFT, last axis first, and folded into lam; only the alpha = 0
     patches are kept, cut to min(3c, G) cells per axis.  At j = 1 the 2G
@@ -301,7 +287,7 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     c = G >> j
     size = 4 * c
     side = level_side(j)
-    axes = tuple(range(n, 2 * n))
+    axes = tuple(range(1, n + 1))
     scale = float(G * size) ** -n
     ev = (slice(None, None, 2) if size > G else slice(None),) * n
     # spectra of the d^alpha phi_j kernels (alpha = 0 first: phi_j itself,
@@ -309,37 +295,41 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     kernels = [(2.0 ** (-j * sum(alpha)) * scale, np.fft.fftn(_patch_kernel(
         np.fft.ifftn(_differentiate(phi_spec, alpha) * G ** n), size))[
             ev].copy()) for alpha in _multi_indices(n, K)]
-    lam = np.empty((side,) * n)
-    atoms = np.empty((side,) * n + (min(3 * c, G),) * n,
-                     dtype=np.complex128)
+    lam = np.empty(side ** n)
+    atoms = np.empty(lam.shape + (min(3 * c, G),) * n, dtype=np.complex128)
     blocks = _split_blocks(U, c)
     inner = (slice(c, 2 * c),) * n
     kept = (...,) + (slice(0, min(3 * c, G)),) * n
-    slabs = _slabs(side, n, max(1, _SLAB_BYTES // (16 * size ** n)))
+    per = max(1, _SLAB_BYTES // (16 * size ** n))
+    # a power of two, as lam.size is one, so the slabs tile the level
+    per = min(1 << (per.bit_length() - 1), lam.size)
     # one pair of patch buffers per level, of the one slab shape
-    ext = np.empty(lam[slabs[0]].shape + (size,) * n, dtype=complex)
+    ext = np.empty((per,) + (size,) * n, dtype=complex)
     buf = np.empty_like(ext)
-    for sl in slabs:
+    for s in range(0, lam.size, per):
+        sl = slice(s, s + per)
         # blocks of U per cube, zero-extended into the 4c patch at offset c
         ext[...] = 0
-        ext[(...,) + inner] = blocks[sl]
+        ext[(...,) + inner] = blocks[np.unravel_index(
+            np.arange(s, s + per), (side,) * n)]
         for ax in reversed(range(n)):
             live = ext[(...,) + inner[:ax] + (slice(None),) + ev[ax + 1:]]
-            np.fft.fft(live, axis=n + ax, out=live)
-        lam_sl = np.full(ext.shape[:n], TINY)
+            np.fft.fft(live, axis=1 + ax, out=live)
+        lam_sl = np.full(per, TINY)
         for i, (weight, kern_hat) in enumerate(kernels):
             if ev[0].step:  # level 1: off the lattice the product is +0.0
                 buf[...] = 0
             np.multiply(ext[(...,) + ev], kern_hat, out=buf[(...,) + ev])
             for ax in reversed(range(n)):
                 live = buf[(...,) + ev[:ax] + (slice(None),) * (n - ax)]
-                np.fft.ifft(live, axis=n + ax, norm="forward", out=live)
+                np.fft.ifft(live, axis=1 + ax, norm="forward", out=live)
             lam_sl = np.maximum(lam_sl, weight * np.abs(buf).max(axis=axes))
             if i == 0:
                 np.multiply(buf[kept], scale, out=atoms[sl])
         lam[sl] = lam_sl
         atoms[sl] /= lam_sl[(...,) + (None,) * n]
-    return lam, atoms
+    return (lam.reshape((side,) * n),
+            atoms.reshape((side,) * n + atoms.shape[1:]))
 
 
 def decompose_bytes(n: int, G: int, L: int, homogeneous: bool = False) -> int:
@@ -356,8 +346,7 @@ def decompose_bytes(n: int, G: int, L: int, homogeneous: bool = False) -> int:
     levels = band_levels(G, homogeneous)
     patch = max([16 * (4 * (G >> j)) ** n for j in levels if j >= 1],
                 default=0)
-    atoms = max(grid if j <= 0 else 16 * (level_side(j) * min(3 * (G >> j),
-                                                              G)) ** n
+    atoms = max(16 * (level_side(j) * min(3 * (G // level_side(j)), G)) ** n
                 for j in levels)
     kernels = math.comb(n + max(1, L), n) * grid
     return (atoms + grid + (len(levels) + 1) * grid + grid // 2 + kernels
@@ -385,25 +374,18 @@ def _add_level(out: np.ndarray, lam_j: np.ndarray, atoms: np.ndarray,
     complex128 first, as CoeffField holds it.
 
     An overlap-add: every patch axis splits into blocks of c cells, three
-    for a 3c patch and two for a G patch at j = 1, and block b lands on
-    cube m + b - 1 (mod 2^j), so a level is 3^n or 2^n shifted block
-    adds."""
+    for a 3c patch, two for a G patch at j = 1 and one at j <= 0, and block
+    b lands on cube m + b - 1 (mod level_side(j)), so a level is 3^n, 2^n
+    or one shifted block adds."""
     n = out.ndim
     v = np.asarray(lam_j, dtype=np.complex128)
-    if j <= 0:
-        out += np.reshape(v, ()) * atoms
-        return
-    c = G >> j
-    cubes = atoms.shape[:n]
-    nb = atoms.shape[n] // c
-    # axes (m.., b_1, cell_1, ..., b_n, cell_n) -> (b.., m.., cell..)
-    blocks = atoms.reshape(cubes + (nb, c) * n).transpose(
-        [*range(n, 3 * n, 2), *range(n), *range(n + 1, 3 * n, 2)])
+    c = G // level_side(j)
+    blocks = _split_blocks(atoms, c, n)  # axes (m.., b.., cell..)
     weight = v[(...,) + (None,) * n]
     acc = np.zeros(v.shape + (c,) * n, dtype=np.complex128)
-    for b in itertools.product(range(nb), repeat=n):
-        acc += np.roll(weight * blocks[b], [bi - 1 for bi in b],
-                       axis=tuple(range(n)))
+    for b in itertools.product(range(blocks.shape[n]), repeat=n):
+        acc += np.roll(weight * blocks[(slice(None),) * n + b],
+                       [bi - 1 for bi in b], axis=tuple(range(n)))
     out += _join_blocks(acc)
 
 

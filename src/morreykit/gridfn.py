@@ -152,13 +152,24 @@ class GridFunction:
         return head + np.ascontiguousarray(self.samples).tobytes()
 
     @staticmethod
-    def from_bytes(buf: bytes) -> "GridFunction":
+    def header(buf: bytes) -> tuple:
+        """(n, G) of a blob from its first 16 bytes, not yet checked
+        against the payload."""
         if len(buf) < 16:
             raise ValueError("not a grid-function blob")
         magic, n, G, tag = struct.unpack_from("<4sII4s", buf, 0)
         if magic != GridFunction.MAGIC or tag != b"c128":
             raise ValueError("not a grid-function blob")
+        return n, G
+
+    @staticmethod
+    def from_bytes(buf: bytes) -> "GridFunction":
+        n, G = GridFunction.header(buf)
         data = np.frombuffer(buf, dtype=np.complex128, offset=16)
+        # n is a uint32: (G,)*n is built only once G^n is the payload's size
+        if not 0 < n <= 64 or G ** n != data.size:
+            raise ValueError("grid-function blob header does not match its"
+                             " payload")
         if not np.isfinite(data).all():
             raise ValueError("grid-function blob holds non-finite samples")
         return GridFunction(n, data.reshape((G,) * n).copy())

@@ -1,15 +1,16 @@
-"""Named mutations of the source, each with the test file that must fail.
+"""Named mutations of the source, each with the test that must fail.
 
     python tests/mutants.py
 
 For each mutant the checkout is copied into a temporary directory, the
 mutant's anchor text, which must occur exactly once in its file, is
-replaced, and `pytest -x` runs the mutant's target test file there.  A
-mutant is killed when that run reports a failed test; a run that cannot
-collect its tests is an error, not a kill.  One line per mutant is
-printed, and the exit status is 1 if any mutant survived or erred.  pytest
-does not collect this file; tests/test_mutants.py checks that every anchor
-still matches and every target exists.
+replaced, and `pytest -x` runs the mutant's target there: one test
+function, named by its pytest node id (all its parameter sets).  A mutant
+is killed when that run reports a failed test; a run that cannot collect
+its test is an error, not a kill.  One line per mutant is printed, and the
+exit status is 1 if any mutant survived or erred.  pytest does not collect
+this file; tests/test_mutants.py checks that every anchor still matches
+and every target test is defined in its file.
 """
 
 import os
@@ -29,54 +30,54 @@ class Mutant(NamedTuple):
     path: str  # source file, relative to the checkout
     anchor: str  # exact text, found once in the file
     replacement: str
-    target: str  # test file that must fail, relative to the checkout
+    target: str  # node id of the test that must fail: FILE::FUNCTION
 
 
 DECOMP = "src/morreykit/decomp.py"
+UNSLABBED = "tests/test_decomp.py::test_level_analysis_matches_unslabbed"
 MUTANTS = [
     # level 1 on its even-wavenumber lattice
     Mutant("lattice-buf-not-zeroed", DECOMP,
            "            if ev[0].step:  # level 1: off the lattice the product"
-           " is +0.0\n                buf[...] = 0\n", "",
-           "tests/test_decomp.py"),
+           " is +0.0\n                buf[...] = 0\n", "", UNSLABBED),
     Mutant("lattice-inverse-pruned-on-own-axis", DECOMP,
            "buf[(...,) + ev[:ax] + (slice(None),) * (n - ax)]",
            "buf[(...,) + ev[:ax + 1] + (slice(None),) * (n - ax - 1)]",
-           "tests/test_decomp.py"),
+           UNSLABBED),
     Mutant("lattice-at-every-level-with-G-patch", DECOMP,
            "slice(None, None, 2) if size > G",
-           "slice(None, None, 2) if size >= G",
-           "tests/test_decomp.py"),
+           "slice(None, None, 2) if size >= G", UNSLABBED),
     Mutant("lattice-forward-pruned-on-own-axis", DECOMP,
            "inner[:ax] + (slice(None),) + ev[ax + 1:]", "inner[:ax] + ev[ax:]",
-           "tests/test_decomp.py"),
+           UNSLABBED),
     # slabbed analysis and per-level filters
     Mutant("slab-patch-not-zeroed", DECOMP,
-           "        ext[...] = 0\n", "", "tests/test_decomp.py"),
+           "        ext[...] = 0\n", "", UNSLABBED),
     Mutant("slab-cap-not-rounded", DECOMP,
-           "    per = 1 << (per.bit_length() - 1)\n", "",
-           "tests/test_decomp.py"),
+           "    per = min(1 << (per.bit_length() - 1), lam.size)\n",
+           "    per = min(per, lam.size)\n", UNSLABBED),
     # the quark sampling expansion
     Mutant("quark-window-off-by-1e-9", DECOMP, "* (Sf // S) ** n",
-           "* (Sf // S) ** n * (1 + 1e-9)", "tests/test_decomp.py"),
+           "* (Sf // S) ** n * (1 + 1e-9)",
+           "tests/test_decomp.py::test_quark_sampling_expansion_is_exact"),
     Mutant("psi-times-reciprocal", "src/morreykit/gridfn.py",
            "        ps /= self.denom\n", "        ps *= 1.0 / self.denom\n",
-           "tests/test_gridfn.py"),
+           "tests/test_gridfn.py::test_psi_matches_stored_spectra"),
     Mutant("preset-meshgrid", "src/morreykit/gridfn.py",
            "        r2 = _outer(np.add, [x ** 2] * n)\n"
            "        return GridFunction(n, np.exp(-40.0 * r2)",
            "        r2 = sum(np.meshgrid(*[x ** 2] * n, indexing=\"ij\"))\n"
            "        return GridFunction(n, np.exp(-40.0 * r2)",
-           "tests/test_hygiene.py"),
+           "tests/test_hygiene.py::test_grid_products_only_in_gridfn"),
     # trace bounds
     Mutant("bound-I-levels-reversed", "src/morreykit/trace.py",
            "        for j, T in terms:\n",
            "        for j, T in reversed(terms):\n",
-           "tests/test_trace.py"),
+           "tests/test_trace.py::test_bounds_match_the_loops"),
     Mutant("bound-II-split-power", "src/morreykit/trace.py",
            "acc += (level_weight(j0, star.s) * expanded) ** star.q",
            "acc += level_weight(j0, star.s) ** star.q * expanded ** star.q",
-           "tests/test_trace.py"),
+           "tests/test_trace.py::test_bounds_match_the_loops"),
 ]
 
 
@@ -92,8 +93,8 @@ def apply(mutant: Mutant, root: Path) -> None:
 
 
 def run(mutant: Mutant) -> str:
-    """'killed', 'survived' or 'error', from pytest -x on the target in a
-    mutated copy of the checkout."""
+    """'killed', 'survived' or 'error', from pytest -x on the target test in
+    a mutated copy of the checkout."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(

@@ -552,6 +552,23 @@ def test_too_large_grids_fail_closed(capsys, argv):
     assert "cells exceeds 2^24" in result[2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--params", "power-p2-q1-s1-N-r2"], ["quark"], ["decompose"]])
+def test_input_blobs_meet_the_cell_guard(capsys, tmp_path, monkeypatch,
+                                         argv):
+    # a blob is refused by its header, with the preset's message, before
+    # its payload is read; a guard of 2^10 cells stands in for 2^24, so
+    # 2^11 cells are too many
+    monkeypatch.setattr(cli, "MAX_LEVEL_BITS", 10)
+    blob = tmp_path / "f.bin"
+    blob.write_bytes(preset_function("gaussian", 1, 2048).to_bytes())
+    preset = run(capsys, *argv, "--res", "2048")
+    assert preset[2] == "error: a grid of 2048^1 cells exceeds 2^10"
+    result = run(capsys, *argv, "--input", str(blob))
+    _assert_fails_closed(*result)
+    assert result[2] == preset[2]
+
+
 @pytest.mark.parametrize("L", [0, 1, 2])
 @pytest.mark.parametrize("hom", [False, True])
 @pytest.mark.parametrize("n,G", [(1, 16384), (2, 128), (3, 16)])

@@ -137,14 +137,11 @@ def _atom_grid(patches, j, m, n, G):
 
 def _per_atom_synthesis(lam, patches, G):
     """sum_jm lam_jm a_jm, one wrapped-index add per atom.  Patch (j, m)
-    starts one cube side before the cube."""
+    starts one cube side before the cube (at 0 on a level j <= 0)."""
     n = lam.n
     out = np.zeros((G,) * n, dtype=np.complex128)
     for j, m in _cubes(lam):
-        if j <= 0:
-            out += lam.levels[j][m] * patches[j]
-            continue
-        c = G >> j
+        c = G // level_side(j)
         patch = patches[j][m]
         idx = [(np.arange(patch.shape[0]) + mi * c - c) % G for mi in m]
         out[np.ix_(*idx)] += lam.levels[j][m] * patch
@@ -164,12 +161,19 @@ def test_synthesize_matches_per_atom_reference(n, G, hom):
 
 @pytest.mark.parametrize("n,G", [(1, 64), (2, 32), (3, 16)])
 def test_patches_cover_3q(n, G):
-    pair = rychkov_pair(1, n=n, G=G)
-    lam, patches = atomic_analyze(random_bandlimited(n, G, 4, seed=1), pair)
-    for j in lam.level_list():
-        if j >= 1:
-            c = G >> j
-            assert patches[j].shape == (1 << j,) * n + (min(3 * c, G),) * n
+    # every level, the homogeneous levels -4..0 and theta's 0 included, is
+    # one stack of a patch per cube
+    levels = set()
+    for hom in (False, True):
+        pair = rychkov_pair(1, n=n, G=G, homogeneous=hom)
+        lam, patches = atomic_analyze(
+            random_bandlimited(n, G, 4, seed=1, zero_mean=hom), pair)
+        for j in lam.level_list():
+            side = level_side(j)
+            shape = (side,) * n + (min(3 * (G // side), G),) * n
+            assert patches[j].shape == shape, (hom, j)
+        levels |= set(lam.level_list())
+    assert set(range(-4, 1)) <= levels
 
 
 def test_atomic_analyze_peak_memory():
@@ -339,7 +343,10 @@ def test_level_analysis_matches_unslabbed(monkeypatch, n, G, L, kind):
     is exact only while nothing is subnormal, so every input keeps its
     samples in the normal range (or zero).  Slab caps of one cube, of 3000
     bytes (a run rounded down to a power of two) and of 4 KiB split every
-    level, whose patches hold 16 (4G)^n bytes at every j."""
+    level, whose patches hold 16 (4G)^n bytes at every j.  A cap of a
+    quarter of that gives, in 2-D and 3-D, slabs of several whole rows of
+    cubes (a row being level_side(j) cubes on the last axis), a cap of all
+    of it one slab per level, and 3000 bytes slabs of part of a row."""
     pair = rychkov_pair(L, n=n, G=G, homogeneous=kind == "hom")
     f = {"spread": lambda: random_bandlimited(n, G, G // 8, seed=[15, n, L]),
          "hom": lambda: random_bandlimited(n, G, G // 4, seed=[16, n, L],
@@ -349,33 +356,20 @@ def test_level_analysis_matches_unslabbed(monkeypatch, n, G, L, kind):
     with monkeypatch.context() as m:
         m.setattr(decomp, "_level_analysis", _level_analysis_unslabbed)
         want = _analysis_bytes(f, pair)
-    for cap in (1, 3000, 4096):
-        assert 16 * (4 * G) ** n > cap
+    whole = 16 * (4 * G) ** n
+    assert whole > 4096
+    spans = set()
+    for cap in (1, 3000, 4096, whole // 4, whole):
         monkeypatch.setattr(decomp, "_SLAB_BYTES", cap)
         assert _analysis_bytes(f, pair) == want, cap
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_slabs_cover_each_cube_once_in_one_shape(n):
-    # the side of a level and the rounded cap are powers of two, so no slab
-    # is ragged and _level_analysis holds one pair of buffers of one shape;
-    # caps that are no power of two are rounded down
-    caps = sorted({1 << k for k in range(21)} | {3, 5, 3000, 65535})
-    configs = 0
-    for side in (1 << k for k in range(9)):
-        for per in caps:
-            if side ** n // per > 4096:
-                continue  # too many slabs to walk
-            slabs = decomp._slabs(side, n, per)
-            seen = np.zeros((side,) * n, dtype=np.int64)
-            for sl in slabs:
-                seen[sl] += 1
-            assert (seen == 1).all(), (side, per)
-            shapes = {seen[sl].shape for sl in slabs}
-            assert len(shapes) == 1, (side, per, shapes)
-            assert np.prod(shapes.pop()) <= per
-            configs += 1
-    assert configs >= 100
+        for j in pair.levels:
+            if j >= 1:  # the cubes of one slab, as _level_analysis counts
+                side, per = level_side(j), cap // (16 * (4 * G >> j) ** n)
+                per = min(1 << (max(1, per).bit_length() - 1), side ** n)
+                spans.add("level" if per == side ** n else "rows"
+                          if per >= 2 * side else "part" if per < side
+                          else "row")
+    assert n == 1 or {"part", "rows", "level"} <= spans, spans
 
 
 def test_homogeneous_lam_pinned():

@@ -89,6 +89,19 @@ def test_bytes_and_json_round_trip():
         GridFunction.from_bytes(b"nope" + f.to_bytes()[4:])
 
 
+@pytest.mark.parametrize("n,G,cells", [(1 << 22, 1, 1), (2 ** 32 - 1, 2, 1),
+                                       (0, 4, 1), (2, 4, 8), (2, 4, 32)])
+def test_blob_header_is_checked_before_any_shape(n, G, cells):
+    # n is a uint32: a header whose G^n is not the payload's cell count is
+    # refused before (G,)*n is built (n = 2^22 took 0.02 s to reach numpy's
+    # dimension limit)
+    blob = (GridFunction.MAGIC + np.array([n, G], "<u4").tobytes() + b"c128"
+            + np.ones(cells, dtype=np.complex128).tobytes())
+    assert GridFunction.header(blob) == (n, G)
+    with pytest.raises(ValueError, match="header does not match"):
+        GridFunction.from_bytes(blob)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridFunction(2, np.zeros(8))  # rank mismatch

@@ -1,8 +1,10 @@
 """`tests/mutants.py` names mutations of the source by exact anchor text,
-and `tests/corpus.py` lists CLI argvs.  A refactor that moves an anchor or
-renames an option would break either list without any error until someone
-runs it; these tests fail instead."""
+each with the test that must kill it, and `tests/corpus.py` lists CLI
+argvs.  A refactor that moves an anchor, renames a test or renames an
+option would break either list without any error until someone runs it;
+these tests fail instead."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -26,8 +28,14 @@ def test_every_mutant_applies_once_and_has_its_target():
         text = (ROOT / m.path).read_text()
         assert text.count(m.anchor) == 1, m.name
         assert m.replacement != m.anchor, m.name
-        assert (ROOT / m.target).is_file(), m.name
-        assert Path(m.target).name.startswith("test_"), m.name
+        # the target is one test function, found by ast with no collection
+        path, func = m.target.split("::")
+        assert (ROOT / path).is_file(), m.name
+        assert Path(path).name.startswith("test_"), m.name
+        assert func.startswith("test_"), m.name
+        tree = ast.parse((ROOT / path).read_text())
+        assert func in {node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef)}, m.name
 
 
 def test_every_corpus_argv_parses():
