@@ -269,15 +269,15 @@ def _level_analysis(U: np.ndarray, phi_spec: np.ndarray, j: int, K: int):
     forward FFT runs one patch axis at a time in fftn's order, last first,
     over the lines whose earlier patch axes lie in [c, 2c): the other lines
     are zero, and each line is transformed on its own, so the bytes are
-    fftn's.  Each d^alpha
-    phi_j, |alpha| <= K, is convolved into one reused buffer by an unscaled
-    inverse FFT, last axis first, and folded into lam; only the alpha = 0
-    patches are kept, cut to min(3c, G) cells per axis.  At j = 1 the 2G
-    patch kernel is the G-periodic kernel tiled twice per axis, so its
-    spectrum is +0.0 at every wavenumber odd on some axis: level 1 keeps
-    the kernel spectra, the forward lines read and the products on the
-    even lattice ev (1/2^n of the cells), the rest of the product +0.0,
-    and an inverse pass skips the lines odd on an earlier axis, all zero.
+    fftn's.  Each d^alpha phi_j, |alpha| <= K, is convolved into one reused
+    buffer by an unscaled inverse FFT, last axis first, and folded into
+    lam; only the alpha = 0 patches are kept, cut to min(3c, G) cells per
+    axis.  At j = 1 the 2G patch kernel is the G-periodic kernel tiled
+    twice per axis, so its spectrum is +0.0 at every wavenumber odd on some
+    axis: level 1 keeps the kernel spectra, the forward lines read and the
+    products on the even lattice ev (1/2^n of the cells), the rest of the
+    product +0.0, and an inverse pass skips the lines odd on an earlier
+    axis, all zero.
     A zero enters a sum only as x + 0 = x, so the bytes are the full
     lattice's.  The quadrature weight G^-n and ifftn's (4c)^-n are one
     power-of-two factor, applied to the max and the kept patches: exact
